@@ -7,17 +7,14 @@ from .errors import (
     MatnormError,
 )
 from .linalg import (
-    SvdResult,
     assemble_blocks,
     block_scalar_action,
-    direct_sum,
     dual_witness,
     operator_norm,
     random_contraction,
     random_unitary,
     singular_values,
     split_blocks,
-    svd,
     trace_norm,
     trace_pairing,
 )
@@ -67,7 +64,6 @@ from .hatspace import (
     couple_value,
     default_catalog,
     hat_bounds,
-    hat_lower_bound,
     hat_upper_bound,
     l1_functional_check,
     random_couple,

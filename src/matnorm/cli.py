@@ -6,9 +6,10 @@ Subcommands:
 * ``hat-bounds``  certified interval for the supremum norm of a block matrix
 * ``verify``      run named verification suites and emit a JSON report
 
-Exit codes: 0 success, 1 at least one failed check, 2 input or parse error,
-3 internal inconsistency (a lower bound exceeded an upper bound). The
-environment variable MATNORM_SEED provides the default seed.
+Exit codes: 0 success, 1 at least one failed check, 2 input or parse error
+(bad arguments included), 3 internal inconsistency (a lower bound exceeded
+an upper bound). The environment variable MATNORM_SEED provides the default
+seed; like ``--seed`` it must be a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ from .optimizer import OptimizerConfig
 from .serialize import pairs_to_complex
 from .spaces import space_from_id
 from .suites import SUITE_NAMES, run_suite
-
-
-def _default_seed() -> int:
-    value = os.environ.get("MATNORM_SEED", "")
-    try:
-        return int(value) if value else 0
-    except ValueError:
-        return 0
 
 
 def _load_json(path: str) -> dict:
@@ -158,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Norm evaluation and certified supremum-norm bounds for block matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int when --seed is absent
+    seed = os.environ.get("MATNORM_SEED") or "0"
 
     p_norm = sub.add_parser("norm", help="evaluate a catalog-space norm from a JSON file")
     p_norm.add_argument("space", help='space id: "cmin", "cmax", "op:k" or "l1:[...]"')
@@ -168,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hat.add_argument("file", help="JSON block-matrix file {n, m, blocks}")
     p_hat.add_argument("--n", type=int, default=None, help="block size (cross-checked with the file)")
     p_hat.add_argument("--budget", type=int, default=None, help="random couples per catalog space")
-    p_hat.add_argument("--seed", type=int, default=_default_seed())
+    p_hat.add_argument("--seed", type=int, default=seed, help="default: MATNORM_SEED or 0")
     p_hat.add_argument("--json", action="store_true", help="emit the bounds as JSON")
     p_hat.add_argument("--opt-config", default=None, metavar="JSON",
                        help='optimizer overrides, e.g. \'{"restarts": 4, "iterations": 100}\'')
@@ -180,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p", type=float, default=None, help="convexity exponent")
     p_ver.add_argument("--trials", type=int, default=None, help="override per-suite trial counts")
     p_ver.add_argument("--budget", type=int, default=None, help="override per-space couple budgets")
-    p_ver.add_argument("--seed", type=int, default=_default_seed())
+    p_ver.add_argument("--seed", type=int, default=seed, help="default: MATNORM_SEED or 0")
     p_ver.add_argument("--out", default=None, help="write the JSON report to a file instead of stdout")
     return parser
 
@@ -188,6 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, low in (("n", 1), ("m", 1), ("trials", 1), ("budget", 0), ("seed", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            parser.error(f"argument --{name}: must be at least {low}, got {value}")
     try:
         if args.command == "norm":
             return cmd_norm(args)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInputError
+from .linalg import canonical_identity
 from .spaces import LeveledElement
 
 __all__ = [
@@ -72,10 +73,7 @@ def phi_apply(phi: PhiMap, a) -> LeveledElement:
 def phi_amplified(phi: PhiMap, blocks) -> LeveledElement:
     """Entrywise application to an m x m array of n x n matrices."""
     n = phi.source_dim
-    arr = blocks
-    if not (isinstance(arr, np.ndarray) and arr.dtype == np.complex128 and arr.ndim == 4
-            and arr.shape[0] == arr.shape[1] and arr.shape[2] == n and arr.shape[3] == n):
-        arr = linalg.as_block_array(blocks, block_size=n)
+    arr = linalg.trusted_block_array(blocks, n)
     m = arr.shape[0]
     out = np.einsum("dx,klx->kld", phi.matrix, arr.reshape(m, m, n * n))
     return LeveledElement(phi.space_id, out)
@@ -84,21 +82,6 @@ def phi_amplified(phi: PhiMap, blocks) -> LeveledElement:
 def amplified_image(v: LeveledElement, blocks) -> LeveledElement:
     """Shorthand for ``phi_amplified(phi_of(v), blocks)``."""
     return phi_amplified(phi_of(v), blocks)
-
-
-def canonical_identity(n: int) -> np.ndarray:
-    """The flip element of the n x n blocks: block (p, q) is e_qp.
-
-    Its amplified image under any phi_v is v itself, and the assembled
-    n^2 x n^2 matrix is the (unitary) swap permutation.
-    """
-    if n < 1:
-        raise InvalidInputError(f"size must be positive, got {n}")
-    out = np.zeros((n, n, n, n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            out[p, q, q, p] = 1.0
-    return out
 
 
 def check_naturality(psi, v: LeveledElement, extra_matrices=()) -> float:

@@ -43,7 +43,6 @@ from .spaces import (
     c_max,
     c_min,
     concrete_operator_space,
-    l1_embed,
     l1_sum,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "structured_couples",
     "random_couple",
     "search_lower_bound",
-    "hat_lower_bound",
     "hat_upper_bound",
     "hat_bounds",
     "block_diag_lower",
@@ -67,6 +65,9 @@ __all__ = [
     "l1_functional_check",
 ]
 
+# Lower and upper bounds reach the same quantity along different rounding
+# paths (at m = 1 both are the block's trace norm), so they may disagree by a
+# few ulps of the upper bound; the tolerance scales with it above 1.
 CONSISTENCY_TOL = 1e-9
 UPPER_RULES = ("level1_trace", "block_min", "entry_trace_sum", "prop1_entrywise")
 
@@ -126,82 +127,34 @@ def default_catalog(n: int) -> list[MatricialSpace]:
     return spaces
 
 
-def _coerce_u4(u, n: int) -> np.ndarray:
-    # fast path for arrays the engine already validated
-    if isinstance(u, np.ndarray) and u.dtype == np.complex128 and u.ndim == 4 \
-            and u.shape[0] == u.shape[1] and u.shape[2] == n and u.shape[3] == n:
-        return u
-    return linalg.as_block_array(u, block_size=n)
-
-
 def couple_value(couple: Couple, u) -> float:
     """Norm of the couple's amplified image of u; a certified lower bound term."""
-    u4 = _coerce_u4(u, couple.v.level)
+    u4 = linalg.trusted_block_array(u, couple.v.level)
     return couple.space.norm(amplified_image(couple.v, u4))
 
 
-def _feasible(space: MatricialSpace, coords: np.ndarray) -> Couple:
-    el = LeveledElement(space.space_id, coords)
-    nrm = space.norm(el)
-    if nrm > 1.0:
-        el = LeveledElement(space.space_id, coords / nrm)
-    return Couple(space, el)
-
-
-def _scalar_identity_coords(n: int, scale: float) -> np.ndarray:
-    return (scale * np.eye(n)).reshape(n, n, 1).astype(complex)
+def _trace_identity_couple(n: int) -> Couple:
+    """The couple (trace-norm scalars, identity/n)."""
+    return c_max().structured_couples(n, None)[0]
 
 
 def structured_couples(space: MatricialSpace, n: int, u=None) -> list[Couple]:
     """Hand-picked couples known to achieve the engine's benchmark values.
 
-    For the trace-norm scalars: the identity scaled by 1/n (trace norm
-    exactly 1). For the operator-norm scalars: the identity and, when u is
-    given, the dual witnesses of its blocks, which achieve the trace norm at
-    level 1. For op:k: the assembled identity; when k = n also the flip
-    element. l1 sums embed their summands' couples componentwise.
+    Each space kind supplies its own (``MatricialSpace.structured_couples``);
+    a custom evaluator has none.
     """
     u4 = None if u is None else linalg.as_block_array(u, block_size=n)
-    couples: list[Couple] = []
-    if space.kind == "cmax":
-        couples.append(_feasible(space, _scalar_identity_coords(n, 1.0 / n)))
-        if u4 is not None:
-            for block in u4.reshape(-1, n, n):
-                if block.any():
-                    couples.append(_feasible(space, (linalg.dual_witness(block) / n).reshape(n, n, 1)))
-    elif space.kind == "cmin":
-        couples.append(_feasible(space, _scalar_identity_coords(n, 1.0)))
-        if u4 is not None:
-            for block in u4.reshape(-1, n, n):
-                if block.any():
-                    couples.append(_feasible(space, linalg.dual_witness(block).reshape(n, n, 1)))
-    elif space.kind == "op":
-        k = space.block_size
-        eye_coords = np.zeros((n, n, k * k), dtype=complex)
-        for p in range(n):
-            eye_coords[p, p] = np.eye(k).reshape(-1)
-        couples.append(_feasible(space, eye_coords))
-        if k == n:
-            couples.append(_feasible(space, canonical_identity(n).reshape(n, n, n * n)))
-    elif space.kind == "l1":
-        for index, part in enumerate(space.parts):
-            for sub in structured_couples(part, n, u4):
-                couples.append(Couple(space, l1_embed(space, sub.v, index)))
-    return couples
+    return space.structured_couples(n, u4)
 
 
 def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
     """Gaussian element rescaled into the unit ball; half the draws land on the sphere."""
     rng = np.random.default_rng(rng)
     coords = rng.standard_normal((n, n, space.dim)) + 1j * rng.standard_normal((n, n, space.dim))
-    el = LeveledElement(space.space_id, coords)
-    nrm = space.norm(el)
-    if nrm > 0:
-        if rng.uniform() < 0.5:
-            coords = coords / nrm
-        else:
-            coords = coords / max(1.0, nrm)
-    return Couple(space, LeveledElement(space.space_id, coords))
+    nrm = space.norm(LeveledElement(space.space_id, coords))
+    sphere = nrm > 0 and rng.uniform() < 0.5
+    return Couple(space, space.unit_scaled(coords, sphere=sphere, norm=nrm))
 
 
 def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=0,
@@ -221,8 +174,7 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
         raise InvalidInputError(f"budget must be nonnegative, got {budget}")
 
     if not u4.any():
-        trivial = _feasible(c_max(), _scalar_identity_coords(n, 1.0 / n))
-        return SearchResult(0.0, trivial, 1)
+        return SearchResult(0.0, _trace_identity_couple(n), 1)
 
     children = np.random.SeedSequence(seed).spawn(len(catalog))
     best_val = -np.inf
@@ -245,14 +197,6 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
             if val > best_val:
                 best_val, best_couple = val, couple
     return SearchResult(float(best_val), best_couple, evaluated)
-
-
-def hat_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=0,
-                    optimizer_config: OptimizerConfig | None = None):
-    """Best certified lower bound over the catalog; returns (value, couple)."""
-    result = search_lower_bound(n, u, catalog=catalog, budget=budget, seed=seed,
-                                optimizer_config=optimizer_config)
-    return result.value, result.couple
 
 
 def hat_upper_bound(n: int, u):
@@ -290,12 +234,9 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
     u4 = linalg.as_block_array(u, block_size=n)
     m = u4.shape[0]
     upper, rule = hat_upper_bound(n, u4)
-    if not u4.any():
-        trivial = _feasible(c_max(), _scalar_identity_coords(n, 1.0 / n))
-        return NormBounds(n, m, 0.0, 0.0, rule, trivial, 0.0)
     result = search_lower_bound(n, u4, catalog=catalog, budget=budget, seed=seed,
                                 optimizer_config=optimizer_config)
-    if result.value > upper + CONSISTENCY_TOL:
+    if result.value > upper + CONSISTENCY_TOL * max(1.0, upper):
         raise InconsistencyError(
             f"lower bound {result.value:.12g} via {result.couple.space.space_id} exceeds "
             f"upper bound {upper:.12g} from rule {rule}",
@@ -322,8 +263,7 @@ def block_diag_lower(n: int, blocks) -> float:
     rotated = np.zeros((m, m, n, n), dtype=complex)
     for k, b in enumerate(mats):
         rotated[k, k] = np.diag(linalg.singular_values(b))
-    couple = _feasible(c_max(), _scalar_identity_coords(n, 1.0 / n))
-    return couple_value(couple, rotated)
+    return couple_value(_trace_identity_couple(n), rotated)
 
 
 @dataclass(frozen=True)
@@ -345,14 +285,13 @@ def convexity_violation(n: int, p: float) -> ConvexityReport:
     """
     if n < 1:
         raise InvalidInputError(f"size must be positive, got {n}")
-    if p <= 1:
+    if not p > 1:  # also rejects nan
         raise InvalidInputError(f"exponent must exceed 1, got {p}")
     flip = canonical_identity(n)
     doubled = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
     doubled[:n, :n] = flip
     doubled[n:, n:] = flip
-    couple = _feasible(c_max(), _scalar_identity_coords(n, 1.0 / n))
-    lower_on_sum = couple_value(couple, doubled)
+    lower_on_sum = couple_value(_trace_identity_couple(n), doubled)
     bound_if_convex = float(2.0 ** (1.0 / p))
     return ConvexityReport(n, p, lower_on_sum, bound_if_convex,
                            lower_on_sum > bound_if_convex + 1e-6)

@@ -8,18 +8,13 @@ few hundred rows), double precision throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DegenerateInputError, InvalidInputError
 
 __all__ = [
     "as_matrix",
     "as_block_array",
-    "SvdResult",
-    "svd",
     "singular_values",
     "operator_norm",
     "trace_norm",
@@ -28,7 +23,7 @@ __all__ = [
     "assemble_blocks",
     "split_blocks",
     "block_scalar_action",
-    "direct_sum",
+    "canonical_identity",
     "random_unitary",
     "random_contraction",
 ]
@@ -65,29 +60,17 @@ def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Full decomposition a = left @ diag(singular_values) @ right.
+def trusted_block_array(blocks, block_size: int) -> np.ndarray:
+    """``blocks`` itself when it is already a complex (m, m, n, n) array of double precision.
 
-    Both factors are unitary (full, not thin) and the singular values are
-    nonincreasing and nonnegative.
+    Arrays the engine built or validated skip the finiteness scan of
+    :func:`as_block_array`; anything else goes through it. Input from
+    outside the package must use :func:`as_block_array`.
     """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        rows, cols = self.left.shape[0], self.right.shape[0]
-        sigma = np.zeros((rows, cols))
-        np.fill_diagonal(sigma, self.singular_values)
-        return self.left @ sigma @ self.right
-
-
-def svd(a) -> SvdResult:
-    """Full SVD of a validated matrix."""
-    u, s, vh = np.linalg.svd(as_matrix(a))
-    return SvdResult(u, s, vh)
+    if isinstance(blocks, np.ndarray) and blocks.dtype == np.complex128 and blocks.ndim == 4 \
+            and blocks.shape[0] == blocks.shape[1] and blocks.shape[2:] == (block_size, block_size):
+        return blocks
+    return as_block_array(blocks, block_size=block_size)
 
 
 def singular_values(a) -> np.ndarray:
@@ -162,18 +145,19 @@ def block_scalar_action(s, blocks, t) -> np.ndarray:
     return np.einsum("kp,pqab,ql->klab", sm, arr, tm)
 
 
-def direct_sum(mats) -> np.ndarray:
-    """Block-diagonal matrix with the given square matrices on the diagonal."""
-    mats = list(mats)
-    if not mats:
-        raise InvalidInputError("direct sum of an empty family")
-    arrs = []
-    for m in mats:
-        arr = as_matrix(m)
-        if arr.shape[0] != arr.shape[1]:
-            raise InvalidInputError(f"direct sum summands must be square, got shape {arr.shape}")
-        arrs.append(arr)
-    return block_diag(*arrs).astype(complex)
+def canonical_identity(n: int) -> np.ndarray:
+    """The flip element of the n x n blocks: block (p, q) is e_qp.
+
+    Its amplified image under any phi_v is v itself, and the assembled
+    n^2 x n^2 matrix is the (unitary) swap permutation.
+    """
+    if n < 1:
+        raise InvalidInputError(f"size must be positive, got {n}")
+    out = np.zeros((n, n, n, n), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            out[p, q, q, p] = 1.0
+    return out
 
 
 def _haar_unitary(rng: np.random.Generator, k: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Maximization of the amplified-image norm over the unit ball of a space.
 
-For the dual-friendly spaces (cmin, cmax, op:k) each ascent step linearizes
-the objective at the current point through the extremal vectors of its norm,
-pulls the resulting linear functional back to the variable, and jumps to the
+For spaces with a polar proposal (cmin, cmax, op:k; see
+``MatricialSpace.polar_proposal``) each ascent step linearizes the objective
+at the current point through the extremal vectors of its norm, pulls the
+resulting linear functional back to the variable, and jumps to the
 closed-form maximizer of that functional over the unit ball (a conditional
 gradient step built from dual witnesses). Other spaces fall back to a
 projected random search. Nonsmoothness is handled by restart diversity, not
@@ -43,87 +44,18 @@ class OptimizerConfig:
             raise InvalidInputError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def _project(space: MatricialSpace, coords: np.ndarray) -> LeveledElement:
-    # radial rescaling by the space's own norm keeps any element feasible
-    el = LeveledElement(space.space_id, coords)
-    nrm = space.norm(el)
-    if nrm > 1.0:
-        el = LeveledElement(space.space_id, coords / nrm)
-    return el
-
-
 def _objective(space: MatricialSpace, v: LeveledElement, u4: np.ndarray) -> float:
     return space.norm(amplified_image(v, u4))
 
 
-def _top_pair(mat: np.ndarray):
-    u, s, vh = np.linalg.svd(mat)
-    return u[:, 0], vh[0].conj(), float(s[0])
-
-
-def _proposal_cmin(v, u4):
-    w = v.coords[:, :, 0]
-    image = np.einsum("klji,ij->kl", u4, w)
-    if not image.any():
-        return None
-    x, y, _ = _top_pair(image)
-    pullback = np.einsum("k,l,klji->ij", x.conj(), y, u4)
-    if not pullback.any():
-        return None
-    # maximize Re sum w_ij g_ij = Re tr(w g^T) over the operator-norm ball
-    return linalg.dual_witness(pullback.T).reshape(*pullback.shape, 1)
-
-
-def _proposal_cmax(v, u4):
-    w = v.coords[:, :, 0]
-    image = np.einsum("klji,ij->kl", u4, w)
-    if not image.any():
-        return None
-    witness = linalg.dual_witness(image)
-    pullback = np.einsum("klji,lk->ij", u4, witness)
-    if not pullback.any():
-        return None
-    # maximize Re tr(w g^T) over the trace-norm ball: top rank-one of g^T
-    uu, _, vvh = np.linalg.svd(pullback.T)
-    return np.outer(vvh[0].conj(), uu[:, 0].conj()).reshape(*pullback.shape, 1)
-
-
-def _proposal_op(v, u4, k):
-    n = v.level
-    m = u4.shape[0]
-    wblk = v.coords.reshape(n, n, k, k)
-    image4 = np.einsum("klji,ijab->klab", u4, wblk)
-    image = linalg.assemble_blocks(image4)
-    if not image.any():
-        return None
-    x, y, _ = _top_pair(image)
-    xc = x.reshape(m, k)
-    yc = y.reshape(m, k)
-    pull4 = np.einsum("klji,ka,lb->ijab", u4, xc.conj(), yc)
-    pull = linalg.assemble_blocks(pull4)
-    if not pull.any():
-        return None
-    w_new = linalg.dual_witness(pull.T)
-    return linalg.split_blocks(w_new, k).reshape(n, n, k * k)
-
-
 def _step(space: MatricialSpace, v: LeveledElement, u4: np.ndarray, current: float,
           rng, step: float):
-    if space.kind == "cmin":
-        proposal = _proposal_cmin(v, u4)
-    elif space.kind == "cmax":
-        proposal = _proposal_cmax(v, u4)
-    elif space.kind == "op":
-        proposal = _proposal_op(v, u4, space.block_size)
-    else:
-        proposal = None
-
+    proposal = space.polar_proposal(v, u4)
     candidates = []
     if proposal is not None:
         for t in _LINE_SEARCH:
             candidates.append((1.0 - t) * v.coords + t * proposal)
     else:
-        rng = np.random.default_rng(rng)
         scale = step * max(1.0, float(np.abs(v.coords).max()))
         for _ in range(4):
             noise = rng.standard_normal(v.coords.shape) + 1j * rng.standard_normal(v.coords.shape)
@@ -131,7 +63,7 @@ def _step(space: MatricialSpace, v: LeveledElement, u4: np.ndarray, current: flo
 
     best_v, best_val = v, current
     for coords in candidates:
-        cand = _project(space, coords)
+        cand = space.unit_scaled(coords)
         val = _objective(space, cand, u4)
         if val > best_val:
             best_v, best_val = cand, val
@@ -163,10 +95,7 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     evaluation of the returned couple. Deterministic per config seed.
     """
     cfg = config or OptimizerConfig()
-    u4 = u
-    if not (isinstance(u4, np.ndarray) and u4.dtype == np.complex128 and u4.ndim == 4
-            and u4.shape[0] == u4.shape[1] and u4.shape[2] == n and u4.shape[3] == n):
-        u4 = linalg.as_block_array(u, block_size=n)
+    u4 = linalg.trusted_block_array(u, n)
     rng = np.random.default_rng(cfg.seed)
 
     if not u4.any():
@@ -178,10 +107,10 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     best_val = -np.inf
     for restart in range(cfg.restarts):
         if restart < len(starts):
-            v = _project(space, starts[restart].coords)
+            v = space.unit_scaled(starts[restart].coords)
         else:
             coords = rng.standard_normal((n, n, space.dim)) + 1j * rng.standard_normal((n, n, space.dim))
-            v = _project(space, coords)
+            v = space.unit_scaled(coords)
         val = _objective(space, v, u4)
         stall = 0
         step = cfg.step_init

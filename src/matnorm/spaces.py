@@ -35,7 +35,6 @@ __all__ = [
     "c_max",
     "concrete_operator_space",
     "l1_sum",
-    "l1_offsets",
     "l1_component",
     "l1_embed",
     "coproduct_apply",
@@ -76,20 +75,18 @@ class LeveledElement:
 
 @dataclass(frozen=True, eq=False)
 class MatricialSpace:
-    """Descriptor of a concrete space: coordinate dimension plus levelwise norm.
+    """Descriptor of a space: coordinate dimension plus levelwise norm.
 
-    ``norm_fn`` receives the raw (m, m, dim) coordinate array. ``kind`` is a
-    dispatch tag ("cmin", "cmax", "op", "l1", or "custom"); ``block_size``
-    holds k for op:k spaces, ``parts`` the summands of an l1 sum.
+    ``norm_fn`` receives the raw (m, m, dim) coordinate array. The catalog
+    kinds subclass this and add their search behaviour: structured couples,
+    a polar proposal for the optimizer and a contractive-functional sampler.
+    A bare instance (a custom evaluator) has none of them.
     """
 
     space_id: str
     dim: int
     description: str
     norm_fn: Callable[[np.ndarray], float]
-    kind: str = "custom"
-    block_size: int = 0
-    parts: tuple = ()
 
     def element(self, coords) -> LeveledElement:
         """Wrap coordinates as an element of this space, validating shape.
@@ -123,6 +120,34 @@ class MatricialSpace:
             coords = self.element(u).coords
         return float(self.norm_fn(coords))
 
+    def unit_scaled(self, coords: np.ndarray, sphere: bool = False, norm: float | None = None) -> LeveledElement:
+        """The element ``coords`` divided by its norm when that exceeds 1.
+
+        With ``sphere`` any nonzero element is divided, landing on the unit
+        sphere. ``norm`` passes a norm the caller already evaluated.
+        """
+        if norm is None:
+            norm = self.norm(LeveledElement(self.space_id, coords))
+        if norm > (0.0 if sphere else 1.0):
+            coords = coords / norm
+        return LeveledElement(self.space_id, coords)
+
+    def structured_couples(self, n: int, u4: np.ndarray | None) -> list[Couple]:
+        """Hand-picked level-n couples; ``u4`` is the validated input, if any."""
+        return []
+
+    def polar_proposal(self, v: LeveledElement, u4: np.ndarray) -> np.ndarray | None:
+        """Closed-form maximizer over the unit ball of the objective linearized at ``v``.
+
+        ``None`` when the space has no such step (or the linearization
+        vanishes); the optimizer then searches randomly.
+        """
+        return None
+
+    def sample_functional(self, rng: np.random.Generator) -> np.ndarray:
+        """Random functional with modulus bounded by the level-1 norm."""
+        raise InvalidInputError(f"no functional sampler for space {self.space_id!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Couple:
@@ -143,23 +168,151 @@ class Couple:
 
 
 # ---------------------------------------------------------------------------
-# catalog constructors
+# catalog kinds and their constructors
 # ---------------------------------------------------------------------------
+
+
+class ScalarSpace(MatricialSpace):
+    """Scalars (dim 1). A subclass gives the level norm and three hooks.
+
+    ``_shrink(w, n)`` scales a unitary level-n matrix onto the unit sphere;
+    ``_pullback(image, u4)`` pulls the norm's gradient at ``image`` back
+    through the amplification by u4; ``_ball_maximizer(g)`` maximizes
+    Re tr(w g) over the level-n unit ball.
+    """
+
+    def structured_couples(self, n, u4):
+        """The identity and, when u4 is given, the dual witnesses of its blocks.
+
+        A dual witness achieves the trace norm of its block at level 1.
+        """
+        coords = [self._shrink(np.eye(n), n).reshape(n, n, 1).astype(complex)]
+        if u4 is not None:
+            coords.extend(self._shrink(linalg.dual_witness(block), n).reshape(n, n, 1)
+                          for block in u4.reshape(-1, n, n) if block.any())
+        return [Couple(self, self.unit_scaled(c)) for c in coords]
+
+    def polar_proposal(self, v, u4):
+        image = np.einsum("klji,ij->kl", u4, v.coords[:, :, 0])
+        if not image.any():
+            return None
+        pullback = self._pullback(image, u4)
+        if not pullback.any():
+            return None
+        # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball
+        return self._ball_maximizer(pullback.T).reshape(*pullback.shape, 1)
+
+    def sample_functional(self, rng):
+        """A number of modulus at most 1."""
+        phase = np.exp(2j * np.pi * rng.uniform())
+        return np.array([rng.uniform() * phase])
+
+
+class OperatorScalars(ScalarSpace):
+    """Scalars with the operator norm at every level (``cmin``)."""
+
+    def _shrink(self, w, n):
+        return w
+
+    def _pullback(self, image, u4):
+        # top singular pair of the image
+        x, _, yh = np.linalg.svd(image)
+        return np.einsum("k,l,klji->ij", x[:, 0].conj(), yh[0].conj(), u4)
+
+    def _ball_maximizer(self, g):
+        return linalg.dual_witness(g)
+
+
+class TraceScalars(ScalarSpace):
+    """Scalars with the trace norm at every level (``cmax``)."""
+
+    def _shrink(self, w, n):
+        return w / n
+
+    def _pullback(self, image, u4):
+        return np.einsum("klji,lk->ij", u4, linalg.dual_witness(image))
+
+    def _ball_maximizer(self, g):
+        # the top rank-one part of g
+        uu, _, vvh = np.linalg.svd(g)
+        return np.outer(vvh[0].conj(), uu[:, 0].conj())
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorSpace(MatricialSpace):
+    """k x k matrices normed as the assembled operator (``op:k``)."""
+
+    k: int
+
+    def structured_couples(self, n, u4):
+        """The assembled identity; when k = n also the flip element."""
+        k = self.k
+        coords = [np.einsum("pq,x->pqx", np.eye(n), np.eye(k).reshape(-1)).astype(complex)]
+        if k == n:
+            coords.append(linalg.canonical_identity(n).reshape(n, n, n * n))
+        return [Couple(self, self.unit_scaled(c)) for c in coords]
+
+    def polar_proposal(self, v, u4):
+        k, n, m = self.k, v.level, u4.shape[0]
+        wblk = v.coords.reshape(n, n, k, k)
+        image4 = np.einsum("klji,ijab->klab", u4, wblk)
+        image = linalg.assemble_blocks(image4)
+        if not image.any():
+            return None
+        # top singular pair of the image
+        x, _, yh = np.linalg.svd(image)
+        xc = x[:, 0].reshape(m, k)
+        yc = yh[0].conj().reshape(m, k)
+        pull4 = np.einsum("klji,ka,lb->ijab", u4, xc.conj(), yc)
+        pull = linalg.assemble_blocks(pull4)
+        if not pull.any():
+            return None
+        w_new = linalg.dual_witness(pull.T)
+        return linalg.split_blocks(w_new, k).reshape(n, n, k * k)
+
+    def sample_functional(self, rng):
+        """x -> tr(x g) with the trace norm of g at most 1."""
+        k = self.k
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        g *= rng.uniform() / linalg.trace_norm(g)
+        # row-major coordinates of x pair with g as tr(x g) = sum x_ij g_ji
+        return g.T.reshape(-1).copy()
+
+
+@dataclass(frozen=True, eq=False)
+class L1Sum(MatricialSpace):
+    """Direct sum normed by the sum of the component norms (``l1:[..]``).
+
+    ``offsets`` holds the coordinate offset of every summand, ending with dim.
+    """
+
+    parts: tuple
+    offsets: tuple
+
+    def structured_couples(self, n, u4):
+        """The summands' couples, embedded componentwise."""
+        return [Couple(self, l1_embed(self, sub.v, index))
+                for index, part in enumerate(self.parts)
+                for sub in part.structured_couples(n, u4)]
+
+    def sample_functional(self, rng):
+        """The summands' functionals side by side."""
+        return np.concatenate([p.sample_functional(rng) for p in self.parts])
 
 
 def c_min() -> MatricialSpace:
     """Scalars with the operator norm at every level."""
-    return MatricialSpace(
+    return OperatorScalars(
         "cmin", 1, "scalars, operator-norm levels",
-        lambda c: float(np.linalg.svd(c[:, :, 0], compute_uv=False)[0]), kind="cmin",
+        lambda c: float(np.linalg.svd(c[:, :, 0], compute_uv=False)[0]),
     )
 
 
 def c_max() -> MatricialSpace:
     """Scalars with the trace norm at every level."""
-    return MatricialSpace(
+    return TraceScalars(
         "cmax", 1, "scalars, trace-norm levels",
-        lambda c: float(np.linalg.svd(c[:, :, 0], compute_uv=False).sum()), kind="cmax",
+        lambda c: float(np.linalg.svd(c[:, :, 0], compute_uv=False).sum()),
     )
 
 
@@ -178,10 +331,7 @@ def concrete_operator_space(k: int) -> MatricialSpace:
         assembled = coords.reshape(m, m, k, k).transpose(0, 2, 1, 3).reshape(m * k, m * k)
         return float(np.linalg.svd(assembled, compute_uv=False)[0])
 
-    return MatricialSpace(
-        f"op:{k}", k * k, f"{k} x {k} matrices, assembled operator norm",
-        norm_fn, kind="op", block_size=k,
-    )
+    return OperatorSpace(f"op:{k}", k * k, f"{k} x {k} matrices, assembled operator norm", norm_fn, k)
 
 
 def l1_sum(parts) -> MatricialSpace:
@@ -189,42 +339,34 @@ def l1_sum(parts) -> MatricialSpace:
     parts = tuple(parts)
     if not parts:
         raise InvalidInputError("l1 sum of an empty family")
-    dims = [p.dim for p in parts]
-    bounds = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    offsets = (0, *np.cumsum([p.dim for p in parts]).tolist())
 
     def norm_fn(coords):
         total = 0.0
-        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             total += part.norm_fn(np.ascontiguousarray(coords[:, :, lo:hi]))
         return total
 
     space_id = "l1:[" + ",".join(p.space_id for p in parts) + "]"
-    return MatricialSpace(
-        space_id, int(bounds[-1]), f"l1 sum of {len(parts)} spaces",
-        norm_fn, kind="l1", parts=parts,
-    )
+    return L1Sum(space_id, offsets[-1], f"l1 sum of {len(parts)} spaces", norm_fn, parts, offsets)
 
 
-def l1_offsets(space: MatricialSpace) -> list[int]:
-    """Coordinate offsets of the summands of an l1 space (ends with dim)."""
-    if space.kind != "l1":
+def _as_l1(space: MatricialSpace) -> L1Sum:
+    if not isinstance(space, L1Sum):
         raise InvalidInputError(f"{space.space_id} is not an l1 sum")
-    offs = [0]
-    for p in space.parts:
-        offs.append(offs[-1] + p.dim)
-    return offs
+    return space
 
 
 def l1_component(space: MatricialSpace, u: LeveledElement, index: int) -> LeveledElement:
     """Component of an l1-sum element as an element of the summand."""
-    offs = l1_offsets(space)
+    offs = _as_l1(space).offsets
     part = space.parts[index]
     return LeveledElement(part.space_id, np.ascontiguousarray(u.coords[:, :, offs[index]:offs[index + 1]]))
 
 
 def l1_embed(space: MatricialSpace, element: LeveledElement, index: int) -> LeveledElement:
     """Image of a summand element under the coordinate injection into the sum."""
-    offs = l1_offsets(space)
+    offs = _as_l1(space).offsets
     part = space.parts[index]
     if element.space_id != part.space_id:
         raise InvalidInputError(f"cannot embed {element.space_id} as summand {index} of {space.space_id}")
@@ -241,7 +383,7 @@ def coproduct_apply(space: MatricialSpace, psis, u: LeveledElement) -> np.ndarra
     output dimension. Composing with a coordinate injection recovers the
     corresponding map exactly: the other components contribute exact zeros.
     """
-    offs = l1_offsets(space)
+    offs = _as_l1(space).offsets
     psis = [np.asarray(p, dtype=complex) for p in psis]
     if len(psis) != len(space.parts):
         raise InvalidInputError(f"{len(psis)} maps for {len(space.parts)} summands")
@@ -311,8 +453,7 @@ def planted_fault_space(base: MatricialSpace | None = None) -> MatricialSpace:
         return value + 0.1 if coords.shape[0] == 2 else value
 
     return MatricialSpace(
-        f"fault:{base.space_id}", base.dim, "corrupted evaluator for checker validation",
-        norm_fn, kind="custom",
+        f"fault:{base.space_id}", base.dim, "corrupted evaluator for checker validation", norm_fn,
     )
 
 
@@ -373,12 +514,9 @@ def random_element(space: MatricialSpace, level: int, rng, unit: bool = False) -
     """Gaussian random element; with ``unit`` rescaled to norm 1 (when nonzero)."""
     rng = np.random.default_rng(rng)
     coords = rng.standard_normal((level, level, space.dim)) + 1j * rng.standard_normal((level, level, space.dim))
-    el = LeveledElement(space.space_id, coords)
     if unit:
-        nrm = space.norm(el)
-        if nrm > 0:
-            el = LeveledElement(space.space_id, coords / nrm)
-    return el
+        return space.unit_scaled(coords, sphere=True)
+    return LeveledElement(space.space_id, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +527,10 @@ def random_element(space: MatricialSpace, level: int, rng, unit: bool = False) -
 def contractive_functional(space: MatricialSpace, rng) -> np.ndarray:
     """Random functional f with |f(x)| bounded by the level-1 norm of x.
 
-    Returned as a length-dim row vector acting on coordinates. For the
-    scalar spaces this is a number of modulus at most 1; for op:k it is
-    x -> tr(x g) with trace norm of g at most 1; for l1 sums, a tuple of
-    contractive functionals on the summands.
+    Returned as a length-dim row vector acting on coordinates; each space
+    kind supplies its sampler (``MatricialSpace.sample_functional``).
     """
-    rng = np.random.default_rng(rng)
-    if space.kind in ("cmin", "cmax"):
-        phase = np.exp(2j * np.pi * rng.uniform())
-        return np.array([rng.uniform() * phase])
-    if space.kind == "op":
-        k = space.block_size
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        g *= rng.uniform() / linalg.trace_norm(g)
-        # row-major coordinates of x pair with g as tr(x g) = sum x_ij g_ji
-        return g.T.reshape(-1).copy()
-    if space.kind == "l1":
-        return np.concatenate([contractive_functional(p, rng) for p in space.parts])
-    raise InvalidInputError(f"no functional sampler for space kind {space.kind!r}")
+    return space.sample_functional(np.random.default_rng(rng))
 
 
 def functional_amplification(f_row, u: LeveledElement) -> np.ndarray:
@@ -437,20 +561,16 @@ def _sample_element(space, level, rng, variant):
         k = int(rng.integers(level))
         l = int(rng.integers(level))
         coords[k, l, int(rng.integers(space.dim))] = np.exp(2j * np.pi * rng.uniform())
-        el = LeveledElement(space.space_id, coords)
     elif variant == 2:
         # diagonal element conjugated by a random unitary
         coords = np.zeros((level, level, space.dim), dtype=complex)
         for k in range(level):
             coords[k, k, int(rng.integers(space.dim))] = rng.standard_normal() + 1j * rng.standard_normal()
         u = linalg.random_unitary(level, rng)
-        el = scalar_action(u, LeveledElement(space.space_id, coords), u.conj().T)
+        coords = scalar_action(u, LeveledElement(space.space_id, coords), u.conj().T).coords
     else:
-        el = random_element(space, level, rng)
-    nrm = space.norm(el)
-    if nrm > 0:
-        el = LeveledElement(space.space_id, el.coords / nrm)
-    return el
+        coords = random_element(space, level, rng).coords
+    return space.unit_scaled(coords, sphere=True)
 
 
 def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4) -> AxiomReport:
@@ -526,10 +646,7 @@ def check_p_convexity(space: MatricialSpace, p: float, trials: int, seed=0,
     witness = None
     for t in range(trials):
         if t == 0:
-            b = basis_element(space, 0)
-            nrm = space.norm(b)
-            if nrm > 0:
-                b = LeveledElement(space.space_id, b.coords / nrm)
+            b = space.unit_scaled(basis_element(space, 0).coords, sphere=True)
             tup = [b, b]
         else:
             k = int(rng.choice(summands))

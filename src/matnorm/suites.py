@@ -435,6 +435,8 @@ def run_suite(name: str, *, seed: int = 0, trials: int | None = None, n: int | N
     checks = []
     for suite in names:
         checks.extend(_SUITES[suite](**kwargs))
+    if not checks:
+        raise InvalidInputError(f"suite {name!r} ran no checks with these parameters")
     return {
         "suite": name,
         "checks": checks,

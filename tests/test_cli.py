@@ -7,8 +7,9 @@ import pytest
 
 from matnorm import canonical_identity, trace_norm
 from matnorm.cli import main
-from matnorm.errors import InconsistencyError
+from matnorm.errors import InconsistencyError, InvalidInputError
 from matnorm.serialize import complex_to_pairs
+from matnorm.suites import run_suite
 
 
 def write_blocks(path, n, m, blocks):
@@ -152,3 +153,40 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "prop14", "--n", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 77
+
+
+class TestArgumentValidation:
+    """Out-of-range arguments stop with a usage error (exit 2), never a traceback."""
+
+    def expect_usage_error(self, args, capsys, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert fragment in err and "Traceback" not in err
+
+    def test_negative_n(self, capsys):
+        self.expect_usage_error(["verify", "--suite", "thm6", "--n", "-1"], capsys, "--n")
+
+    def test_zero_trials_is_not_the_default(self, capsys):
+        self.expect_usage_error(["verify", "--suite", "prop13", "--trials", "0"], capsys, "--trials")
+
+    def test_negative_trials(self, capsys):
+        self.expect_usage_error(["verify", "--suite", "coproduct", "--trials", "-3"], capsys, "--trials")
+
+    def test_zero_level(self, capsys):
+        self.expect_usage_error(["verify", "--suite", "axioms", "--m", "0"], capsys, "--m")
+
+    def test_negative_budget(self, capsys, tmp_path):
+        self.expect_usage_error(["verify", "--suite", "prop7", "--budget", "-1"], capsys, "--budget")
+        path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
+        self.expect_usage_error(["hat-bounds", path, "--budget", "-1"], capsys, "--budget")
+
+    def test_non_integer_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("MATNORM_SEED", "abc")
+        self.expect_usage_error(["verify", "--suite", "prop14", "--n", "2"], capsys, "'abc'")
+
+    def test_run_without_checks_is_an_error(self):
+        # prop7 skips block sizes below 1, so n = 0 would pass with no checks
+        with pytest.raises(InvalidInputError):
+            run_suite("prop7", n=0)

@@ -10,6 +10,7 @@ from matnorm import (
     InconsistencyError,
     InvalidInputError,
     MatricialSpace,
+    OptimizerConfig,
     block_diag_lower,
     block_scalar_action,
     c_max,
@@ -20,7 +21,6 @@ from matnorm import (
     default_catalog,
     dual_witness,
     hat_bounds,
-    hat_lower_bound,
     hat_upper_bound,
     l1_functional_check,
     random_couple,
@@ -62,13 +62,14 @@ class TestCoupleValue:
 
 class TestLowerBound:
     def test_flip_element_reaches_one(self):
-        value, couple = hat_lower_bound(2, canonical_identity(2), budget=30, seed=1)
+        result = search_lower_bound(2, canonical_identity(2), budget=30, seed=1)
+        value, couple = result.value, result.couple
         assert value == pytest.approx(1.0, abs=1e-9)
         # certificate reproduces the reported value
         assert couple_value(couple, canonical_identity(2)) == pytest.approx(value, abs=1e-12)
 
     def test_zero_input(self):
-        value, _ = hat_lower_bound(2, np.zeros((2, 2, 2, 2)), budget=10, seed=1)
+        value = search_lower_bound(2, np.zeros((2, 2, 2, 2)), budget=10, seed=1).value
         assert value == 0.0
 
     def test_single_entry_block(self):
@@ -76,7 +77,7 @@ class TestLowerBound:
         a = gauss(rng, (2, 2))
         u = np.zeros((3, 3, 2, 2), dtype=complex)
         u[0, 0] = a
-        value, _ = hat_lower_bound(2, u, budget=20, seed=3)
+        value = search_lower_bound(2, u, budget=20, seed=3).value
         assert value == pytest.approx(trace_norm(a), abs=1e-9)
 
     def test_search_counts_couples(self):
@@ -161,13 +162,25 @@ class TestBounds:
         liar = MatricialSpace(
             "cmax", 1, "inconsistent evaluator",
             lambda c: base.norm_fn(c) * (10.0 if c.shape[0] == 1 else 0.1),
-            kind="custom",
         )
         rng = np.random.default_rng(13)
         a = gauss(rng, (2, 2))
         with pytest.raises(InconsistencyError) as err:
             hat_bounds(2, single_block(a), catalog=[liar], budget=16, seed=14)
         assert err.value.lower > err.value.upper
+
+    def test_no_spurious_inconsistency_at_any_scale(self):
+        # at one block lower and upper are the same trace norm along two
+        # rounding paths; they must agree to a tolerance relative to the norm
+        rng = np.random.default_rng(22)
+        fast = OptimizerConfig(restarts=1, iterations=2, stall_limit=2)
+        for exponent in range(-300, 301, 25):
+            for n in (1, 2, 3, 4):
+                a = 10.0 ** exponent * gauss(rng, (n, n))
+                b = hat_bounds(n, single_block(a), budget=8, seed=int(rng.integers(2**32)),
+                               optimizer_config=fast)
+                assert b.lower == pytest.approx(trace_norm(a), rel=1e-9)
+                assert b.upper == pytest.approx(trace_norm(a), rel=1e-9)
 
     def test_json_schema(self):
         b = hat_bounds(2, canonical_identity(2), budget=10, seed=15)
@@ -240,7 +253,7 @@ class TestBlockDiagLower:
             blocks.append(b / trace_norm(b))
         u = np.zeros((2, 2, n, n), dtype=complex)
         u[0, 0], u[1, 1] = blocks
-        value, _ = hat_lower_bound(n, u, budget=24, seed=21)
+        value = search_lower_bound(n, u, budget=24, seed=21).value
         assert block_diag_lower(n, blocks) <= value + 1e-9
 
 
@@ -260,6 +273,8 @@ class TestConvexityWitness:
     def test_rejects_bad_exponent(self):
         with pytest.raises(InvalidInputError):
             convexity_violation(2, 1.0)
+        with pytest.raises(InvalidInputError):
+            convexity_violation(2, float("nan"))
 
 
 class TestTraceFunctional:

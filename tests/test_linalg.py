@@ -9,13 +9,11 @@ from matnorm import (
     DegenerateInputError,
     InvalidInputError,
     assemble_blocks,
-    direct_sum,
     dual_witness,
     operator_norm,
     random_contraction,
     random_unitary,
     split_blocks,
-    svd,
     trace_norm,
     trace_pairing,
 )
@@ -63,24 +61,6 @@ class TestTraceNorm:
         rng = np.random.default_rng(11)
         a = random_complex(rng, (4, 4))
         assert trace_norm(a) == pytest.approx(eig_singular_values(a).sum(), abs=1e-9)
-
-
-class TestSvd:
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 5)])
-    def test_reconstruction_and_ordering(self, shape):
-        rng = np.random.default_rng(17)
-        a = random_complex(rng, shape)
-        result = svd(a)
-        err = operator_norm(a - result.reconstruct())
-        assert err <= 1e-10 * max(1.0, operator_norm(a))
-        s = result.singular_values
-        assert np.all(s[:-1] >= s[1:]) and np.all(s >= 0.0)
-
-    def test_factors_unitary(self):
-        rng = np.random.default_rng(18)
-        result = svd(random_complex(rng, (4, 3)))
-        np.testing.assert_allclose(result.left.conj().T @ result.left, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(result.right @ result.right.conj().T, np.eye(3), atol=1e-12)
 
 
 class TestDualWitness:
@@ -158,24 +138,6 @@ class TestBlockLayout:
     def test_ragged_rejected(self):
         with pytest.raises(InvalidInputError):
             assemble_blocks([[np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)]])
-
-
-class TestDirectSum:
-    def test_scalars(self):
-        np.testing.assert_array_equal(direct_sum([np.eye(1), np.eye(1)]), np.eye(2))
-        out = direct_sum([np.array([[3.0]]), np.array([[-4.0]])])
-        np.testing.assert_array_equal(out, np.diag([3.0, -4.0]))
-        assert trace_norm(out) == pytest.approx(7.0)
-
-    def test_zero_padding_keeps_trace_norm(self):
-        rng = np.random.default_rng(9)
-        a = random_complex(rng, (3, 3))
-        padded = direct_sum([a, np.zeros((2, 2))])
-        assert trace_norm(padded) == pytest.approx(trace_norm(a), abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            direct_sum([])
 
 
 class TestRandomGenerators:
