@@ -23,17 +23,12 @@ from .spaces import (
     Couple,
     LeveledElement,
     MatricialSpace,
-    PConvexityReport,
     basis_element,
     c_max,
     c_min,
     check_axioms,
-    check_p_convexity,
     concrete_operator_space,
-    contractive_functional,
     coproduct_apply,
-    element_direct_sum,
-    functional_amplification,
     l1_component,
     l1_embed,
     l1_sum,
@@ -53,7 +48,7 @@ from .correspondence import (
     phi_of,
     reconstruct,
 )
-from .optimizer import OptimizerConfig, optimize_couple, polar_ascent_step
+from .optimizer import OptimizerConfig, optimize_couple
 from .hatspace import (
     ConvexityReport,
     NormBounds,

@@ -15,6 +15,7 @@ seed; like ``--seed`` it must be a nonnegative integer.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,9 +41,8 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def load_block_file(path: str):
-    """Read a block-matrix file {n, m, blocks} into (n, m, (m, m, n, n) array)."""
-    data = _load_json(path)
+def _block_matrix(data: dict, path: str):
+    """Validate a parsed block-matrix object {n, m, blocks} into (n, m, (m, m, n, n) array)."""
     for key in ("n", "m", "blocks"):
         if key not in data:
             raise InvalidInputError(f"{path}: missing key {key!r}")
@@ -53,6 +53,11 @@ def load_block_file(path: str):
     if arr.shape != (m, m, n, n):
         raise InvalidInputError(f"{path}: blocks have shape {arr.shape}, expected {(m, m, n, n)}")
     return n, m, arr
+
+
+def load_block_file(path: str):
+    """Read a block-matrix file {n, m, blocks} into (n, m, (m, m, n, n) array)."""
+    return _block_matrix(_load_json(path), path)
 
 
 def load_element_file(path: str, space):
@@ -69,7 +74,7 @@ def load_element_file(path: str, space):
             raise InvalidInputError(f"{path}: dim {data['dim']} does not match {space.space_id} (dim {space.dim})")
         element = space.element(arr)
     elif "blocks" in data:
-        n, m, arr = load_block_file(path)
+        n, m, arr = _block_matrix(data, path)
         if space.dim != n * n:
             raise InvalidInputError(
                 f"{path}: {n} x {n} blocks do not fit {space.space_id} (dim {space.dim})"
@@ -92,7 +97,11 @@ def cmd_norm(args) -> int:
 
 
 def parse_optimizer_config(text: str | None) -> OptimizerConfig | None:
-    """Build an OptimizerConfig from a JSON object of field overrides."""
+    """Build an OptimizerConfig from a JSON object of field overrides.
+
+    Omitted fields keep the search defaults; the field checks are the
+    config's own.
+    """
     if not text:
         return None
     try:
@@ -101,15 +110,10 @@ def parse_optimizer_config(text: str | None) -> OptimizerConfig | None:
         raise InvalidInputError(f"bad optimizer config: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("optimizer config must be a JSON object")
-    allowed = {"restarts", "iterations", "step_init", "step_decay", "seed",
-               "tolerance", "stall_limit"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {f.name for f in dataclasses.fields(OptimizerConfig)}
     if unknown:
         raise InvalidInputError(f"unknown optimizer config keys: {sorted(unknown)}")
-    try:
-        return OptimizerConfig(**data)
-    except TypeError as exc:
-        raise InvalidInputError(f"bad optimizer config: {exc}") from exc
+    return OptimizerConfig(**data)
 
 
 def cmd_hat_bounds(args) -> int:
@@ -166,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hat.add_argument("--seed", type=int, default=seed, help="default: MATNORM_SEED or 0")
     p_hat.add_argument("--json", action="store_true", help="emit the bounds as JSON")
     p_hat.add_argument("--opt-config", default=None, metavar="JSON",
-                       help='optimizer overrides, e.g. \'{"restarts": 4, "iterations": 100}\'')
+                       help='optimizer overrides of "restarts", "iterations" and "stall_limit", '
+                            'e.g. \'{"restarts": 4, "iterations": 100}\'; omitted keys keep the search defaults')
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], default="all")

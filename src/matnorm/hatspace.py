@@ -27,7 +27,7 @@ The upper-bound rules, in precedence order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ CONSISTENCY_TOL = 1e-9
 UPPER_RULES = ("level1_trace", "block_min", "entry_trace_sum", "prop1_entrywise")
 
 DEFAULT_BUDGET = 64
-_SEARCH_OPTIMIZER = OptimizerConfig(restarts=2, iterations=40)
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,7 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     if not u4.any():
         return SearchResult(0.0, _trace_identity_couple(n), 1)
 
+    cfg = optimizer_config or OptimizerConfig()
     children = np.random.SeedSequence(seed).spawn(len(catalog))
     best_val = -np.inf
     best_couple = None
@@ -190,9 +190,9 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
             if val > best_val:
                 best_val, best_couple = val, couple
         if budget > 0:
-            cfg = replace(optimizer_config or _SEARCH_OPTIMIZER, seed=int(child.generate_state(1)[0]))
             starts = candidates[: cfg.restarts]
-            couple, val = optimize_couple(space, n, u4, cfg, starts=[c.v for c in starts])
+            couple, val = optimize_couple(space, n, u4, cfg, starts=[c.v for c in starts],
+                                          seed=int(child.generate_state(1)[0]))
             evaluated += 1
             if val > best_val:
                 best_val, best_couple = val, couple

@@ -9,6 +9,12 @@ gradient step built from dual witnesses). Other spaces fall back to a
 projected random search. Nonsmoothness is handled by restart diversity, not
 subgradient machinery: the known optima at this scale are recovered in a few
 steps.
+
+``OptimizerConfig`` holds the three settings callers vary: restarts,
+iterations per restart and the stall limit (consecutive steps gaining at most
+``TOLERANCE``). The random-search step size starts at ``STEP_INIT`` and
+shrinks by ``STEP_DECAY`` per iteration. The seed is an argument of
+``optimize_couple``, not a setting.
 """
 
 from __future__ import annotations
@@ -22,26 +28,27 @@ from .correspondence import amplified_image
 from .errors import InvalidInputError
 from .spaces import Couple, LeveledElement, MatricialSpace
 
-__all__ = ["OptimizerConfig", "polar_ascent_step", "optimize_couple"]
+__all__ = ["OptimizerConfig", "optimize_couple"]
 
 _LINE_SEARCH = (1.0, 0.5, 0.25, 0.1)
+STEP_INIT = 0.5
+STEP_DECAY = 0.9
+TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 8
-    iterations: int = 200
-    step_init: float = 0.5
-    step_decay: float = 0.9
-    seed: int = 0
-    tolerance: float = 1e-12
+    """Search effort per space; the defaults are the lower-bound search's."""
+
+    restarts: int = 2
+    iterations: int = 40
     stall_limit: int = 10
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InvalidInputError(f"restarts must be positive, got {self.restarts}")
-        if self.tolerance <= 0:
-            raise InvalidInputError(f"tolerance must be positive, got {self.tolerance}")
+        for name, low in (("restarts", 1), ("iterations", 0), ("stall_limit", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise InvalidInputError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def _objective(space: MatricialSpace, v: LeveledElement, u4: np.ndarray) -> float:
@@ -70,33 +77,17 @@ def _step(space: MatricialSpace, v: LeveledElement, u4: np.ndarray, current: flo
     return best_v, best_val
 
 
-def polar_ascent_step(space: MatricialSpace, v: LeveledElement, u, rng=None,
-                      step: float = 0.5) -> LeveledElement:
-    """One ascent step; never decreases the objective (proposal rejected otherwise).
-
-    For cmin, cmax and op:k spaces the proposal is the dual-witness jump
-    described in the module docstring, refined by a short line search along
-    the segment to the current point (the ball is convex, so every candidate
-    stays feasible). Unsupported spaces fall back to a projected random
-    search around the current point.
-    """
-    u4 = linalg.as_block_array(u, block_size=v.level)
-    rng = np.random.default_rng(0 if rng is None else rng)
-    best_v, _ = _step(space, v, u4, _objective(space, v, u4), rng, step)
-    return best_v
-
-
 def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | None = None,
-                    starts=None):
+                    starts=None, seed=0):
     """Best couple found by multi-restart ascent; returns (couple, value).
 
     The returned element is feasible by radial projection, ties between
     restarts go to the first one found, and the reported value is a fresh
-    evaluation of the returned couple. Deterministic per config seed.
+    evaluation of the returned couple. Deterministic per seed.
     """
     cfg = config or OptimizerConfig()
     u4 = linalg.trusted_block_array(u, n)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     if not u4.any():
         zero = LeveledElement(space.space_id, np.zeros((n, n, space.dim), dtype=complex))
@@ -113,15 +104,15 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
             v = space.unit_scaled(coords)
         val = _objective(space, v, u4)
         stall = 0
-        step = cfg.step_init
+        step = STEP_INIT
         for _ in range(cfg.iterations):
             v_next, val_next = _step(space, v, u4, val, rng, step)
-            if val_next > val + cfg.tolerance:
+            if val_next > val + TOLERANCE:
                 stall = 0
             else:
                 stall += 1
             v, val = v_next, val_next
-            step *= cfg.step_decay
+            step *= STEP_DECAY
             if stall >= cfg.stall_limit:
                 break
         if val > best_val:

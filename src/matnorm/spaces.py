@@ -1,4 +1,4 @@
-"""Concrete catalog of matrix-normed coordinate spaces and randomized checkers.
+"""Concrete catalog of matrix-normed coordinate spaces and the randomized axiom checker.
 
 A space is a coordinate dimension together with a norm evaluator accepting
 the (m, m, dim) coordinate array of a level-m element. The catalog:
@@ -42,15 +42,10 @@ __all__ = [
     "planted_fault_space",
     "scalar_action",
     "pad",
-    "element_direct_sum",
     "basis_element",
     "random_element",
-    "contractive_functional",
-    "functional_amplification",
     "AxiomReport",
     "check_axioms",
-    "PConvexityReport",
-    "check_p_convexity",
     "COUPLE_FEASIBILITY_TOL",
 ]
 
@@ -78,9 +73,9 @@ class MatricialSpace:
     """Descriptor of a space: coordinate dimension plus levelwise norm.
 
     ``norm_fn`` receives the raw (m, m, dim) coordinate array. The catalog
-    kinds subclass this and add their search behaviour: structured couples,
-    a polar proposal for the optimizer and a contractive-functional sampler.
-    A bare instance (a custom evaluator) has none of them.
+    kinds subclass this and add their search behaviour: structured couples
+    and a polar proposal for the optimizer. A bare instance (a custom
+    evaluator) has neither.
     """
 
     space_id: str
@@ -144,10 +139,6 @@ class MatricialSpace:
         """
         return None
 
-    def sample_functional(self, rng: np.random.Generator) -> np.ndarray:
-        """Random functional with modulus bounded by the level-1 norm."""
-        raise InvalidInputError(f"no functional sampler for space {self.space_id!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class Couple:
@@ -201,11 +192,6 @@ class ScalarSpace(MatricialSpace):
             return None
         # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball
         return self._ball_maximizer(pullback.T).reshape(*pullback.shape, 1)
-
-    def sample_functional(self, rng):
-        """A number of modulus at most 1."""
-        phase = np.exp(2j * np.pi * rng.uniform())
-        return np.array([rng.uniform() * phase])
 
 
 class OperatorScalars(ScalarSpace):
@@ -270,14 +256,6 @@ class OperatorSpace(MatricialSpace):
         w_new = linalg.dual_witness(pull.T)
         return linalg.split_blocks(w_new, k).reshape(n, n, k * k)
 
-    def sample_functional(self, rng):
-        """x -> tr(x g) with the trace norm of g at most 1."""
-        k = self.k
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        g *= rng.uniform() / linalg.trace_norm(g)
-        # row-major coordinates of x pair with g as tr(x g) = sum x_ij g_ji
-        return g.T.reshape(-1).copy()
-
 
 @dataclass(frozen=True, eq=False)
 class L1Sum(MatricialSpace):
@@ -294,10 +272,6 @@ class L1Sum(MatricialSpace):
         return [Couple(self, l1_embed(self, sub.v, index))
                 for index, part in enumerate(self.parts)
                 for sub in part.structured_couples(n, u4)]
-
-    def sample_functional(self, rng):
-        """The summands' functionals side by side."""
-        return np.concatenate([p.sample_functional(rng) for p in self.parts])
 
 
 def c_min() -> MatricialSpace:
@@ -484,25 +458,6 @@ def pad(u: LeveledElement, extra: int) -> LeveledElement:
     return LeveledElement(u.space_id, coords)
 
 
-def element_direct_sum(elements) -> LeveledElement:
-    """Block-diagonal element combining same-space elements of any levels."""
-    elements = list(elements)
-    if not elements:
-        raise InvalidInputError("direct sum of an empty family")
-    space_id = elements[0].space_id
-    d = elements[0].dim
-    for e in elements:
-        if e.space_id != space_id or e.dim != d:
-            raise InvalidInputError("direct-sum summands must share a space")
-    total = sum(e.level for e in elements)
-    coords = np.zeros((total, total, d), dtype=complex)
-    pos = 0
-    for e in elements:
-        coords[pos:pos + e.level, pos:pos + e.level] = e.coords
-        pos += e.level
-    return LeveledElement(space_id, coords)
-
-
 def basis_element(space: MatricialSpace, index: int) -> LeveledElement:
     """Level-1 canonical coordinate element."""
     coords = np.zeros((1, 1, space.dim), dtype=complex)
@@ -520,29 +475,7 @@ def random_element(space: MatricialSpace, level: int, rng, unit: bool = False) -
 
 
 # ---------------------------------------------------------------------------
-# contractive functionals
-# ---------------------------------------------------------------------------
-
-
-def contractive_functional(space: MatricialSpace, rng) -> np.ndarray:
-    """Random functional f with |f(x)| bounded by the level-1 norm of x.
-
-    Returned as a length-dim row vector acting on coordinates; each space
-    kind supplies its sampler (``MatricialSpace.sample_functional``).
-    """
-    return space.sample_functional(np.random.default_rng(rng))
-
-
-def functional_amplification(f_row, u: LeveledElement) -> np.ndarray:
-    """Apply a functional entrywise to a level-m element; returns an m x m matrix."""
-    row = np.asarray(f_row, dtype=complex)
-    if row.shape != (u.dim,):
-        raise InvalidInputError(f"functional of length {row.shape} against dimension {u.dim}")
-    return np.einsum("d,kld->kl", row, u.coords)
-
-
-# ---------------------------------------------------------------------------
-# randomized axiom / convexity checkers
+# randomized axiom checker
 # ---------------------------------------------------------------------------
 
 
@@ -620,47 +553,3 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
                     "coords": complex_to_pairs(u.coords),
                 }
     return AxiomReport(trials, a1_max, a2_max, worst)
-
-
-@dataclass
-class PConvexityReport:
-    p: float
-    trials: int
-    max_violation: float
-    witness: dict | None
-
-
-def check_p_convexity(space: MatricialSpace, p: float, trials: int, seed=0,
-                      max_level: int = 2, summands=(2, 3)) -> PConvexityReport:
-    """One-sided sampler for the l_p block-diagonal inequality.
-
-    Evaluates the positive part of |u_1 + ... + u_k| - (sum |u_i|^p)^(1/p)
-    on random tuples (k drawn from ``summands``) plus one structured tuple
-    of identical unit basis elements. Absence of a violation is evidence,
-    not proof.
-    """
-    if p < 1:
-        raise InvalidInputError(f"exponent must be at least 1, got {p}")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    witness = None
-    for t in range(trials):
-        if t == 0:
-            b = space.unit_scaled(basis_element(space, 0).coords, sphere=True)
-            tup = [b, b]
-        else:
-            k = int(rng.choice(summands))
-            tup = [
-                _sample_element(space, int(rng.integers(1, max_level + 1)), rng, variant=t % 3)
-                for _ in range(k)
-            ]
-        combined = space.norm(element_direct_sum(tup))
-        bound = float(np.sum([space.norm(u) ** p for u in tup]) ** (1.0 / p))
-        violation = combined - bound
-        if violation > best:
-            best = violation
-            witness = {
-                "trial": t, "violation": violation,
-                "coords": [complex_to_pairs(u.coords) for u in tup],
-            }
-    return PConvexityReport(p, trials, best, witness)

@@ -7,9 +7,6 @@ them). Failures carry the worst offending check in the assertion message.
 
 import json
 
-import numpy as np
-
-import matnorm as mn
 from matnorm.cli import main
 from matnorm.suites import run_suite
 
@@ -41,7 +38,12 @@ def test_02_correspondence_identities():
 
 def test_03_level_one_norm_is_trace_norm():
     # 1000 random single blocks, n up to 4: witness couple achieves the
-    # trace norm, nothing exceeds it, intervals are degenerate
+    # trace norm, nothing exceeds it, intervals are degenerate. The suite's
+    # size-1 checks also run here: thm6.size1_unit_couple (the unit couple on
+    # the trace-norm scalars gives the trace norm of 1000 scalar matrices,
+    # levels up to 5) and thm6.size1_search_agrees (the budget-8 catalog
+    # search with the fast optimizer neither misses nor exceeds it), both to
+    # 1e-9
     assert_suite("level-1 trace norm", run_suite("thm6", seed=SEED, trials=1000))
 
 
@@ -70,30 +72,6 @@ def test_07_trace_functional_image():
     # n in 2..6: entrywise trace of the flip element is exactly the
     # identity, trace norm exactly n
     assert_suite("trace functional", run_suite("prop14", seed=SEED))
-
-
-def test_08_size_one_blocks_carry_the_trace_norm():
-    # n=1, levels up to 5, 1000 random scalar matrices: the unit couple on
-    # the trace-norm scalars gives the trace norm, and no sampled couple
-    # beats it
-    rng = np.random.default_rng(SEED)
-    cmax = mn.c_max()
-    unit = mn.Couple(cmax, cmax.element(np.ones((1, 1, 1), dtype=complex)))
-    cfg = mn.OptimizerConfig(restarts=1, iterations=2, stall_limit=2)
-    worst_couple = 0.0
-    worst_search = 0.0
-    for trial in range(1000):
-        m = 1 + trial % 5
-        u = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))).reshape(m, m, 1, 1)
-        tn = mn.trace_norm(u[:, :, 0, 0])
-        worst_couple = max(worst_couple, abs(mn.couple_value(unit, u) - tn))
-        result = mn.search_lower_bound(1, u, budget=8, seed=int(rng.integers(2**32)),
-                                       optimizer_config=cfg)
-        worst_search = max(worst_search, abs(result.value - tn))
-    ok = worst_couple <= 1e-9 and worst_search <= 1e-9
-    report_line("size-1 identification", ok,
-                f"couple dev {worst_couple:.2e}, search dev {worst_search:.2e}")
-    assert ok
 
 
 def test_09_coproduct_additivity_and_injections():

@@ -69,6 +69,22 @@ class TestNormCommand:
         path = write_blocks(tmp_path / "w.json", 2, 2, np.zeros((2, 2, 1, 1)))
         assert main(["norm", "op:2", "2", path]) == 2
 
+    def test_block_file_parsed_once(self, tmp_path, monkeypatch, capsys):
+        import matnorm.cli as cli_mod
+
+        load_json = cli_mod._load_json
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_json(path)
+
+        monkeypatch.setattr(cli_mod, "_load_json", counting)
+        path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
+        assert main(["norm", "op:2", "2", path]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+        assert reads == [path]
+
 
 class TestHatBoundsCommand:
     def test_flip_bounds_text(self, tmp_path, capsys):
@@ -101,6 +117,27 @@ class TestHatBoundsCommand:
         path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
         assert main(["hat-bounds", path, "--opt-config", '{"bogus": 1}']) == 2
         assert main(["hat-bounds", path, "--opt-config", "not json"]) == 2
+
+    @pytest.mark.parametrize("override", [
+        '{"restarts": 1.5}', '{"iterations": "5"}', '{"stall_limit": null}',
+        '{"iterations": -3}', '{"restarts": true}', '{"seed": 1}', '{"step_init": 0.1}',
+    ])
+    def test_optimizer_override_validated_exit_2(self, tmp_path, capsys, override):
+        path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
+        assert main(["hat-bounds", path, "--budget", "2", "--opt-config", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_partial_override_builds_on_search_defaults(self, tmp_path, capsys):
+        # restating one default must not reset the others
+        rng = np.random.default_rng(102)
+        u = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
+        path = write_blocks(tmp_path / "g.json", 2, 3, u)
+        outputs = []
+        for extra in ([], ["--opt-config", '{"restarts": 2}']):
+            assert main(["hat-bounds", path, "--seed", "2", "--json"] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_inconsistency_exit_3(self, tmp_path, monkeypatch, capsys):
         import matnorm.cli as cli_mod

@@ -1,4 +1,4 @@
-"""Catalog space evaluators, element operations, and the randomized checkers."""
+"""Catalog space evaluators, element operations, and the randomized axiom checker."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from matnorm import (
     c_max,
     c_min,
     check_axioms,
-    check_p_convexity,
     concrete_operator_space,
-    contractive_functional,
-    element_direct_sum,
-    functional_amplification,
     l1_component,
     l1_embed,
     l1_sum,
@@ -142,14 +138,6 @@ class TestElementOps:
         u = random_element(op, 2, rng)
         assert op.norm(pad(u, 2)) == pytest.approx(op.norm(u), abs=1e-9)
 
-    def test_direct_sum_levels(self):
-        sp = c_max()
-        a = sp.element([1.0])
-        b = sp.element(np.eye(2))
-        combined = element_direct_sum([a, b])
-        assert combined.level == 3
-        assert sp.norm(combined) == pytest.approx(3.0, abs=1e-12)
-
 
 class TestNormProperties:
     @pytest.mark.parametrize("sid", ["cmin", "cmax", "op:2", "l1:[cmin,cmax]"])
@@ -179,42 +167,6 @@ class TestAxiomChecker:
         rep = check_axioms(planted_fault_space(), trials=100, seed=8, max_level=2)
         assert rep.axiom1_max_violation >= 0.09
         assert rep.worst_case_inputs["axiom1"] is not None
-
-
-class TestPConvexity:
-    def test_operator_spaces_convex_for_all_p(self):
-        for p in (1.0, 1.5, 2.0, 10.0):
-            rep = check_p_convexity(c_min(), p, trials=300, seed=9)
-            assert rep.max_violation <= 1e-9
-
-    def test_trace_scalars_additive(self):
-        rep = check_p_convexity(c_max(), 1.0, trials=300, seed=9)
-        assert rep.max_violation <= 1e-9
-
-    def test_trace_scalars_break_p2(self):
-        # two copies of the unit scalar: combined norm 2 against sqrt(2)
-        rep = check_p_convexity(c_max(), 2.0, trials=50, seed=9)
-        assert rep.max_violation >= 2.0 - np.sqrt(2.0) - 1e-9
-        assert rep.witness is not None
-
-
-class TestContractiveFunctionals:
-    @pytest.mark.parametrize("sid", ["cmax", "op:2", "op:3", "l1:[cmax,op:2]"])
-    def test_amplifications_stay_contractive(self, sid):
-        sp = space_from_id(sid)
-        rng = np.random.default_rng(10)
-        for trial in range(200):
-            f = contractive_functional(sp, rng)
-            v = random_element(sp, 1 + trial % 3, rng)
-            assert operator_norm(functional_amplification(f, v)) <= sp.norm(v) + 1e-9
-
-    def test_level1_contractivity(self):
-        sp = concrete_operator_space(3)
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            f = contractive_functional(sp, rng)
-            x = random_element(sp, 1, rng)
-            assert abs(functional_amplification(f, x)[0, 0]) <= sp.norm(x) + 1e-12
 
 
 class TestValidation:
