@@ -8,22 +8,18 @@ from .errors import (
 )
 from .linalg import (
     assemble_blocks,
-    block_scalar_action,
     dual_witness,
     operator_norm,
-    random_contraction,
     random_unitary,
     singular_values,
     split_blocks,
     trace_norm,
-    trace_pairing,
 )
 from .spaces import (
     AxiomReport,
     Couple,
     LeveledElement,
     MatricialSpace,
-    basis_element,
     c_max,
     c_min,
     check_axioms,

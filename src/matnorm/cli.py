@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 at least one failed check, 2 input or parse error
 (bad arguments included), 3 internal inconsistency (a lower bound exceeded
-an upper bound). The environment variable MATNORM_SEED provides the default
+an upper bound), 4 unexpected internal error (the traceback goes to
+stderr). The environment variable MATNORM_SEED provides the default
 seed; like ``--seed`` it must be a nonnegative integer.
 """
 
@@ -19,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 
 from .errors import InconsistencyError, InvalidInputError, MatnormError
 from .hatspace import hat_bounds
@@ -204,6 +206,10 @@ def main(argv=None) -> int:
     except (InvalidInputError, MatnormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -7,22 +7,18 @@ is not computable, so the engine reports certified intervals:
 * every evaluated couple is feasible by construction, so the best value
   found is always a valid lower bound, with the achieving couple attached as
   a reproducible certificate;
-* upper bounds come from closed-form rules; at m = 1 the norm is exactly the
-  trace norm of the single block, so the interval degenerates there.
+* the upper bound is the sum over all blocks of their trace norms, rule
+  ``entry_trace_sum``. A permutation moves any block to a diagonal position
+  without changing norms, where it alone has norm equal to its trace norm
+  (padding plus the m = 1 case), so the triangle inequality gives the
+  bound. At m = 1 it is the exact norm and the interval degenerates.
 
-The upper-bound rules, in precedence order:
-
-``level1_trace``     m = 1 only: trace norm of the single block (exact).
-``block_min``        block-diagonal u only: sum of the diagonal blocks'
-                     trace norms. Each diagonal block alone has norm equal
-                     to its trace norm (padding plus the m = 1 case), so the
-                     triangle inequality gives the bound.
-``entry_trace_sum``  sum over all blocks of their trace norms; the same
-                     argument applied entrywise (permutations move any block
-                     to a diagonal position without changing norms).
-``prop1_entrywise``  sum of moduli of all scalar entries of the assembled
-                     mn x mn matrix; never beats entry_trace_sum but is kept
-                     as an independent sanity rule.
+No other closed form is needed. At m = 1 the trace norm of the single block
+is the same sum, bitwise. For block-diagonal u the sum of the diagonal
+blocks' trace norms is the same sum up to summation order, since the other
+blocks contribute exact zeros. The sum of the moduli of all scalar entries
+never beats it, since a block's trace norm is at most the sum of its
+entries' moduli.
 """
 
 from __future__ import annotations
@@ -38,19 +34,18 @@ from .optimizer import OptimizerConfig, optimize_couple
 from .serialize import complex_to_pairs
 from .spaces import (
     Couple,
-    LeveledElement,
     MatricialSpace,
     c_max,
     c_min,
     concrete_operator_space,
     l1_sum,
+    random_element,
 )
 
 __all__ = [
     "Couple",
     "NormBounds",
     "SearchResult",
-    "UPPER_RULES",
     "default_catalog",
     "couple_value",
     "structured_couples",
@@ -69,7 +64,6 @@ __all__ = [
 # paths (at m = 1 both are the block's trace norm), so they may disagree by a
 # few ulps of the upper bound; the tolerance scales with it above 1.
 CONSISTENCY_TOL = 1e-9
-UPPER_RULES = ("level1_trace", "block_min", "entry_trace_sum", "prop1_entrywise")
 
 DEFAULT_BUDGET = 64
 
@@ -86,7 +80,7 @@ class NormBounds:
     """Certified interval for the norm of an m x m block matrix.
 
     ``certificate`` is the couple achieving ``lower``; re-evaluating it
-    reproduces the bound. ``upper_rule`` names the closed-form rule that won.
+    reproduces the bound. ``upper_rule`` names the rule that gave ``upper``.
     """
 
     n: int
@@ -95,7 +89,6 @@ class NormBounds:
     upper: float
     upper_rule: str
     certificate: Couple
-    certificate_value: float
 
     def to_json(self) -> dict:
         return {
@@ -150,10 +143,10 @@ def structured_couples(space: MatricialSpace, n: int, u=None) -> list[Couple]:
 def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
     """Gaussian element rescaled into the unit ball; half the draws land on the sphere."""
     rng = np.random.default_rng(rng)
-    coords = rng.standard_normal((n, n, space.dim)) + 1j * rng.standard_normal((n, n, space.dim))
-    nrm = space.norm(LeveledElement(space.space_id, coords))
+    element = random_element(space, n, rng)
+    nrm = space.norm(element)
     sphere = nrm > 0 and rng.uniform() < 0.5
-    return Couple(space, space.unit_scaled(coords, sphere=sphere, norm=nrm))
+    return Couple(space, space.unit_scaled(element.coords, sphere=sphere, norm=nrm))
 
 
 def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=0,
@@ -200,29 +193,9 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
 
 
 def hat_upper_bound(n: int, u):
-    """Smallest applicable closed-form upper bound; returns (value, rule)."""
+    """Sum of the trace norms of all blocks, from one batched SVD; returns (value, rule)."""
     u4 = linalg.as_block_array(u, block_size=n)
-    m = u4.shape[0]
-    rules: dict[str, float] = {}
-    rules["prop1_entrywise"] = float(np.abs(u4).sum())
-    block_traces = np.array([[linalg.trace_norm(u4[k, l]) if u4[k, l].any() else 0.0
-                              for l in range(m)] for k in range(m)])
-    rules["entry_trace_sum"] = float(block_traces.sum())
-    if m == 1:
-        rules["level1_trace"] = float(block_traces[0, 0])
-    else:
-        off_diagonal = u4.copy()
-        for k in range(m):
-            off_diagonal[k, k] = 0.0
-        if not off_diagonal.any():
-            rules["block_min"] = float(np.trace(block_traces))
-
-    best_rule = None
-    best_val = np.inf
-    for rule in UPPER_RULES:
-        if rule in rules and rules[rule] < best_val:
-            best_rule, best_val = rule, rules[rule]
-    return best_val, best_rule
+    return float(np.linalg.svd(u4, compute_uv=False).sum(axis=-1).sum()), "entry_trace_sum"
 
 
 def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
@@ -242,7 +215,7 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
             f"upper bound {upper:.12g} from rule {rule}",
             lower=result.value, upper=upper, rule=rule, couple=result.couple,
         )
-    return NormBounds(n, m, result.value, upper, rule, result.couple, result.value)
+    return NormBounds(n, m, result.value, upper, rule, result.couple)
 
 
 def block_diag_lower(n: int, blocks) -> float:

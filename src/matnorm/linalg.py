@@ -1,7 +1,7 @@
 """Dense complex matrix kernels.
 
-Norms, SVD-based duality witnesses, block layout helpers and seeded random
-generators. Everything operates on plain numpy complex arrays and is pure:
+Norms, SVD-based duality witnesses, block layout helpers and a seeded
+Haar-random unitary. Everything operates on plain numpy complex arrays and is pure:
 no function mutates its inputs. Intended scale is small (matrices up to a
 few hundred rows), double precision throughout.
 """
@@ -19,13 +19,10 @@ __all__ = [
     "operator_norm",
     "trace_norm",
     "dual_witness",
-    "trace_pairing",
     "assemble_blocks",
     "split_blocks",
-    "block_scalar_action",
     "canonical_identity",
     "random_unitary",
-    "random_contraction",
 ]
 
 
@@ -104,15 +101,6 @@ def dual_witness(a) -> np.ndarray:
     return vh.conj().T @ u.conj().T
 
 
-def trace_pairing(a, b) -> complex:
-    """``tr(a b)`` for square matrices of equal size."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[0] != am.shape[1] or am.shape != bm.shape:
-        raise InvalidInputError(f"trace pairing needs equal square matrices, got {am.shape} and {bm.shape}")
-    return complex(np.trace(am @ bm))
-
-
 def assemble_blocks(blocks) -> np.ndarray:
     """Flatten an m x m array of n x n blocks into the mn x mn matrix.
 
@@ -134,17 +122,6 @@ def split_blocks(a, block_size: int) -> np.ndarray:
     return arr.reshape(m, block_size, m, block_size).transpose(0, 2, 1, 3).copy()
 
 
-def block_scalar_action(s, blocks, t) -> np.ndarray:
-    """Scalar action (S u T) on an m x m array of blocks: out_kl = sum S_kp u_pq T_ql."""
-    arr = as_block_array(blocks)
-    sm = as_matrix(s)
-    tm = as_matrix(t)
-    m = arr.shape[0]
-    if sm.shape != (m, m) or tm.shape != (m, m):
-        raise InvalidInputError(f"scalar factors must be {m} x {m}, got {sm.shape} and {tm.shape}")
-    return np.einsum("kp,pqab,ql->klab", sm, arr, tm)
-
-
 def canonical_identity(n: int) -> np.ndarray:
     """The flip element of the n x n blocks: block (p, q) is e_qp.
 
@@ -160,32 +137,14 @@ def canonical_identity(n: int) -> np.ndarray:
     return out
 
 
-def _haar_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
+def random_unitary(k: int, seed) -> np.ndarray:
+    """Haar-random k x k unitary, deterministic per seed."""
+    if k < 1:
+        raise InvalidInputError(f"size must be positive, got {k}")
+    rng = np.random.default_rng(seed)
     # QR of a complex Ginibre matrix with the R diagonal phase-fixed gives
     # the Haar distribution.
     z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_unitary(k: int, seed) -> np.ndarray:
-    """Haar-random k x k unitary, deterministic per seed."""
-    if k < 1:
-        raise InvalidInputError(f"size must be positive, got {k}")
-    return _haar_unitary(np.random.default_rng(seed), k)
-
-
-def random_contraction(k: int, seed) -> np.ndarray:
-    """Random k x k matrix with operator norm at most 1, deterministic per seed.
-
-    Sampled as U diag(s) V with independent Haar factors and uniform
-    singular values, so both the interior and the boundary of the unit
-    ball are exercised.
-    """
-    if k < 1:
-        raise InvalidInputError(f"size must be positive, got {k}")
-    rng = np.random.default_rng(seed)
-    u = _haar_unitary(rng, k)
-    v = _haar_unitary(rng, k)
-    return u @ np.diag(rng.uniform(0.0, 1.0, size=k)) @ v

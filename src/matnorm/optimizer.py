@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .correspondence import amplified_image
 from .errors import InvalidInputError
-from .spaces import Couple, LeveledElement, MatricialSpace
+from .spaces import Couple, LeveledElement, MatricialSpace, random_element
 
 __all__ = ["OptimizerConfig", "optimize_couple"]
 
@@ -65,8 +65,7 @@ def _step(space: MatricialSpace, v: LeveledElement, u4: np.ndarray, current: flo
     else:
         scale = step * max(1.0, float(np.abs(v.coords).max()))
         for _ in range(4):
-            noise = rng.standard_normal(v.coords.shape) + 1j * rng.standard_normal(v.coords.shape)
-            candidates.append(v.coords + scale * noise)
+            candidates.append(v.coords + scale * random_element(space, v.level, rng).coords)
 
     best_v, best_val = v, current
     for coords in candidates:
@@ -82,8 +81,8 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     """Best couple found by multi-restart ascent; returns (couple, value).
 
     The returned element is feasible by radial projection, ties between
-    restarts go to the first one found, and the reported value is a fresh
-    evaluation of the returned couple. Deterministic per seed.
+    restarts go to the first one found, and the reported value is the
+    returned couple's. Deterministic per seed.
     """
     cfg = config or OptimizerConfig()
     u4 = linalg.trusted_block_array(u, n)
@@ -100,8 +99,7 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
         if restart < len(starts):
             v = space.unit_scaled(starts[restart].coords)
         else:
-            coords = rng.standard_normal((n, n, space.dim)) + 1j * rng.standard_normal((n, n, space.dim))
-            v = space.unit_scaled(coords)
+            v = space.unit_scaled(random_element(space, n, rng).coords)
         val = _objective(space, v, u4)
         stall = 0
         step = STEP_INIT
@@ -118,5 +116,4 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
         if val > best_val:
             best_v, best_val = v, val
 
-    couple = Couple(space, best_v)
-    return couple, _objective(space, best_v, u4)
+    return Couple(space, best_v), best_val

@@ -42,7 +42,6 @@ __all__ = [
     "planted_fault_space",
     "scalar_action",
     "pad",
-    "basis_element",
     "random_element",
     "AxiomReport",
     "check_axioms",
@@ -456,13 +455,6 @@ def pad(u: LeveledElement, extra: int) -> LeveledElement:
     coords = np.zeros((m + extra, m + extra, d), dtype=complex)
     coords[:m, :m] = u.coords
     return LeveledElement(u.space_id, coords)
-
-
-def basis_element(space: MatricialSpace, index: int) -> LeveledElement:
-    """Level-1 canonical coordinate element."""
-    coords = np.zeros((1, 1, space.dim), dtype=complex)
-    coords[0, 0, index] = 1.0
-    return LeveledElement(space.space_id, coords)
 
 
 def random_element(space: MatricialSpace, level: int, rng, unit: bool = False) -> LeveledElement:

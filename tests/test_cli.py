@@ -150,6 +150,19 @@ class TestHatBoundsCommand:
         assert main(["hat-bounds", path]) == 3
         assert "forced" in capsys.readouterr().err
 
+    def test_unexpected_error_exit_4(self, tmp_path, monkeypatch, capsys):
+        import matnorm.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(cli_mod, "hat_bounds", boom)
+        path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
+        assert main(["hat-bounds", path]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "internal error: RuntimeError('engine bug')" in err
+
 
 class TestVerifyCommand:
     def test_single_value_suite(self, capsys):

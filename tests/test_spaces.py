@@ -19,7 +19,6 @@ from matnorm import (
     random_unitary,
     scalar_action,
     space_from_id,
-    basis_element,
 )
 
 
@@ -45,7 +44,7 @@ class TestScalarSpaces:
 class TestOperatorSpace:
     def test_basis_and_identity(self):
         sp = concrete_operator_space(2)
-        assert sp.norm(basis_element(sp, 0)) == pytest.approx(1.0)
+        assert sp.norm(sp.element(np.eye(1, sp.dim, 0)[0])) == pytest.approx(1.0)
         eye_coords = np.zeros((2, 2, 4), dtype=complex)
         eye_coords[0, 0] = np.eye(2).reshape(-1)
         eye_coords[1, 1] = np.eye(2).reshape(-1)
@@ -153,7 +152,7 @@ class TestNormProperties:
             added = type(u)(u.space_id, u.coords + v.coords)
             assert sp.norm(added) <= sp.norm(u) + sp.norm(v) + 1e-9
         for idx in range(sp.dim):
-            assert sp.norm(basis_element(sp, idx)) > 0.0
+            assert sp.norm(sp.element(np.eye(1, sp.dim, idx)[0])) > 0.0
 
 
 class TestAxiomChecker:
