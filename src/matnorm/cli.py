@@ -137,6 +137,10 @@ def cmd_verify(args) -> int:
     if args.n is not None and args.n > 4:
         print(f"warning: n={args.n} grows the assembled matrices quickly; expect long runtimes",
               file=sys.stderr)
+    if args.out and (os.path.isdir(args.out)
+                     or not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
+        # checked before the suite runs, which can take minutes
+        raise InvalidInputError(f"cannot write the report to {args.out}")
     report = run_suite(
         args.suite, seed=args.seed, trials=args.trials, n=args.n,
         m_max=args.m, p=args.p, budget=args.budget,

@@ -29,6 +29,7 @@ __all__ = [
     "phi_apply",
     "phi_amplified",
     "amplified_image",
+    "amplified_images",
     "canonical_identity",
     "check_naturality",
 ]
@@ -84,6 +85,14 @@ def amplified_image(v: LeveledElement, blocks) -> LeveledElement:
     return phi_amplified(phi_of(v), blocks)
 
 
+def amplified_images(coords: np.ndarray, u4: np.ndarray) -> np.ndarray:
+    """:func:`amplified_image` of each element of a (B, n, n, dim) stack on validated ``u4``, as one einsum."""
+    b, n, _, d = coords.shape
+    m = u4.shape[0]
+    phi = coords.transpose(0, 3, 2, 1).reshape(b, d, n * n)
+    return np.einsum("bdx,klx->bkld", phi, u4.reshape(m, m, n * n))
+
+
 def check_naturality(psi, v: LeveledElement, extra_matrices=()) -> float:
     """Largest deviation between mapping-then-representing and representing-then-mapping.
 
@@ -101,9 +110,7 @@ def check_naturality(psi, v: LeveledElement, extra_matrices=()) -> float:
     mapped = LeveledElement("mapped", np.einsum("fd,kld->klf", psi_m, v.coords))
     phi_w = phi_of(mapped)
 
-    tests = [np.zeros((n, n), dtype=complex) for _ in range(n * n)]
-    for idx in range(n * n):
-        tests[idx][idx // n, idx % n] = 1.0
+    tests = list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
     tests.extend(linalg.as_matrix(a) for a in extra_matrices)
 
     worst = 0.0

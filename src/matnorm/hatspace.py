@@ -28,15 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correspondence import amplified_image, canonical_identity
+from .correspondence import amplified_image, amplified_images, canonical_identity
 from .errors import InconsistencyError, InvalidInputError
 from .optimizer import OptimizerConfig, optimize_couple
 from .serialize import complex_to_pairs
 from .spaces import (
     Couple,
+    LeveledElement,
     MatricialSpace,
     c_max,
     c_min,
+    check_unit_ball,
     concrete_operator_space,
     l1_sum,
     random_element,
@@ -66,6 +68,8 @@ __all__ = [
 CONSISTENCY_TOL = 1e-9
 
 DEFAULT_BUDGET = 64
+
+RANDOM_CHUNK = 64  # random couples per batched evaluation; bounds the memory a budget takes
 
 
 @dataclass(frozen=True)
@@ -141,12 +145,25 @@ def structured_couples(space: MatricialSpace, n: int, u=None) -> list[Couple]:
 
 
 def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
-    """Gaussian element rescaled into the unit ball; half the draws land on the sphere."""
-    rng = np.random.default_rng(rng)
-    element = random_element(space, n, rng)
-    nrm = space.norm(element)
-    sphere = nrm > 0 and rng.uniform() < 0.5
-    return Couple(space, space.unit_scaled(element.coords, sphere=sphere, norm=nrm))
+    """Gaussian element rescaled into the unit ball, half onto the sphere; a search chunk of one."""
+    coords = _random_chunk(space, n, np.random.default_rng(rng), 1)[0]
+    return Couple(space, LeveledElement(space.space_id, coords))
+
+
+def _random_chunk(space: MatricialSpace, n: int, rng, count: int) -> np.ndarray:
+    """Elements of ``count`` random couples as one (count, n, n, dim) stack, checked feasible.
+
+    Draws in single-couple order: the coordinates, then the sphere coin for a
+    nonzero element (one of positive norm, as the norm is definite).
+    """
+    coords = np.empty((count, n, n, space.dim), dtype=complex)
+    sphere = np.zeros(count, dtype=bool)
+    for b in range(count):
+        coords[b] = random_element(space, n, rng).coords
+        sphere[b] = coords[b].any() and rng.uniform() < 0.5
+    space.unit_scaled_stack(coords, sphere)
+    check_unit_ball(space, coords)
+    return coords
 
 
 def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=0,
@@ -154,8 +171,10 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     """Maximize couple values over the catalog; sequential and deterministic.
 
     Per space: structured couples, ``budget`` random couples, then an
-    optimizer run (skipped when budget is 0). Ties go to the earliest couple
-    in evaluation order.
+    optimizer run (skipped when budget is 0). Random couples are evaluated in
+    chunks of ``RANDOM_CHUNK`` (one stacked amplification and batched norm
+    each), and only a winner becomes a ``Couple``. Ties go to the earliest
+    couple in evaluation order.
     """
     u4 = linalg.as_block_array(u, block_size=n)
     catalog = list(catalog) if catalog is not None else default_catalog(n)
@@ -175,16 +194,24 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     evaluated = 0
     for space, child in zip(catalog, children):
         rng = np.random.default_rng(child)
-        candidates = list(structured_couples(space, n, u4))
-        candidates.extend(random_couple(space, n, rng) for _ in range(budget))
-        for couple in candidates:
+        structured = structured_couples(space, n, u4)
+        for couple in structured:
             val = couple_value(couple, u4)
             evaluated += 1
             if val > best_val:
                 best_val, best_couple = val, couple
+        starts = [c.v for c in structured[: cfg.restarts]]
+        for done in range(0, budget, RANDOM_CHUNK):
+            coords = _random_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done))
+            values = space.norm_batch(amplified_images(coords, u4))
+            evaluated += len(values)
+            best = int(np.argmax(values))
+            if values[best] > best_val:
+                best_val = float(values[best])
+                best_couple = Couple(space, LeveledElement(space.space_id, coords[best]))
+            starts.extend(LeveledElement(space.space_id, c) for c in coords[: cfg.restarts - len(starts)])
         if budget > 0:
-            starts = candidates[: cfg.restarts]
-            couple, val = optimize_couple(space, n, u4, cfg, starts=[c.v for c in starts],
+            couple, val = optimize_couple(space, n, u4, cfg, starts=starts,
                                           seed=int(child.generate_state(1)[0]))
             evaluated += 1
             if val > best_val:

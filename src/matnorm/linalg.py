@@ -40,7 +40,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
-    """Coerce ``blocks`` to an (m, m, n, n) array of square blocks."""
+    """Coerce ``blocks`` to an (m, m, n, n) array of square blocks, m and n positive."""
     try:
         arr = np.asarray(blocks, dtype=complex)
     except (ValueError, TypeError) as exc:
@@ -48,8 +48,8 @@ def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
     if arr.ndim != 4:
         raise InvalidInputError(f"expected an m x m array of n x n blocks, got shape {arr.shape}")
     m1, m2, n1, n2 = arr.shape
-    if m1 != m2 or n1 != n2:
-        raise InvalidInputError(f"blocks must form a square array of square matrices, got shape {arr.shape}")
+    if m1 != m2 or n1 != n2 or arr.size == 0:
+        raise InvalidInputError(f"blocks must form a nonempty square array of square matrices, got {arr.shape}")
     if block_size is not None and n1 != block_size:
         raise InvalidInputError(f"expected {block_size} x {block_size} blocks, got {n1} x {n1}")
     if not np.isfinite(arr).all():

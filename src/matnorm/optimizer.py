@@ -8,7 +8,8 @@ closed-form maximizer of that functional over the unit ball (a conditional
 gradient step built from dual witnesses). Other spaces fall back to a
 projected random search. Nonsmoothness is handled by restart diversity, not
 subgradient machinery: the known optima at this scale are recovered in a few
-steps.
+steps. Each step evaluates its four candidates (line-search points or random
+perturbations) as one batch: one stacked rescale, amplification and norm.
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correspondence import amplified_image
+from .correspondence import amplified_image, amplified_images
 from .errors import InvalidInputError
 from .spaces import Couple, LeveledElement, MatricialSpace, random_element
 
@@ -51,29 +52,21 @@ class OptimizerConfig:
                 raise InvalidInputError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
-def _objective(space: MatricialSpace, v: LeveledElement, u4: np.ndarray) -> float:
-    return space.norm(amplified_image(v, u4))
-
-
 def _step(space: MatricialSpace, v: LeveledElement, u4: np.ndarray, current: float,
           rng, step: float):
+    """Best of four candidates, or ``v`` itself unless one beats ``current``; ties go to the first."""
     proposal = space.polar_proposal(v, u4)
-    candidates = []
     if proposal is not None:
-        for t in _LINE_SEARCH:
-            candidates.append((1.0 - t) * v.coords + t * proposal)
+        candidates = [(1.0 - t) * v.coords + t * proposal for t in _LINE_SEARCH]
     else:
         scale = step * max(1.0, float(np.abs(v.coords).max()))
-        for _ in range(4):
-            candidates.append(v.coords + scale * random_element(space, v.level, rng).coords)
-
-    best_v, best_val = v, current
-    for coords in candidates:
-        cand = space.unit_scaled(coords)
-        val = _objective(space, cand, u4)
-        if val > best_val:
-            best_v, best_val = cand, val
-    return best_v, best_val
+        candidates = [v.coords + scale * random_element(space, v.level, rng).coords for _ in range(4)]
+    stack = space.unit_scaled_stack(np.stack(candidates))
+    values = space.norm_batch(amplified_images(stack, u4))
+    best = int(np.argmax(values))
+    if values[best] > current:
+        return LeveledElement(space.space_id, stack[best]), float(values[best])
+    return v, current
 
 
 def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | None = None,
@@ -96,11 +89,9 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     best_v = None
     best_val = -np.inf
     for restart in range(cfg.restarts):
-        if restart < len(starts):
-            v = space.unit_scaled(starts[restart].coords)
-        else:
-            v = space.unit_scaled(random_element(space, n, rng).coords)
-        val = _objective(space, v, u4)
+        start = starts[restart] if restart < len(starts) else random_element(space, n, rng)
+        v = space.unit_scaled(start.coords)
+        val = space.norm(amplified_image(v, u4))
         stall = 0
         step = STEP_INIT
         for _ in range(cfg.iterations):

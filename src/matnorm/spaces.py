@@ -72,7 +72,8 @@ class MatricialSpace:
     """Descriptor of a space: coordinate dimension plus levelwise norm.
 
     ``norm_fn`` receives the raw (m, m, dim) coordinate array. The catalog
-    kinds subclass this and add their search behaviour: structured couples
+    kinds subclass this with a ``norm_batch`` kernel over any leading axes
+    (their ``norm_fn`` is None and becomes that kernel), structured couples
     and a polar proposal for the optimizer. A bare instance (a custom
     evaluator) has neither.
     """
@@ -80,7 +81,11 @@ class MatricialSpace:
     space_id: str
     dim: int
     description: str
-    norm_fn: Callable[[np.ndarray], float]
+    norm_fn: Callable[[np.ndarray], float] | None
+
+    def __post_init__(self):
+        if self.norm_fn is None:
+            object.__setattr__(self, "norm_fn", self.norm_batch)
 
     def element(self, coords) -> LeveledElement:
         """Wrap coordinates as an element of this space, validating shape.
@@ -114,17 +119,25 @@ class MatricialSpace:
             coords = self.element(u).coords
         return float(self.norm_fn(coords))
 
-    def unit_scaled(self, coords: np.ndarray, sphere: bool = False, norm: float | None = None) -> LeveledElement:
+    def norm_batch(self, coords: np.ndarray) -> np.ndarray:
+        """Norms of a (..., m, m, dim) stack of coordinate arrays, shape (...); by default ``norm_fn`` on each."""
+        flat = coords.reshape(-1, *coords.shape[-3:])
+        return np.fromiter(map(self.norm_fn, flat), dtype=float, count=len(flat)).reshape(coords.shape[:-3])
+
+    def unit_scaled(self, coords: np.ndarray, sphere: bool = False) -> LeveledElement:
         """The element ``coords`` divided by its norm when that exceeds 1.
 
         With ``sphere`` any nonzero element is divided, landing on the unit
-        sphere. ``norm`` passes a norm the caller already evaluated.
+        sphere.
         """
-        if norm is None:
-            norm = self.norm(LeveledElement(self.space_id, coords))
-        if norm > (0.0 if sphere else 1.0):
-            coords = coords / norm
-        return LeveledElement(self.space_id, coords)
+        stack = np.array(coords, dtype=complex)[None]
+        return LeveledElement(self.space_id, self.unit_scaled_stack(stack, sphere)[0])
+
+    def unit_scaled_stack(self, stack: np.ndarray, sphere=False) -> np.ndarray:
+        """:meth:`unit_scaled` in place on a (B, m, m, dim) stack; ``sphere`` is one flag or B."""
+        nrm = self.norm_batch(stack)
+        scaled = nrm > np.where(sphere, 0.0, 1.0)
+        return np.divide(stack, nrm[:, None, None, None], out=stack, where=scaled[:, None, None, None])
 
     def structured_couples(self, n: int, u4: np.ndarray | None) -> list[Couple]:
         """Hand-picked level-n couples; ``u4`` is the validated input, if any."""
@@ -152,9 +165,14 @@ class Couple:
     def __post_init__(self):
         if self.v.space_id != self.space.space_id:
             raise InvalidInputError(f"couple mixes {self.space.space_id} with {self.v.space_id}")
-        nrm = self.space.norm(self.v)
-        if nrm > 1.0 + COUPLE_FEASIBILITY_TOL:
-            raise InvalidInputError(f"couple element has norm {nrm:.15g} > 1")
+        check_unit_ball(self.space, self.v.coords[None])
+
+
+def check_unit_ball(space: MatricialSpace, stack: np.ndarray) -> None:
+    """The couple feasibility check for every element of a (B, m, m, dim) stack."""
+    worst = float(space.norm_batch(stack).max())
+    if worst > 1.0 + COUPLE_FEASIBILITY_TOL:
+        raise InvalidInputError(f"couple element has norm {worst:.15g} > 1")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +214,9 @@ class ScalarSpace(MatricialSpace):
 class OperatorScalars(ScalarSpace):
     """Scalars with the operator norm at every level (``cmin``)."""
 
+    def norm_batch(self, coords):
+        return np.linalg.svd(coords[..., 0], compute_uv=False).T[0]  # a scalar for one matrix
+
     def _shrink(self, w, n):
         return w
 
@@ -210,6 +231,9 @@ class OperatorScalars(ScalarSpace):
 
 class TraceScalars(ScalarSpace):
     """Scalars with the trace norm at every level (``cmax``)."""
+
+    def norm_batch(self, coords):
+        return np.linalg.svd(coords[..., 0], compute_uv=False).sum(axis=-1)
 
     def _shrink(self, w, n):
         return w / n
@@ -228,6 +252,11 @@ class OperatorSpace(MatricialSpace):
     """k x k matrices normed as the assembled operator (``op:k``)."""
 
     k: int
+
+    def norm_batch(self, coords):
+        lead, m, k = coords.shape[:-3], coords.shape[-3], self.k
+        assembled = coords.reshape(lead + (m, m, k, k)).swapaxes(-3, -2).reshape(lead + (m * k, m * k))
+        return np.linalg.svd(assembled, compute_uv=False).T[0]
 
     def structured_couples(self, n, u4):
         """The assembled identity; when k = n also the flip element."""
@@ -266,6 +295,10 @@ class L1Sum(MatricialSpace):
     parts: tuple
     offsets: tuple
 
+    def norm_batch(self, coords):
+        return sum(part.norm_batch(np.ascontiguousarray(coords[..., lo:hi]))
+                   for part, lo, hi in zip(self.parts, self.offsets[:-1], self.offsets[1:]))
+
     def structured_couples(self, n, u4):
         """The summands' couples, embedded componentwise."""
         return [Couple(self, l1_embed(self, sub.v, index))
@@ -275,18 +308,12 @@ class L1Sum(MatricialSpace):
 
 def c_min() -> MatricialSpace:
     """Scalars with the operator norm at every level."""
-    return OperatorScalars(
-        "cmin", 1, "scalars, operator-norm levels",
-        lambda c: float(np.linalg.svd(c[:, :, 0], compute_uv=False)[0]),
-    )
+    return OperatorScalars("cmin", 1, "scalars, operator-norm levels", None)
 
 
 def c_max() -> MatricialSpace:
     """Scalars with the trace norm at every level."""
-    return TraceScalars(
-        "cmax", 1, "scalars, trace-norm levels",
-        lambda c: float(np.linalg.svd(c[:, :, 0], compute_uv=False).sum()),
-    )
+    return TraceScalars("cmax", 1, "scalars, trace-norm levels", None)
 
 
 def concrete_operator_space(k: int) -> MatricialSpace:
@@ -298,13 +325,7 @@ def concrete_operator_space(k: int) -> MatricialSpace:
     """
     if k < 1:
         raise InvalidInputError(f"size must be positive, got {k}")
-
-    def norm_fn(coords):
-        m = coords.shape[0]
-        assembled = coords.reshape(m, m, k, k).transpose(0, 2, 1, 3).reshape(m * k, m * k)
-        return float(np.linalg.svd(assembled, compute_uv=False)[0])
-
-    return OperatorSpace(f"op:{k}", k * k, f"{k} x {k} matrices, assembled operator norm", norm_fn, k)
+    return OperatorSpace(f"op:{k}", k * k, f"{k} x {k} matrices, assembled operator norm", None, k)
 
 
 def l1_sum(parts) -> MatricialSpace:
@@ -313,15 +334,8 @@ def l1_sum(parts) -> MatricialSpace:
     if not parts:
         raise InvalidInputError("l1 sum of an empty family")
     offsets = (0, *np.cumsum([p.dim for p in parts]).tolist())
-
-    def norm_fn(coords):
-        total = 0.0
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            total += part.norm_fn(np.ascontiguousarray(coords[:, :, lo:hi]))
-        return total
-
     space_id = "l1:[" + ",".join(p.space_id for p in parts) + "]"
-    return L1Sum(space_id, offsets[-1], f"l1 sum of {len(parts)} spaces", norm_fn, parts, offsets)
+    return L1Sum(space_id, offsets[-1], f"l1 sum of {len(parts)} spaces", None, parts, offsets)
 
 
 def _as_l1(space: MatricialSpace) -> L1Sum:
@@ -457,12 +471,10 @@ def pad(u: LeveledElement, extra: int) -> LeveledElement:
     return LeveledElement(u.space_id, coords)
 
 
-def random_element(space: MatricialSpace, level: int, rng, unit: bool = False) -> LeveledElement:
-    """Gaussian random element; with ``unit`` rescaled to norm 1 (when nonzero)."""
+def random_element(space: MatricialSpace, level: int, rng) -> LeveledElement:
+    """Gaussian random element."""
     rng = np.random.default_rng(rng)
     coords = rng.standard_normal((level, level, space.dim)) + 1j * rng.standard_normal((level, level, space.dim))
-    if unit:
-        return space.unit_scaled(coords, sphere=True)
     return LeveledElement(space.space_id, coords)
 
 
@@ -513,9 +525,8 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
     a1_max = 0.0
     a2_max = 0.0
     worst: dict = {"axiom1": None, "axiom2": None}
-    eye_cache = {m: np.eye(m) for m in range(1, max_level + 1)}
     for level in range(1, max_level + 1):
-        eye = eye_cache[level]
+        eye = np.eye(level)
         for t in range(trials):
             u = _sample_element(space, level, rng, variant=t % 3)
             base = space.norm(u)

@@ -1,6 +1,7 @@
 """CLI contract: outputs, exit codes, report determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ class TestHatBoundsCommand:
         assert "internal error: RuntimeError('engine bug')" in err
 
 
+class TestCheckedInExample:
+    def test_hat_bounds_json_matches_expected_file(self, capsys):
+        # the console-script step in CI diffs the same pair of files
+        data = Path(__file__).parent / "data"
+        assert main(["hat-bounds", "--json", str(data / "blocks_n2_m2.json")]) == 0
+        assert capsys.readouterr().out == (data / "blocks_n2_m2.expected.json").read_text()
+
+
 class TestVerifyCommand:
     def test_single_value_suite(self, capsys):
         assert main(["verify", "--suite", "prop14", "--n", "3", "--seed", "1"]) == 0
@@ -196,6 +205,18 @@ class TestVerifyCommand:
         ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
         ra.pop("elapsed_ms"), rb.pop("elapsed_ms")
         assert json.dumps(ra) == json.dumps(rb)
+
+    @pytest.mark.parametrize("name", ["missing-dir/r.json", "."])
+    def test_unwritable_out_exit_2_before_the_suite(self, tmp_path, monkeypatch, capsys, name):
+        import matnorm.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setattr(cli_mod, "run_suite", never)
+        out = tmp_path / name
+        assert main(["verify", "--suite", "prop14", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_env_seed_default(self, monkeypatch, capsys):
         # the parser reads MATNORM_SEED when the command runs

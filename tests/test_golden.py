@@ -1,0 +1,82 @@
+"""Pinned outputs of ``hat_bounds``: SHA-256 of ``json.dumps(bounds.to_json())``.
+
+The digests were taken before the random couples were evaluated in chunks,
+so any change in draws, evaluation order, tie-breaking or rounding of the
+search shows here. The budgets cross the chunk boundaries, and two cases ask
+for more optimizer restarts than there are structured couples, so the
+restarts start from random draws.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from matnorm import MatricialSpace, OptimizerConfig, c_max, c_min, canonical_identity, hat_bounds
+
+FAST = OptimizerConfig(restarts=1, iterations=2, stall_limit=2)
+
+
+def gauss(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def bare_catalog():
+    # no structured couples and no polar proposal: every optimizer start is a
+    # random draw and every step a random search
+    return [MatricialSpace("bare-cmin", 1, "operator-norm scalars", c_min().norm_fn),
+            MatricialSpace("bare-cmax", 1, "trace-norm scalars", c_max().norm_fn)]
+
+
+CASES = {
+    "flip_n2": lambda: hat_bounds(2, canonical_identity(2)),
+    "flip_n3": lambda: hat_bounds(3, canonical_identity(3)),
+    "gauss_m2_n2": lambda: hat_bounds(2, gauss(1, (2, 2, 2, 2)), seed=1),
+    "gauss_m3_n2": lambda: hat_bounds(2, gauss(2, (3, 3, 2, 2)), seed=2),
+    "gauss_m2_n3": lambda: hat_bounds(3, gauss(3, (2, 2, 3, 3)), seed=3),
+    "gauss_m1_n2_seed5": lambda: hat_bounds(2, gauss(4, (1, 1, 2, 2)), seed=5),
+    **{f"single_n{n}_fast": (lambda n=n: hat_bounds(n, gauss(10 + n, (1, 1, n, n)), budget=8,
+                                                     seed=20 + n, optimizer_config=FAST))
+       for n in (1, 2, 3, 4)},
+    "budget_0": lambda: hat_bounds(2, gauss(7, (2, 2, 2, 2)), budget=0, seed=7),
+    # without optimizer steps the best random couple is the lower bound
+    **{f"budget_{b}": (lambda b=b: hat_bounds(
+        2, gauss(7, (2, 2, 2, 2)), catalog=bare_catalog(), budget=b, seed=7,
+        optimizer_config=OptimizerConfig(restarts=2, iterations=0)))
+       for b in (1, 63, 64, 65, 130)},
+    "restarts_from_random": lambda: hat_bounds(
+        2, gauss(8, (2, 2, 2, 2)), budget=8, seed=8,
+        optimizer_config=OptimizerConfig(restarts=4, iterations=6, stall_limit=3)),
+    "bare_spaces_random_starts": lambda: hat_bounds(
+        2, gauss(9, (2, 2, 2, 2)), catalog=bare_catalog(), budget=70, seed=9,
+        optimizer_config=OptimizerConfig(restarts=3, iterations=8, stall_limit=4)),
+}
+
+DIGESTS = {
+    "bare_spaces_random_starts": "4340bb10f733f8f48f63186b6b5979dad7c228125693954c89a2ec66064a5330",
+    "budget_0": "044651c242d9f384f415e8f0a842bd559e242e29c28b591b122a61c4895f4057",
+    "budget_1": "460b8cf439495a0ce9e157826a469e1417037e3a5a2d0f1b192399bd1e2388a1",
+    "budget_130": "f8757291f175cb1dc5e8da826d8ba208562cf026c125a01bbea7ab5372973824",
+    "budget_63": "0970e3ce3348aa1c2404b64d8c8a0ef1d84a6c519f9c329155e08bf0a262633a",
+    "budget_64": "0970e3ce3348aa1c2404b64d8c8a0ef1d84a6c519f9c329155e08bf0a262633a",
+    "budget_65": "0970e3ce3348aa1c2404b64d8c8a0ef1d84a6c519f9c329155e08bf0a262633a",
+    "flip_n2": "4c02687c665559cfaeb35afe56cbe8284c437f23b975a27454f9abfe0f66bd21",
+    "flip_n3": "4e43251c4c148d4abdc722b32da674eaf01a8b30ca3e2b361ecd5dfabc056e9d",
+    "gauss_m1_n2_seed5": "f3473ff93f8bc5aa332d0f3dff3d7b6c08506f13cb1a62934a2b85080fbb1d59",
+    "gauss_m2_n2": "b8dcdacb068f6736d8a6eac7bbfd494c53a8f091407ae18c206d7c273241207b",
+    "gauss_m2_n3": "e8065eb279c379c6ce252c775237a9a570189b3bb9a2ef97605e21599f8d2960",
+    "gauss_m3_n2": "eec82a0da0de386c145cc3e58224f58d21bd0b903172fe69984b51096235addc",
+    "restarts_from_random": "6909ac6cb81acb7b5c13f78a703f6f7439689d102586866fdbdf62fe05a12f4f",
+    "single_n1_fast": "e951e8893b4a05dcd74bca8cbffcfd7d2c47ac7d72e62559f4e556efe24f2c80",
+    "single_n2_fast": "fa32ada9e17197cb65875f73a67ac2d5b660dc9562d932c1f5c8f2da85995e4d",
+    "single_n3_fast": "6329837cf387ca5ab3c403602243c537b5eed352c460847966bbe2ae32ba3f02",
+    "single_n4_fast": "1a28da51343d8fb72ffcc90d4b8867fb3713803b187c696eb1fa3ad18f8dfa0c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_hat_bounds_output_is_pinned(name):
+    text = json.dumps(CASES[name]().to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]

@@ -10,11 +10,13 @@ from matnorm import (
     InvalidInputError,
     assemble_blocks,
     dual_witness,
+    hat_bounds,
     operator_norm,
     random_unitary,
     split_blocks,
     trace_norm,
 )
+from matnorm.linalg import as_block_array
 
 
 def eig_singular_values(a):
@@ -123,6 +125,14 @@ class TestBlockLayout:
     def test_ragged_rejected(self):
         with pytest.raises(InvalidInputError):
             assemble_blocks([[np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)]])
+
+    @pytest.mark.parametrize("shape", [(0, 0, 2, 2), (2, 2, 0, 0), (0, 0, 0, 0)])
+    def test_empty_rejected(self, shape):
+        # an empty array is no block matrix: no level-0 interval [0, 0]
+        with pytest.raises(InvalidInputError):
+            as_block_array(np.zeros(shape))
+        with pytest.raises(InvalidInputError):
+            hat_bounds(2, np.zeros(shape))
 
 
 class TestRandomGenerators:

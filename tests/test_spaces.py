@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matnorm import (
     InvalidInputError,
+    MatricialSpace,
     c_max,
     c_min,
     check_axioms,
@@ -24,6 +27,57 @@ from matnorm import (
 
 def gauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+BATCH_SPACE_IDS = ["cmin", "cmax", "op:1", "op:2", "op:3", "op:4", "op:5",
+                   "l1:[cmin,l1:[cmax,op:2]]", "l1:[op:2,cmax,cmin]", "bare", "fault", "l1-bare"]
+
+
+def batch_space(space_id):
+    if space_id == "bare":
+        # a custom evaluator: the default loop over norm_fn
+        return MatricialSpace("bare", 2, "2-norm of the assembled m x 2m matrix",
+                              lambda c: np.linalg.norm(c.reshape(c.shape[0], -1), 2))
+    if space_id == "fault":
+        return planted_fault_space()
+    if space_id == "l1-bare":
+        # an l1 sum hands a custom part single elements and stacks alike
+        return l1_sum([batch_space("bare"), c_min()])
+    return space_from_id(space_id)
+
+
+def reference_norm(space, c):
+    """Per-element evaluators written out, as the catalog kinds had them before ``norm_batch``."""
+    sid = space.space_id
+    if sid == "cmin":
+        return float(np.linalg.svd(c[:, :, 0], compute_uv=False)[0])
+    if sid == "cmax":
+        return float(np.linalg.svd(c[:, :, 0], compute_uv=False).sum())
+    if sid.startswith("op:"):
+        m, k = c.shape[0], space.k
+        assembled = c.reshape(m, m, k, k).transpose(0, 2, 1, 3).reshape(m * k, m * k)
+        return float(np.linalg.svd(assembled, compute_uv=False)[0])
+    if sid.startswith("l1:"):
+        total = 0.0
+        for part, lo, hi in zip(space.parts, space.offsets[:-1], space.offsets[1:]):
+            total += reference_norm(part, np.ascontiguousarray(c[:, :, lo:hi]))
+        return total
+    return float(space.norm_fn(c))
+
+
+class TestNormBatch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(space_id=st.sampled_from(BATCH_SPACE_IDS), level=st.integers(1, 5),
+           batch=st.integers(1, 6), exponent=st.integers(-300, 300),
+           zeros=st.lists(st.booleans(), min_size=6, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_equals_elementwise_norm_bitwise(self, space_id, level, batch, exponent, zeros, seed):
+        space = batch_space(space_id)
+        stack = 10.0 ** exponent * gauss(np.random.default_rng(seed), (batch, level, level, space.dim))
+        stack[np.array(zeros[:batch])] = 0.0
+        values = space.norm_batch(stack)
+        assert values.dtype == np.float64 and values.shape == (batch,)
+        assert values.tolist() == [space.norm(c) for c in stack]
+        assert values.tolist() == [reference_norm(space, c) for c in stack]
 
 
 class TestScalarSpaces:
