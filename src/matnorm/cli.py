@@ -16,6 +16,7 @@ seed; like ``--seed`` it must be a nonnegative integer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -137,20 +138,14 @@ def cmd_verify(args) -> int:
     if args.n is not None and args.n > 4:
         print(f"warning: n={args.n} grows the assembled matrices quickly; expect long runtimes",
               file=sys.stderr)
-    if args.out and (os.path.isdir(args.out)
-                     or not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
-        # checked before the suite runs, which can take minutes
-        raise InvalidInputError(f"cannot write the report to {args.out}")
-    report = run_suite(
-        args.suite, seed=args.seed, trials=args.trials, n=args.n,
-        m_max=args.m, p=args.p, budget=args.budget,
-    )
-    payload = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    try:  # opened before the suite, which can take minutes
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write the report to {args.out}: {exc}") from exc
+    with out as fh:
+        report = run_suite(args.suite, seed=args.seed, trials=args.trials, n=args.n,
+                           m_max=args.m, p=args.p, budget=args.budget)
+        print(json.dumps(report, indent=2), file=fh)
     failed = [c for c in report["checks"] if c["status"] != "pass"]
     return 1 if failed else 0
 

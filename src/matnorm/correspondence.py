@@ -73,11 +73,8 @@ def phi_apply(phi: PhiMap, a) -> LeveledElement:
 
 def phi_amplified(phi: PhiMap, blocks) -> LeveledElement:
     """Entrywise application to an m x m array of n x n matrices."""
-    n = phi.source_dim
-    arr = linalg.trusted_block_array(blocks, n)
-    m = arr.shape[0]
-    out = np.einsum("dx,klx->kld", phi.matrix, arr.reshape(m, m, n * n))
-    return LeveledElement(phi.space_id, out)
+    arr = linalg.trusted_block_array(blocks, phi.source_dim)
+    return LeveledElement(phi.space_id, _amplify(phi.matrix[None], arr)[0])
 
 
 def amplified_image(v: LeveledElement, blocks) -> LeveledElement:
@@ -86,11 +83,15 @@ def amplified_image(v: LeveledElement, blocks) -> LeveledElement:
 
 
 def amplified_images(coords: np.ndarray, u4: np.ndarray) -> np.ndarray:
-    """:func:`amplified_image` of each element of a (B, n, n, dim) stack on validated ``u4``, as one einsum."""
+    """:func:`amplified_image` of each element of a (B, n, n, dim) stack on validated ``u4``."""
     b, n, _, d = coords.shape
-    m = u4.shape[0]
-    phi = coords.transpose(0, 3, 2, 1).reshape(b, d, n * n)
-    return np.einsum("bdx,klx->bkld", phi, u4.reshape(m, m, n * n))
+    return _amplify(coords.transpose(0, 3, 2, 1).reshape(b, d, n * n), u4)
+
+
+def _amplify(phis: np.ndarray, u4: np.ndarray) -> np.ndarray:
+    """The amplification kernel: (B, dim, n*n) map matrices on (m, m, n, n) blocks, as (B, m, m, dim)."""
+    m, _, n, _ = u4.shape
+    return np.einsum("bdx,klx->bkld", phis, u4.reshape(m, m, n * n))
 
 
 def check_naturality(psi, v: LeveledElement, extra_matrices=()) -> float:

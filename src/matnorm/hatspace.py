@@ -205,7 +205,7 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
             coords = _random_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done))
             values = space.norm_batch(amplified_images(coords, u4))
             evaluated += len(values)
-            best = int(np.argmax(values))
+            best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
             if values[best] > best_val:
                 best_val = float(values[best])
                 best_couple = Couple(space, LeveledElement(space.space_id, coords[best]))

@@ -63,7 +63,7 @@ def _step(space: MatricialSpace, v: LeveledElement, u4: np.ndarray, current: flo
         candidates = [v.coords + scale * random_element(space, v.level, rng).coords for _ in range(4)]
     stack = space.unit_scaled_stack(np.stack(candidates))
     values = space.norm_batch(amplified_images(stack, u4))
-    best = int(np.argmax(values))
+    best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
     if values[best] > current:
         return LeveledElement(space.space_id, stack[best]), float(values[best])
     return v, current

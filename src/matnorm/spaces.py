@@ -85,6 +85,8 @@ class MatricialSpace:
 
     def __post_init__(self):
         if self.norm_fn is None:
+            if type(self).norm_batch is MatricialSpace.norm_batch:  # it would loop over itself
+                raise InvalidInputError(f"{self.space_id}: a space needs a norm_fn or a norm_batch")
             object.__setattr__(self, "norm_fn", self.norm_batch)
 
     def element(self, coords) -> LeveledElement:
@@ -170,9 +172,10 @@ class Couple:
 
 def check_unit_ball(space: MatricialSpace, stack: np.ndarray) -> None:
     """The couple feasibility check for every element of a (B, m, m, dim) stack."""
-    worst = float(space.norm_batch(stack).max())
-    if worst > 1.0 + COUPLE_FEASIBILITY_TOL:
-        raise InvalidInputError(f"couple element has norm {worst:.15g} > 1")
+    norms = space.norm_batch(stack)
+    over = norms[norms > 1.0 + COUPLE_FEASIBILITY_TOL]  # a NaN norm hides no other
+    if over.size:
+        raise InvalidInputError(f"couple element has norm {over[0]:.15g} > 1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI contract: outputs, exit codes, report determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,7 @@ class TestVerifyCommand:
         ra.pop("elapsed_ms"), rb.pop("elapsed_ms")
         assert json.dumps(ra) == json.dumps(rb)
 
-    @pytest.mark.parametrize("name", ["missing-dir/r.json", "."])
+    @pytest.mark.parametrize("name", ["missing-dir/r.json", ".", "a-file/r.json", "read-only.json"])
     def test_unwritable_out_exit_2_before_the_suite(self, tmp_path, monkeypatch, capsys, name):
         import matnorm.cli as cli_mod
 
@@ -214,7 +215,12 @@ class TestVerifyCommand:
             raise AssertionError("the suite ran before --out was checked")
 
         monkeypatch.setattr(cli_mod, "run_suite", never)
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "read-only.json").write_text("")
+        (tmp_path / "read-only.json").chmod(0o444)
         out = tmp_path / name
+        if name == "read-only.json" and os.access(out, os.W_OK):
+            pytest.skip("this user may write read-only files (root)")
         assert main(["verify", "--suite", "prop14", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
 

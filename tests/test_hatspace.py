@@ -82,6 +82,20 @@ class TestLowerBound:
         value = search_lower_bound(2, u, budget=20, seed=3).value
         assert value == pytest.approx(trace_norm(a), abs=1e-9)
 
+    def test_nan_value_hides_no_larger_couple(self):
+        # a custom evaluator with NaN on some level-1 images: the search skips
+        # only those couples, as a couple-by-couple loop does
+        base = c_max()
+        space = MatricialSpace("nan", 1, "NaN on some images",
+                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_fn(c))
+        u = single_block(gauss(np.random.default_rng(30), (2, 2)))
+        cfg = OptimizerConfig(restarts=1, iterations=0)
+        result = search_lower_bound(2, u, catalog=[space], budget=16, seed=0, optimizer_config=cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+        values = [couple_value(random_couple(space, 2, rng), u) for _ in range(16)]
+        assert np.isnan(values).any() and not np.isnan(values[0])
+        assert result.value == np.nanmax(values) > values[0]
+
     def test_search_counts_couples(self):
         result = search_lower_bound(2, canonical_identity(2), budget=5, seed=4)
         assert result.couples_evaluated >= 5 * len(default_catalog(2))

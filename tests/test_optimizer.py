@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matnorm import (
+    MatricialSpace,
     OptimizerConfig,
     amplified_image,
     c_max,
@@ -14,8 +15,10 @@ from matnorm import (
     dual_witness,
     l1_sum,
     optimize_couple,
+    random_element,
     trace_norm,
 )
+from matnorm.optimizer import STEP_INIT
 
 
 def gauss(rng, shape):
@@ -127,6 +130,25 @@ class TestPolarStep:
         u = np.zeros((1, 1, 2, 2), dtype=complex)
         v_next = polar_step(sp, v, u)
         assert sp.norm(amplified_image(v_next, u)) == 0.0
+
+    def test_nan_candidate_hides_no_better_one(self):
+        # a custom evaluator with NaN on some level-1 images: a random-search
+        # step keeps the best finite candidate, as a one-by-one loop does
+        base = c_max()
+        space = MatricialSpace("nan", 1, "NaN on some images",
+                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_fn(c))
+        rng = np.random.default_rng(4)
+        u = single_block(gauss(rng, (2, 2)))
+        v = space.element(0.1 * gauss(rng, (2, 2, 1)))
+        draws = np.random.default_rng(14)
+        candidates = [space.unit_scaled(v.coords + STEP_INIT * random_element(space, 2, draws).coords)
+                      for _ in range(4)]
+        values = [space.norm(amplified_image(c, u)) for c in candidates]
+        start = space.norm(amplified_image(v, u))
+        _, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=1),
+                                   starts=[v], seed=14)
+        assert np.isnan(values).any() and not np.isnan(start)
+        assert value == np.nanmax(values) > start
 
     def test_unsupported_space_falls_back(self):
         rng = np.random.default_rng(11)

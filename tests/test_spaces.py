@@ -23,6 +23,7 @@ from matnorm import (
     scalar_action,
     space_from_id,
 )
+from matnorm.spaces import check_unit_ball
 
 
 def gauss(rng, shape):
@@ -236,3 +237,16 @@ class TestValidation:
         u = c_min().element([1.0])
         with pytest.raises(InvalidInputError):
             c_max().norm(u)
+
+    def test_space_without_an_evaluator_rejected(self):
+        # the default norm_batch loops over norm_fn, so one of the two is needed
+        with pytest.raises(InvalidInputError):
+            MatricialSpace("bare", 1, "no evaluator", None)
+
+    def test_nan_norm_hides_no_infeasible_element(self):
+        space = MatricialSpace("nan", 1, "NaN on negative entries",
+                               lambda c: np.nan if c[0, 0, 0].real < 0 else abs(c[0, 0, 0]))
+        stack = np.array([-1.0, 0.5, 2.0], dtype=complex).reshape(3, 1, 1, 1)
+        check_unit_ball(space, stack[:2])
+        with pytest.raises(InvalidInputError, match="norm 2 > 1"):
+            check_unit_ball(space, stack)
