@@ -23,6 +23,7 @@ entries' moduli.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ from .spaces import (
     check_unit_ball,
     concrete_operator_space,
     l1_sum,
-    random_element,
 )
 
 __all__ = [
@@ -131,17 +131,21 @@ def couple_value(couple: Couple, u) -> float:
 
 def _trace_identity_couple(n: int) -> Couple:
     """The couple (trace-norm scalars, identity/n)."""
-    return c_max().structured_couples(n, None)[0]
+    space = c_max()
+    return Couple(space, LeveledElement(space.space_id, structured_couples(space, n)[0]))
 
 
-def structured_couples(space: MatricialSpace, n: int, u=None) -> list[Couple]:
-    """Hand-picked couples known to achieve the engine's benchmark values.
+def structured_couples(space: MatricialSpace, n: int, u=None) -> np.ndarray:
+    """Elements of hand-picked couples known to achieve the engine's benchmark values.
 
     Each space kind supplies its own (``MatricialSpace.structured_couples``);
-    a custom evaluator has none.
+    a custom evaluator has none. Returns them rescaled into the unit ball and
+    checked feasible, as an (S, n, n, dim) stack.
     """
     u4 = None if u is None else linalg.as_block_array(u, block_size=n)
-    return space.structured_couples(n, u4)
+    coords = space.unit_scaled_stack(space.structured_couples(n, u4))
+    check_unit_ball(space, coords)
+    return coords
 
 
 def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
@@ -153,14 +157,16 @@ def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
 def _random_chunk(space: MatricialSpace, n: int, rng, count: int) -> np.ndarray:
     """Elements of ``count`` random couples as one (count, n, n, dim) stack, checked feasible.
 
-    Draws in single-couple order: the coordinates, then the sphere coin for a
-    nonzero element (one of positive norm, as the norm is definite).
+    Draws in single-couple order: the coordinates (``random_element``'s real
+    then imaginary parts), then the sphere coin for a nonzero element (one of
+    positive norm, as the norm is definite).
     """
-    coords = np.empty((count, n, n, space.dim), dtype=complex)
+    draws = np.empty((count, 2, n, n, space.dim))
     sphere = np.zeros(count, dtype=bool)
     for b in range(count):
-        coords[b] = random_element(space, n, rng).coords
-        sphere[b] = coords[b].any() and rng.uniform() < 0.5
+        rng.standard_normal(out=draws[b])
+        sphere[b] = draws[b].any() and rng.uniform() < 0.5
+    coords = draws[:, 0] + 1j * draws[:, 1]
     space.unit_scaled_stack(coords, sphere)
     check_unit_ball(space, coords)
     return coords
@@ -171,10 +177,12 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     """Maximize couple values over the catalog; sequential and deterministic.
 
     Per space: structured couples, ``budget`` random couples, then an
-    optimizer run (skipped when budget is 0). Random couples are evaluated in
-    chunks of ``RANDOM_CHUNK`` (one stacked amplification and batched norm
-    each), and only a winner becomes a ``Couple``. Ties go to the earliest
-    couple in evaluation order.
+    optimizer run (skipped when budget is 0). The structured couples are one
+    stack and the random ones come in chunks of ``RANDOM_CHUNK``; each stack
+    takes one amplification and one batched norm, and only a winner becomes
+    a ``Couple``. Ties go to the earliest couple in evaluation order. Raises
+    ``InvalidInputError`` when no couple has a value (no structured couples
+    and budget 0, or NaN everywhere).
     """
     u4 = linalg.as_block_array(u, block_size=n)
     catalog = list(catalog) if catalog is not None else default_catalog(n)
@@ -194,15 +202,12 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     evaluated = 0
     for space, child in zip(catalog, children):
         rng = np.random.default_rng(child)
-        structured = structured_couples(space, n, u4)
-        for couple in structured:
-            val = couple_value(couple, u4)
-            evaluated += 1
-            if val > best_val:
-                best_val, best_couple = val, couple
-        starts = [c.v for c in structured[: cfg.restarts]]
-        for done in range(0, budget, RANDOM_CHUNK):
-            coords = _random_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done))
+        starts = []
+        chunks = (_random_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done))
+                  for done in range(0, budget, RANDOM_CHUNK))
+        for coords in itertools.chain([structured_couples(space, n, u4)], chunks):
+            if not len(coords):
+                continue
             values = space.norm_batch(amplified_images(coords, u4))
             evaluated += len(values)
             best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
@@ -216,6 +221,9 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
             evaluated += 1
             if val > best_val:
                 best_val, best_couple = val, couple
+    if best_couple is None:
+        raise InvalidInputError("no couple of the catalog has a value: no structured couples "
+                                "and budget 0, or every value is NaN")
     return SearchResult(float(best_val), best_couple, evaluated)
 
 

@@ -97,8 +97,13 @@ def dual_witness(a) -> np.ndarray:
         raise InvalidInputError("dual witness requires a square matrix")
     if not arr.any():
         raise DegenerateInputError("zero matrix has no distinguished unit-norm witness")
-    u, _, vh = np.linalg.svd(arr)
-    return vh.conj().T @ u.conj().T
+    return dual_witnesses(arr)
+
+
+def dual_witnesses(stack: np.ndarray) -> np.ndarray:
+    """:func:`dual_witness` of each matrix of a (..., k, k) stack, unchecked; a zero matrix gets some unitary."""
+    u, _, vh = np.linalg.svd(stack)
+    return vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
 
 
 def assemble_blocks(blocks) -> np.ndarray:

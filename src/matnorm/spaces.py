@@ -75,7 +75,7 @@ class MatricialSpace:
     kinds subclass this with a ``norm_batch`` kernel over any leading axes
     (their ``norm_fn`` is None and becomes that kernel), structured couples
     and a polar proposal for the optimizer. A bare instance (a custom
-    evaluator) has neither.
+    evaluator) has neither. Both hooks work on (B, n, n, dim) stacks.
     """
 
     space_id: str
@@ -141,17 +141,21 @@ class MatricialSpace:
         scaled = nrm > np.where(sphere, 0.0, 1.0)
         return np.divide(stack, nrm[:, None, None, None], out=stack, where=scaled[:, None, None, None])
 
-    def structured_couples(self, n: int, u4: np.ndarray | None) -> list[Couple]:
-        """Hand-picked level-n couples; ``u4`` is the validated input, if any."""
-        return []
+    def structured_couples(self, n: int, u4: np.ndarray | None) -> np.ndarray:
+        """Hand-picked level-n elements as an (S, n, n, dim) stack; ``u4`` is the validated input, if any.
 
-    def polar_proposal(self, v: LeveledElement, u4: np.ndarray) -> np.ndarray | None:
-        """Closed-form maximizer over the unit ball of the objective linearized at ``v``.
-
-        ``None`` when the space has no such step (or the linearization
-        vanishes); the optimizer then searches randomly.
+        The search rescales them into the unit ball.
         """
-        return None
+        return np.empty((0, n, n, self.dim), dtype=complex)
+
+    def polar_proposal(self, coords: np.ndarray, u4: np.ndarray) -> np.ndarray:
+        """Closed-form maximizer over the unit ball of the objective linearized at each element of a stack.
+
+        Takes and returns a (B, n, n, dim) stack. A zero row means no
+        proposal: the space has no such step, or the linearization vanishes;
+        the optimizer then searches randomly.
+        """
+        return np.zeros_like(coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,31 +191,31 @@ class ScalarSpace(MatricialSpace):
     """Scalars (dim 1). A subclass gives the level norm and three hooks.
 
     ``_shrink(w, n)`` scales a unitary level-n matrix onto the unit sphere;
-    ``_pullback(image, u4)`` pulls the norm's gradient at ``image`` back
-    through the amplification by u4; ``_ball_maximizer(g)`` maximizes
-    Re tr(w g) over the level-n unit ball.
+    ``_pullback(images, u4)`` pulls the norm's gradient at each of a stack
+    of images back through the amplification by u4; ``_ball_maximizer(g)``
+    maximizes Re tr(w g) over the level-n unit ball for each g of a stack.
     """
 
     def structured_couples(self, n, u4):
-        """The identity and, when u4 is given, the dual witnesses of its blocks.
+        """The identity and, when u4 is given, the dual witnesses of its nonzero blocks.
 
         A dual witness achieves the trace norm of its block at level 1.
         """
-        coords = [self._shrink(np.eye(n), n).reshape(n, n, 1).astype(complex)]
+        coords = [self._shrink(np.eye(n), n).astype(complex)]
         if u4 is not None:
-            coords.extend(self._shrink(linalg.dual_witness(block), n).reshape(n, n, 1)
-                          for block in u4.reshape(-1, n, n) if block.any())
-        return [Couple(self, self.unit_scaled(c)) for c in coords]
+            blocks = u4.reshape(-1, n, n)
+            coords.extend(self._shrink(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))]), n))
+        return np.stack(coords)[..., None]
 
-    def polar_proposal(self, v, u4):
-        image = np.einsum("klji,ij->kl", u4, v.coords[:, :, 0])
-        if not image.any():
-            return None
-        pullback = self._pullback(image, u4)
-        if not pullback.any():
-            return None
+    def polar_proposal(self, coords, u4):
+        # One einsum per element: a batched einsum sums in another order and
+        # changes the last bits. The SVDs and products below are batched; they
+        # give the same bits as one call per matrix.
+        images = np.stack([np.einsum("klji,ij->kl", u4, c[:, :, 0]) for c in coords])
+        pullbacks = self._pullback(images, u4)
+        live = images.any(axis=(1, 2)) & pullbacks.any(axis=(1, 2))
         # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball
-        return self._ball_maximizer(pullback.T).reshape(*pullback.shape, 1)
+        return np.where(live[:, None, None], self._ball_maximizer(pullbacks.swapaxes(1, 2)), 0)[..., None]
 
 
 class OperatorScalars(ScalarSpace):
@@ -223,13 +227,13 @@ class OperatorScalars(ScalarSpace):
     def _shrink(self, w, n):
         return w
 
-    def _pullback(self, image, u4):
-        # top singular pair of the image
-        x, _, yh = np.linalg.svd(image)
-        return np.einsum("k,l,klji->ij", x[:, 0].conj(), yh[0].conj(), u4)
+    def _pullback(self, images, u4):
+        # top singular pair of each image
+        x, _, yh = np.linalg.svd(images)
+        return np.stack([np.einsum("k,l,klji->ij", a.conj(), b.conj(), u4) for a, b in zip(x[..., 0], yh[:, 0])])
 
     def _ball_maximizer(self, g):
-        return linalg.dual_witness(g)
+        return linalg.dual_witnesses(g)
 
 
 class TraceScalars(ScalarSpace):
@@ -241,13 +245,13 @@ class TraceScalars(ScalarSpace):
     def _shrink(self, w, n):
         return w / n
 
-    def _pullback(self, image, u4):
-        return np.einsum("klji,lk->ij", u4, linalg.dual_witness(image))
+    def _pullback(self, images, u4):
+        return np.stack([np.einsum("klji,lk->ij", u4, w) for w in linalg.dual_witnesses(images)])
 
     def _ball_maximizer(self, g):
-        # the top rank-one part of g
+        # the top rank-one part of each g
         uu, _, vvh = np.linalg.svd(g)
-        return np.outer(vvh[0].conj(), uu[:, 0].conj())
+        return vvh[:, 0].conj()[:, :, None] * uu[..., 0].conj()[:, None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,25 +271,22 @@ class OperatorSpace(MatricialSpace):
         coords = [np.einsum("pq,x->pqx", np.eye(n), np.eye(k).reshape(-1)).astype(complex)]
         if k == n:
             coords.append(linalg.canonical_identity(n).reshape(n, n, n * n))
-        return [Couple(self, self.unit_scaled(c)) for c in coords]
+        return np.stack(coords)
 
-    def polar_proposal(self, v, u4):
-        k, n, m = self.k, v.level, u4.shape[0]
-        wblk = v.coords.reshape(n, n, k, k)
-        image4 = np.einsum("klji,ijab->klab", u4, wblk)
-        image = linalg.assemble_blocks(image4)
-        if not image.any():
-            return None
-        # top singular pair of the image
-        x, _, yh = np.linalg.svd(image)
-        xc = x[:, 0].reshape(m, k)
-        yc = yh[0].conj().reshape(m, k)
-        pull4 = np.einsum("klji,ka,lb->ijab", u4, xc.conj(), yc)
-        pull = linalg.assemble_blocks(pull4)
-        if not pull.any():
-            return None
-        w_new = linalg.dual_witness(pull.T)
-        return linalg.split_blocks(w_new, k).reshape(n, n, k * k)
+    def polar_proposal(self, coords, u4):
+        k, b, n, m = self.k, *coords.shape[:2], u4.shape[0]
+        # one einsum per element, as for the scalar spaces
+        images = np.stack([np.einsum("klji,ijab->klab", u4, c.reshape(n, n, k, k)) for c in coords])
+        images = images.transpose(0, 1, 3, 2, 4).reshape(b, m * k, m * k)  # assembled
+        # top singular pair of each image
+        x, _, yh = np.linalg.svd(images)
+        xc = x[..., 0].reshape(b, m, k)
+        yc = yh[:, 0].conj().reshape(b, m, k)
+        pulls = np.stack([np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr) for xr, yr in zip(xc, yc)])
+        pulls = pulls.transpose(0, 1, 3, 2, 4).reshape(b, n * k, n * k)
+        live = images.any(axis=(1, 2)) & pulls.any(axis=(1, 2))
+        w = linalg.dual_witnesses(pulls.swapaxes(1, 2)).reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
+        return np.where(live[:, None, None, None], w.reshape(b, n, n, k * k), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,10 +304,17 @@ class L1Sum(MatricialSpace):
                    for part, lo, hi in zip(self.parts, self.offsets[:-1], self.offsets[1:]))
 
     def structured_couples(self, n, u4):
-        """The summands' couples, embedded componentwise."""
-        return [Couple(self, l1_embed(self, sub.v, index))
-                for index, part in enumerate(self.parts)
-                for sub in part.structured_couples(n, u4)]
+        """The summands' elements, embedded componentwise.
+
+        An embedded element's norm is its summand norm bit for bit (the other
+        parts add exact zeros), so rescaling in the sum is the summand's rescale.
+        """
+        stacks = []
+        for part, lo, hi in zip(self.parts, self.offsets[:-1], self.offsets[1:]):
+            sub = part.structured_couples(n, u4)
+            stacks.append(np.zeros(sub.shape[:-1] + (self.dim,), dtype=complex))
+            stacks[-1][..., lo:hi] = sub
+        return np.concatenate(stacks)
 
 
 def c_min() -> MatricialSpace:

@@ -4,7 +4,11 @@ The digests were taken before the random couples were evaluated in chunks,
 so any change in draws, evaluation order, tie-breaking or rounding of the
 search shows here. The budgets cross the chunk boundaries, and two cases ask
 for more optimizer restarts than there are structured couples, so the
-restarts start from random draws.
+restarts start from random draws. The cases ``flip_n4``,
+``polar_proposal_vanishes`` and ``restarts_4_default_catalog`` were pinned
+before the optimizer ran its restarts in lockstep; in the second, restart 0
+of every polar space starts with no polar proposal and draws while
+restart 1 takes polar steps.
 """
 
 import hashlib
@@ -21,6 +25,14 @@ FAST = OptimizerConfig(restarts=1, iterations=2, stall_limit=2)
 def gauss(seed, shape):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def traceless(seed, shape):
+    # every block has trace exactly 0, so the identity couples of the polar
+    # spaces (cmin, cmax, op:k) have a zero image and no polar proposal
+    u = gauss(seed, shape)
+    u[..., 1, 1] = -u[..., 0, 0]
+    return u
 
 
 def bare_catalog():
@@ -52,6 +64,12 @@ CASES = {
     "bare_spaces_random_starts": lambda: hat_bounds(
         2, gauss(9, (2, 2, 2, 2)), catalog=bare_catalog(), budget=70, seed=9,
         optimizer_config=OptimizerConfig(restarts=3, iterations=8, stall_limit=4)),
+    "flip_n4": lambda: hat_bounds(4, canonical_identity(4)),
+    # restart 0 starts at the identity and must take a random step while
+    # restart 1 (a dual witness) takes polar steps
+    "polar_proposal_vanishes": lambda: hat_bounds(2, traceless(13, (2, 2, 2, 2)), seed=13),
+    "restarts_4_default_catalog": lambda: hat_bounds(
+        2, gauss(14, (3, 3, 2, 2)), seed=14, optimizer_config=OptimizerConfig(restarts=4)),
 }
 
 DIGESTS = {
@@ -63,11 +81,14 @@ DIGESTS = {
     "budget_64": "0970e3ce3348aa1c2404b64d8c8a0ef1d84a6c519f9c329155e08bf0a262633a",
     "budget_65": "0970e3ce3348aa1c2404b64d8c8a0ef1d84a6c519f9c329155e08bf0a262633a",
     "flip_n2": "4c02687c665559cfaeb35afe56cbe8284c437f23b975a27454f9abfe0f66bd21",
+    "flip_n4": "69fc8993cf851a4157dc1bcdbb204432ba5a9c211a9e619dbfa7f54bae8be0c4",
     "flip_n3": "4e43251c4c148d4abdc722b32da674eaf01a8b30ca3e2b361ecd5dfabc056e9d",
     "gauss_m1_n2_seed5": "f3473ff93f8bc5aa332d0f3dff3d7b6c08506f13cb1a62934a2b85080fbb1d59",
     "gauss_m2_n2": "b8dcdacb068f6736d8a6eac7bbfd494c53a8f091407ae18c206d7c273241207b",
     "gauss_m2_n3": "e8065eb279c379c6ce252c775237a9a570189b3bb9a2ef97605e21599f8d2960",
     "gauss_m3_n2": "eec82a0da0de386c145cc3e58224f58d21bd0b903172fe69984b51096235addc",
+    "polar_proposal_vanishes": "b87bcd375a04acb2d0d51adeed4e4e849787689a6dff166e67b3c2d26a25ac94",
+    "restarts_4_default_catalog": "9ca2f8a501b716bc49d6734c03f3e7dbb233a6df8503db9e7dea0232358e6554",
     "restarts_from_random": "6909ac6cb81acb7b5c13f78a703f6f7439689d102586866fdbdf62fe05a12f4f",
     "single_n1_fast": "e951e8893b4a05dcd74bca8cbffcfd7d2c47ac7d72e62559f4e556efe24f2c80",
     "single_n2_fast": "fa32ada9e17197cb65875f73a67ac2d5b660dc9562d932c1f5c8f2da85995e4d",

@@ -96,6 +96,13 @@ class TestLowerBound:
         assert np.isnan(values).any() and not np.isnan(values[0])
         assert result.value == np.nanmax(values) > values[0]
 
+    def test_search_without_a_couple_rejected(self):
+        # no structured couples and no budget: nothing is evaluated, so there
+        # is no lower bound and no certificate to report
+        bare = MatricialSpace("bare", 1, "operator-norm scalars", c_min().norm_fn)
+        with pytest.raises(InvalidInputError, match="no couple"):
+            hat_bounds(2, np.ones((1, 1, 2, 2)), catalog=[bare], budget=0)
+
     def test_search_counts_couples(self):
         result = search_lower_bound(2, canonical_identity(2), budget=5, seed=4)
         assert result.couples_evaluated >= 5 * len(default_catalog(2))

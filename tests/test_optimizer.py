@@ -1,12 +1,17 @@
-"""Couple optimizer: benchmark recovery, feasibility, determinism."""
+"""Couple optimizer: benchmark recovery, feasibility, determinism, lockstep equivalence."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matnorm import (
+    InvalidInputError,
+    LeveledElement,
     MatricialSpace,
     OptimizerConfig,
     amplified_image,
+    assemble_blocks,
     c_max,
     c_min,
     concrete_operator_space,
@@ -16,9 +21,13 @@ from matnorm import (
     l1_sum,
     optimize_couple,
     random_element,
+    space_from_id,
+    split_blocks,
     trace_norm,
 )
-from matnorm.optimizer import STEP_INIT
+from matnorm.correspondence import amplified_images
+from matnorm.optimizer import STEP_DECAY, STEP_INIT, TOLERANCE
+from matnorm.spaces import OperatorScalars, OperatorSpace, TraceScalars
 
 
 def gauss(rng, shape):
@@ -150,6 +159,14 @@ class TestPolarStep:
         assert np.isnan(values).any() and not np.isnan(start)
         assert value == np.nanmax(values) > start
 
+    def test_every_restart_nan_rejected(self):
+        # NaN on every level-1 image: no restart has a value to compare
+        base = c_max()
+        space = MatricialSpace("nan", 1, "NaN on level 1",
+                               lambda c: np.nan if c.shape[0] == 1 else base.norm_fn(c))
+        with pytest.raises(InvalidInputError, match="nan"):
+            optimize_couple(space, 2, np.ones((1, 1, 2, 2)), OptimizerConfig(restarts=2, iterations=3))
+
     def test_unsupported_space_falls_back(self):
         rng = np.random.default_rng(11)
         space = l1_sum([c_min(), c_max()])
@@ -161,3 +178,152 @@ class TestPolarStep:
         after = space.norm(amplified_image(v_next, u))
         assert after >= before
         assert space.norm(v_next) <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference: the optimizer as one sequential loop that finishes a restart
+# before it starts the next, with single-element polar proposals. This is
+# the code the lockstep optimizer replaced, written out; the two must agree
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def flaky_missing(first):
+    return np.floor(1000 * np.abs(first)) % 2 == 1
+
+
+class FlakyScalars(OperatorScalars):
+    """cmin without a polar step wherever ``floor(1000 |first coordinate|)`` is odd.
+
+    Its restarts switch between polar and random steps in mid-run, so a
+    restart may need a draw after a higher one has taken polar steps.
+    """
+
+    def polar_proposal(self, coords, u4):
+        return np.where(flaky_missing(coords[:, :1, :1]), 0, super().polar_proposal(coords, u4))
+
+
+def reference_proposal(space, v, u4):
+    """Single-element polar proposal for an (n, n, dim) element, or None."""
+    if isinstance(space, FlakyScalars) and flaky_missing(v[0, 0, 0]):
+        return None
+    if isinstance(space, OperatorSpace):
+        k, n, m = space.k, v.shape[0], u4.shape[0]
+        image = assemble_blocks(np.einsum("klji,ijab->klab", u4, v.reshape(n, n, k, k)))
+        if not image.any():
+            return None
+        x, _, yh = np.linalg.svd(image)
+        xc = x[:, 0].reshape(m, k)
+        yc = yh[0].conj().reshape(m, k)
+        pull = assemble_blocks(np.einsum("klji,ka,lb->ijab", u4, xc.conj(), yc))
+        if not pull.any():
+            return None
+        return split_blocks(dual_witness(pull.T), k).reshape(n, n, k * k)
+    if not isinstance(space, (OperatorScalars, TraceScalars)):
+        return None
+    image = np.einsum("klji,ij->kl", u4, v[:, :, 0])
+    if not image.any():
+        return None
+    if isinstance(space, OperatorScalars):
+        x, _, yh = np.linalg.svd(image)
+        pullback = np.einsum("k,l,klji->ij", x[:, 0].conj(), yh[0].conj(), u4)
+    else:
+        pullback = np.einsum("klji,lk->ij", u4, dual_witness(image))
+    if not pullback.any():
+        return None
+    if isinstance(space, OperatorScalars):
+        w = dual_witness(pullback.T)
+    else:
+        uu, _, vvh = np.linalg.svd(pullback.T)
+        w = np.outer(vvh[0].conj(), uu[:, 0].conj())
+    return w.reshape(*pullback.shape, 1)
+
+
+def reference_optimize(space, n, u4, cfg, starts, seed):
+    rng = np.random.default_rng(seed)
+    best_v, best_val = None, -np.inf
+    for restart in range(cfg.restarts):
+        start = starts[restart] if restart < len(starts) else random_element(space, n, rng)
+        v = space.unit_scaled(start.coords).coords
+        val = space.norm(amplified_image(LeveledElement(space.space_id, v), u4))
+        stall, step = 0, STEP_INIT
+        for _ in range(cfg.iterations):
+            proposal = reference_proposal(space, v, u4)
+            if proposal is not None:
+                candidates = [(1.0 - t) * v + t * proposal for t in (1.0, 0.5, 0.25, 0.1)]
+            else:
+                scale = step * max(1.0, float(np.abs(v).max()))
+                candidates = [v + scale * random_element(space, n, rng).coords for _ in range(4)]
+            stack = space.unit_scaled_stack(np.stack(candidates))
+            values = space.norm_batch(amplified_images(stack, u4))
+            best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+            val_next = val
+            if values[best] > val:
+                v, val_next = stack[best], float(values[best])
+            stall = 0 if val_next > val + TOLERANCE else stall + 1
+            val = val_next
+            step *= STEP_DECAY
+            if stall >= cfg.stall_limit:
+                break
+        if val > best_val:
+            best_v, best_val = v, val
+    return best_v, best_val
+
+
+EQUIVALENCE_SPACES = ["cmin", "cmax", "op:1", "op:2", "op:3", "op:4", "l1:[cmax,cmax]", "l1:[cmin,cmax]",
+                      "bare", "flaky"]
+
+
+def equivalence_input(kind, m, n, rng):
+    """Gaussian blocks, or blocks supported on entry (0, 0) only (rank one; all but one zero).
+
+    On the supported inputs an element with zero (0, 0) coordinates has a
+    zero image, so its polar proposal vanishes while others' do not.
+    """
+    if kind == "gauss":
+        return gauss(rng, (m, m, n, n))
+    u = np.zeros((m, m, n, n), dtype=complex)
+    if kind == "rank_one":
+        u[:, :, 0, 0] = gauss(rng, (m, m))
+    else:
+        u[0, 0, 0, 0] = gauss(rng, ())
+    return u
+
+
+class TestLockstepEquivalence:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(space_id=st.sampled_from(EQUIVALENCE_SPACES), n=st.integers(1, 3), m=st.integers(1, 2),
+           kind=st.sampled_from(["gauss", "rank_one", "zero_block"]), restarts=st.integers(1, 4),
+           iterations=st.integers(0, 12), stall_limit=st.integers(1, 4), given_starts=st.integers(0, 4),
+           vanishing=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**16))
+    @example(space_id="cmin", n=2, m=2, kind="rank_one", restarts=4, iterations=12, stall_limit=3,
+             given_starts=3, vanishing=[False, True, False, True], seed=1)
+    @example(space_id="op:2", n=2, m=1, kind="zero_block", restarts=3, iterations=10, stall_limit=4,
+             given_starts=2, vanishing=[True, False, False, False], seed=2)
+    @example(space_id="flaky", n=2, m=2, kind="gauss", restarts=4, iterations=12, stall_limit=4,
+             given_starts=3, vanishing=[False, False, False, False], seed=4)
+    @example(space_id="cmax", n=3, m=2, kind="rank_one", restarts=2, iterations=12, stall_limit=2,
+             given_starts=2, vanishing=[False, True, False, False], seed=3)
+    def test_matches_the_sequential_loop_bitwise(self, space_id, n, m, kind, restarts, iterations,
+                                                 stall_limit, given_starts, vanishing, seed):
+        if space_id == "bare":
+            space = MatricialSpace("bare", 1, "operator-norm scalars", c_min().norm_fn)
+        elif space_id == "flaky":
+            space = FlakyScalars("flaky", 1, "operator-norm scalars, polar step sometimes missing", None)
+        else:
+            space = space_from_id(space_id)
+        rng = np.random.default_rng(seed)
+        u4 = equivalence_input(kind, m, n, rng)
+        starts = []
+        for drop in vanishing[:given_starts]:
+            coords = 10.0 ** rng.uniform(-1, 1) * gauss(rng, (n, n, space.dim))
+            if drop:
+                coords[0, 0] = 0
+            starts.append(space.element(coords))
+        cfg = OptimizerConfig(restarts=restarts, iterations=iterations, stall_limit=stall_limit)
+        couple, value = optimize_couple(space, n, u4, cfg, starts=starts, seed=seed)
+        if not u4.any():
+            return
+        ref_v, ref_value = reference_optimize(space, n, u4, cfg, starts, seed)
+        assert value == ref_value
+        np.testing.assert_array_equal(couple.v.coords, ref_v)
