@@ -73,7 +73,7 @@ def phi_apply(phi: PhiMap, a) -> LeveledElement:
 
 def phi_amplified(phi: PhiMap, blocks) -> LeveledElement:
     """Entrywise application to an m x m array of n x n matrices."""
-    arr = linalg.trusted_block_array(blocks, phi.source_dim)
+    arr = linalg.as_block_array(blocks, block_size=phi.source_dim)
     return LeveledElement(phi.space_id, _amplify(phi.matrix[None], arr)[0])
 
 

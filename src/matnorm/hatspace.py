@@ -125,7 +125,7 @@ def default_catalog(n: int) -> list[MatricialSpace]:
 
 def couple_value(couple: Couple, u) -> float:
     """Norm of the couple's amplified image of u; a certified lower bound term."""
-    u4 = linalg.trusted_block_array(u, couple.v.level)
+    u4 = linalg.as_block_array(u, block_size=couple.v.level)
     return couple.space.norm(amplified_image(couple.v, u4))
 
 

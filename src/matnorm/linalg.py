@@ -57,19 +57,6 @@ def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
     return arr
 
 
-def trusted_block_array(blocks, block_size: int) -> np.ndarray:
-    """``blocks`` itself when it is already a complex (m, m, n, n) array of double precision.
-
-    Arrays the engine built or validated skip the finiteness scan of
-    :func:`as_block_array`; anything else goes through it. Input from
-    outside the package must use :func:`as_block_array`.
-    """
-    if isinstance(blocks, np.ndarray) and blocks.dtype == np.complex128 and blocks.ndim == 4 \
-            and blocks.shape[0] == blocks.shape[1] and blocks.shape[2:] == (block_size, block_size):
-        return blocks
-    return as_block_array(blocks, block_size=block_size)
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values of ``a`` in nonincreasing order."""
     return np.linalg.svd(as_matrix(a), compute_uv=False)

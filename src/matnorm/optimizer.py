@@ -103,14 +103,14 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     returned couple's. Deterministic per seed.
     """
     cfg = config or OptimizerConfig()
-    u4 = linalg.trusted_block_array(u, n)
+    u4 = linalg.as_block_array(u, block_size=n)
     rng = np.random.default_rng(seed)
-
-    if not u4.any():
-        zero = LeveledElement(space.space_id, np.zeros((n, n, space.dim), dtype=complex))
-        return Couple(space, zero), 0.0
-
-    starts = [start.coords for start in list(starts or [])[: cfg.restarts]]
+    starts = list(starts or [])
+    for start in starts:
+        if start.space_id != space.space_id or start.coords.shape != (n, n, space.dim):
+            raise InvalidInputError(f"start of {start.space_id} with coordinates {start.coords.shape} is not "
+                                    f"a level-{n} element of {space.space_id} (dim {space.dim})")
+    starts = [start.coords for start in starts[: cfg.restarts]]
     coords = np.empty((cfg.restarts, n, n, space.dim), dtype=complex)
     vals = np.empty(cfg.restarts)
     # the given starts in lockstep, then each drawn start alone

@@ -532,6 +532,8 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be positive, got {trials}")
+    if max_level < 1:
+        raise InvalidInputError(f"max_level must be positive, got {max_level}")
     rng = np.random.default_rng(seed)
     a1_max = 0.0
     a2_max = 0.0

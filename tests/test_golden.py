@@ -9,6 +9,9 @@ restarts start from random draws. The cases ``flip_n4``,
 before the optimizer ran its restarts in lockstep; in the second, restart 0
 of every polar space starts with no polar proposal and draws while
 restart 1 takes polar steps.
+
+``test_verify_report_is_pinned`` pins the whole ``verify`` report the same
+way, with its one timing field removed.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from matnorm import MatricialSpace, OptimizerConfig, c_max, c_min, canonical_identity, hat_bounds
+from matnorm.suites import run_suite
 
 FAST = OptimizerConfig(restarts=1, iterations=2, stall_limit=2)
 
@@ -101,3 +105,13 @@ DIGESTS = {
 def test_hat_bounds_output_is_pinned(name):
     text = json.dumps(CASES[name]().to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+VERIFY_ALL_2024 = "1e3ef90e70b431b05d92316fd15658faae47d71df2e48c19f8e7882c3bfee9fa"
+
+
+def test_verify_report_is_pinned():
+    report = run_suite("all", seed=2024, trials=20)
+    del report["elapsed_ms"]
+    assert len(report["checks"]) == 66
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == VERIFY_ALL_2024

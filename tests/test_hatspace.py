@@ -13,6 +13,7 @@ from matnorm import (
     InvalidInputError,
     MatricialSpace,
     OptimizerConfig,
+    amplified_image,
     block_diag_lower,
     c_max,
     c_min,
@@ -24,6 +25,7 @@ from matnorm import (
     hat_bounds,
     hat_upper_bound,
     l1_functional_check,
+    optimize_couple,
     random_couple,
     random_unitary,
     search_lower_bound,
@@ -60,6 +62,21 @@ class TestCoupleValue:
         sp = c_max()
         with pytest.raises(InvalidInputError):
             Couple(sp, sp.element(np.eye(2)))  # trace norm 2
+
+
+class TestNonFiniteInput:
+    # complex128, the dtype the engine builds, is scanned like any other input
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda u: couple_value(Couple(c_min(), c_min().element(np.eye(2) / 2)), u),
+        lambda u: optimize_couple(c_min(), 2, u),
+        lambda u: amplified_image(c_min().element(np.eye(2) / 2), u),
+    ], ids=["couple_value", "optimize_couple", "amplified_image"])
+    def test_rejected(self, entry, bad):
+        u = np.ones((2, 2, 2, 2), dtype=complex)
+        u[1, 0, 0, 1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            entry(u)
 
 
 class TestLowerBound:

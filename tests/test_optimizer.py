@@ -167,6 +167,13 @@ class TestPolarStep:
         with pytest.raises(InvalidInputError, match="nan"):
             optimize_couple(space, 2, np.ones((1, 1, 2, 2)), OptimizerConfig(restarts=2, iterations=3))
 
+    @pytest.mark.parametrize("start", [LeveledElement("cmax", np.ones((2, 2, 1), dtype=complex)),
+                                       LeveledElement("cmin", np.ones((3, 3, 1), dtype=complex))],
+                             ids=["other_space", "other_level"])
+    def test_start_of_another_space_or_level_rejected(self, start):
+        with pytest.raises(InvalidInputError, match="start"):
+            optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts=[start])
+
     def test_unsupported_space_falls_back(self):
         rng = np.random.default_rng(11)
         space = l1_sum([c_min(), c_max()])

@@ -217,6 +217,11 @@ class TestAxiomChecker:
         assert rep.axiom1_max_violation <= 1e-9
         assert rep.axiom2_max_violation <= 1e-9
 
+    def test_no_level_rejected(self):
+        # max_level 0 would check nothing and report no violation
+        with pytest.raises(InvalidInputError, match="max_level"):
+            check_axioms(c_min(), 5, max_level=0)
+
     def test_planted_fault_detected(self):
         rep = check_axioms(planted_fault_space(), trials=100, seed=8, max_level=2)
         assert rep.axiom1_max_violation >= 0.09
