@@ -39,7 +39,6 @@ from .correspondence import (
     amplified_image,
     canonical_identity,
     check_naturality,
-    phi_amplified,
     phi_apply,
     phi_of,
     reconstruct,

@@ -27,7 +27,6 @@ __all__ = [
     "phi_of",
     "reconstruct",
     "phi_apply",
-    "phi_amplified",
     "amplified_image",
     "amplified_images",
     "canonical_identity",
@@ -71,26 +70,17 @@ def phi_apply(phi: PhiMap, a) -> LeveledElement:
     return LeveledElement(phi.space_id, out.reshape(1, 1, -1))
 
 
-def phi_amplified(phi: PhiMap, blocks) -> LeveledElement:
-    """Entrywise application to an m x m array of n x n matrices."""
-    arr = linalg.as_block_array(blocks, block_size=phi.source_dim)
-    return LeveledElement(phi.space_id, _amplify(phi.matrix[None], arr)[0])
-
-
 def amplified_image(v: LeveledElement, blocks) -> LeveledElement:
-    """Shorthand for ``phi_amplified(phi_of(v), blocks)``."""
-    return phi_amplified(phi_of(v), blocks)
+    """Entrywise application of phi_v to an m x m array of n x n matrices, n the level of ``v``."""
+    u4 = linalg.as_block_array(blocks, block_size=v.level)
+    return LeveledElement(v.space_id, amplified_images(v.coords[None], u4)[0])
 
 
 def amplified_images(coords: np.ndarray, u4: np.ndarray) -> np.ndarray:
-    """:func:`amplified_image` of each element of a (B, n, n, dim) stack on validated ``u4``."""
+    """:func:`amplified_image` of each element of a (B, n, n, dim) stack on validated ``u4``, as (B, m, m, dim)."""
     b, n, _, d = coords.shape
-    return _amplify(coords.transpose(0, 3, 2, 1).reshape(b, d, n * n), u4)
-
-
-def _amplify(phis: np.ndarray, u4: np.ndarray) -> np.ndarray:
-    """The amplification kernel: (B, dim, n*n) map matrices on (m, m, n, n) blocks, as (B, m, m, dim)."""
-    m, _, n, _ = u4.shape
+    m = u4.shape[0]
+    phis = coords.transpose(0, 3, 2, 1).reshape(b, d, n * n)  # each element's phi_of matrix
     return np.einsum("bdx,klx->bkld", phis, u4.reshape(m, m, n * n))
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument check."""
 
 
 class MatnormError(Exception):
@@ -26,3 +26,9 @@ class InconsistencyError(MatnormError):
         self.upper = upper
         self.rule = rule
         self.couple = couple
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Raise ``InvalidInputError`` unless ``value`` is an int (bool excluded) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InvalidInputError(f"{name} must be an integer of at least {low}, got {value!r}")

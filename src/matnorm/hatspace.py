@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .correspondence import amplified_image, amplified_images, canonical_identity
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError, require_int
 from .optimizer import OptimizerConfig, optimize_couple
 from .serialize import complex_to_pairs
 from .spaces import (
@@ -125,8 +125,7 @@ def default_catalog(n: int) -> list[MatricialSpace]:
 
 def couple_value(couple: Couple, u) -> float:
     """Norm of the couple's amplified image of u; a certified lower bound term."""
-    u4 = linalg.as_block_array(u, block_size=couple.v.level)
-    return couple.space.norm(amplified_image(couple.v, u4))
+    return couple.space.norm(amplified_image(couple.v, u))
 
 
 def _trace_identity_couple(n: int) -> Couple:
@@ -188,9 +187,8 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     catalog = list(catalog) if catalog is not None else default_catalog(n)
     if not catalog:
         raise InvalidInputError("empty catalog")
-    budget = DEFAULT_BUDGET if budget is None else int(budget)
-    if budget < 0:
-        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
+    budget = DEFAULT_BUDGET if budget is None else budget
+    require_int("budget", budget, 0)
 
     if not u4.any():
         return SearchResult(0.0, _trace_identity_couple(n), 1)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .correspondence import amplified_image, amplified_images
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .spaces import Couple, LeveledElement, MatricialSpace, random_element
 
 __all__ = ["OptimizerConfig", "optimize_couple"]
@@ -56,9 +56,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name, low in (("restarts", 1), ("iterations", 0), ("stall_limit", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise InvalidInputError(f"{name} must be an integer of at least {low}, got {value!r}")
+            require_int(name, getattr(self, name), low)
 
 
 def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, vals: np.ndarray,
@@ -107,9 +105,10 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     rng = np.random.default_rng(seed)
     starts = list(starts or [])
     for start in starts:
-        if start.space_id != space.space_id or start.coords.shape != (n, n, space.dim):
+        if (start.space_id != space.space_id or start.coords.shape != (n, n, space.dim)
+                or not np.isfinite(start.coords).all()):
             raise InvalidInputError(f"start of {start.space_id} with coordinates {start.coords.shape} is not "
-                                    f"a level-{n} element of {space.space_id} (dim {space.dim})")
+                                    f"a finite level-{n} element of {space.space_id} (dim {space.dim})")
     starts = [start.coords for start in starts[: cfg.restarts]]
     coords = np.empty((cfg.restarts, n, n, space.dim), dtype=complex)
     vals = np.empty(cfg.restarts)

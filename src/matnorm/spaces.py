@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .serialize import complex_to_pairs
 
 __all__ = [
@@ -71,23 +71,21 @@ class LeveledElement:
 class MatricialSpace:
     """Descriptor of a space: coordinate dimension plus levelwise norm.
 
-    ``norm_fn`` receives the raw (m, m, dim) coordinate array. The catalog
-    kinds subclass this with a ``norm_batch`` kernel over any leading axes
-    (their ``norm_fn`` is None and becomes that kernel), structured couples
-    and a polar proposal for the optimizer. A bare instance (a custom
-    evaluator) has neither. Both hooks work on (B, n, n, dim) stacks.
+    ``norm_batch`` is the one evaluator. A bare instance (a custom evaluator)
+    gives ``norm_fn``, which receives one raw (m, m, dim) coordinate array
+    and which the default ``norm_batch`` loops over. The catalog kinds pass
+    ``norm_fn=None`` and subclass this with a ``norm_batch`` kernel over any
+    leading axes, structured couples and a polar proposal for the
+    optimizer; both hooks work on (B, n, n, dim) stacks.
     """
 
     space_id: str
     dim: int
-    description: str
     norm_fn: Callable[[np.ndarray], float] | None
 
     def __post_init__(self):
-        if self.norm_fn is None:
-            if type(self).norm_batch is MatricialSpace.norm_batch:  # it would loop over itself
-                raise InvalidInputError(f"{self.space_id}: a space needs a norm_fn or a norm_batch")
-            object.__setattr__(self, "norm_fn", self.norm_batch)
+        if self.norm_fn is None and type(self).norm_batch is MatricialSpace.norm_batch:
+            raise InvalidInputError(f"{self.space_id}: a space needs a norm_fn or a norm_batch")
 
     def element(self, coords) -> LeveledElement:
         """Wrap coordinates as an element of this space, validating shape.
@@ -119,24 +117,19 @@ class MatricialSpace:
             coords = u.coords
         else:
             coords = self.element(u).coords
-        return float(self.norm_fn(coords))
+        return float(self.norm_batch(coords))
 
     def norm_batch(self, coords: np.ndarray) -> np.ndarray:
         """Norms of a (..., m, m, dim) stack of coordinate arrays, shape (...); by default ``norm_fn`` on each."""
         flat = coords.reshape(-1, *coords.shape[-3:])
         return np.fromiter(map(self.norm_fn, flat), dtype=float, count=len(flat)).reshape(coords.shape[:-3])
 
-    def unit_scaled(self, coords: np.ndarray, sphere: bool = False) -> LeveledElement:
-        """The element ``coords`` divided by its norm when that exceeds 1.
-
-        With ``sphere`` any nonzero element is divided, landing on the unit
-        sphere.
-        """
-        stack = np.array(coords, dtype=complex)[None]
-        return LeveledElement(self.space_id, self.unit_scaled_stack(stack, sphere)[0])
-
     def unit_scaled_stack(self, stack: np.ndarray, sphere=False) -> np.ndarray:
-        """:meth:`unit_scaled` in place on a (B, m, m, dim) stack; ``sphere`` is one flag or B."""
+        """Divide, in place, each element of a (B, m, m, dim) stack whose norm exceeds 1 by that norm.
+
+        With ``sphere`` (one flag or B) any nonzero element is divided,
+        landing on the unit sphere.
+        """
         nrm = self.norm_batch(stack)
         scaled = nrm > np.where(sphere, 0.0, 1.0)
         return np.divide(stack, nrm[:, None, None, None], out=stack, where=scaled[:, None, None, None])
@@ -319,12 +312,12 @@ class L1Sum(MatricialSpace):
 
 def c_min() -> MatricialSpace:
     """Scalars with the operator norm at every level."""
-    return OperatorScalars("cmin", 1, "scalars, operator-norm levels", None)
+    return OperatorScalars("cmin", 1, None)
 
 
 def c_max() -> MatricialSpace:
     """Scalars with the trace norm at every level."""
-    return TraceScalars("cmax", 1, "scalars, trace-norm levels", None)
+    return TraceScalars("cmax", 1, None)
 
 
 def concrete_operator_space(k: int) -> MatricialSpace:
@@ -336,7 +329,7 @@ def concrete_operator_space(k: int) -> MatricialSpace:
     """
     if k < 1:
         raise InvalidInputError(f"size must be positive, got {k}")
-    return OperatorSpace(f"op:{k}", k * k, f"{k} x {k} matrices, assembled operator norm", None, k)
+    return OperatorSpace(f"op:{k}", k * k, None, k)
 
 
 def l1_sum(parts) -> MatricialSpace:
@@ -346,7 +339,7 @@ def l1_sum(parts) -> MatricialSpace:
         raise InvalidInputError("l1 sum of an empty family")
     offsets = (0, *np.cumsum([p.dim for p in parts]).tolist())
     space_id = "l1:[" + ",".join(p.space_id for p in parts) + "]"
-    return L1Sum(space_id, offsets[-1], f"l1 sum of {len(parts)} spaces", None, parts, offsets)
+    return L1Sum(space_id, offsets[-1], None, parts, offsets)
 
 
 def _as_l1(space: MatricialSpace) -> L1Sum:
@@ -355,17 +348,22 @@ def _as_l1(space: MatricialSpace) -> L1Sum:
     return space
 
 
+def _summand(space: MatricialSpace, index: int) -> MatricialSpace:
+    parts = _as_l1(space).parts
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not 0 <= index < len(parts):
+        raise InvalidInputError(f"{space.space_id} has no summand {index!r}")
+    return parts[index]
+
+
 def l1_component(space: MatricialSpace, u: LeveledElement, index: int) -> LeveledElement:
     """Component of an l1-sum element as an element of the summand."""
-    offs = _as_l1(space).offsets
-    part = space.parts[index]
+    part, offs = _summand(space, index), space.offsets
     return LeveledElement(part.space_id, np.ascontiguousarray(u.coords[:, :, offs[index]:offs[index + 1]]))
 
 
 def l1_embed(space: MatricialSpace, element: LeveledElement, index: int) -> LeveledElement:
     """Image of a summand element under the coordinate injection into the sum."""
-    offs = _as_l1(space).offsets
-    part = space.parts[index]
+    part, offs = _summand(space, index), space.offsets
     if element.space_id != part.space_id:
         raise InvalidInputError(f"cannot embed {element.space_id} as summand {index} of {space.space_id}")
     m = element.level
@@ -447,12 +445,10 @@ def planted_fault_space(base: MatricialSpace | None = None) -> MatricialSpace:
     base = base or c_min()
 
     def norm_fn(coords):
-        value = base.norm_fn(coords)
+        value = base.norm_batch(coords)
         return value + 0.1 if coords.shape[0] == 2 else value
 
-    return MatricialSpace(
-        f"fault:{base.space_id}", base.dim, "corrupted evaluator for checker validation", norm_fn,
-    )
+    return MatricialSpace(f"fault:{base.space_id}", base.dim, norm_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +492,6 @@ def random_element(space: MatricialSpace, level: int, rng) -> LeveledElement:
 
 @dataclass
 class AxiomReport:
-    trials: int
     axiom1_max_violation: float
     axiom2_max_violation: float
     worst_case_inputs: dict
@@ -518,7 +513,7 @@ def _sample_element(space, level, rng, variant):
         coords = scalar_action(u, LeveledElement(space.space_id, coords), u.conj().T).coords
     else:
         coords = random_element(space, level, rng).coords
-    return space.unit_scaled(coords, sphere=True)
+    return LeveledElement(space.space_id, space.unit_scaled_stack(coords[None], sphere=True)[0])
 
 
 def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4) -> AxiomReport:
@@ -530,10 +525,8 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
     structured ones (elementary, unitary-conjugated diagonal) to hit the
     equality edges.
     """
-    if trials < 1:
-        raise InvalidInputError(f"trials must be positive, got {trials}")
-    if max_level < 1:
-        raise InvalidInputError(f"max_level must be positive, got {max_level}")
+    require_int("trials", trials, 1)
+    require_int("max_level", max_level, 1)
     rng = np.random.default_rng(seed)
     a1_max = 0.0
     a2_max = 0.0
@@ -568,4 +561,4 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
                     "level": level, "violation": v2,
                     "coords": complex_to_pairs(u.coords),
                 }
-    return AxiomReport(trials, a1_max, a2_max, worst)
+    return AxiomReport(a1_max, a2_max, worst)

@@ -13,7 +13,6 @@ from matnorm import (
     concrete_operator_space,
     l1_sum,
     operator_norm,
-    phi_amplified,
     phi_apply,
     phi_of,
     random_element,
@@ -83,7 +82,7 @@ class TestAmplification:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         phi = phi_of(v)
         np.testing.assert_allclose(
-            phi_amplified(phi, a.reshape(1, 1, 3, 3)).coords[0, 0],
+            amplified_image(v, a.reshape(1, 1, 3, 3)).coords[0, 0],
             phi_apply(phi, a).coords[0, 0],
             atol=1e-12,
         )

@@ -42,8 +42,8 @@ def traceless(seed, shape):
 def bare_catalog():
     # no structured couples and no polar proposal: every optimizer start is a
     # random draw and every step a random search
-    return [MatricialSpace("bare-cmin", 1, "operator-norm scalars", c_min().norm_fn),
-            MatricialSpace("bare-cmax", 1, "trace-norm scalars", c_max().norm_fn)]
+    return [MatricialSpace("bare-cmin", 1, c_min().norm_batch),
+            MatricialSpace("bare-cmax", 1, c_max().norm_batch)]
 
 
 CASES = {

@@ -63,6 +63,12 @@ class TestCoupleValue:
         with pytest.raises(InvalidInputError):
             Couple(sp, sp.element(np.eye(2)))  # trace norm 2
 
+    def test_block_size_mismatch_rejected(self):
+        sp = c_max()
+        couple = Couple(sp, sp.element(np.eye(2).reshape(2, 2, 1) / 2))
+        with pytest.raises(InvalidInputError, match="2 x 2 blocks"):
+            couple_value(couple, np.ones((1, 1, 3, 3)))
+
 
 class TestNonFiniteInput:
     # complex128, the dtype the engine builds, is scanned like any other input
@@ -103,8 +109,8 @@ class TestLowerBound:
         # a custom evaluator with NaN on some level-1 images: the search skips
         # only those couples, as a couple-by-couple loop does
         base = c_max()
-        space = MatricialSpace("nan", 1, "NaN on some images",
-                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_fn(c))
+        space = MatricialSpace("nan", 1,
+                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_batch(c))
         u = single_block(gauss(np.random.default_rng(30), (2, 2)))
         cfg = OptimizerConfig(restarts=1, iterations=0)
         result = search_lower_bound(2, u, catalog=[space], budget=16, seed=0, optimizer_config=cfg)
@@ -116,9 +122,15 @@ class TestLowerBound:
     def test_search_without_a_couple_rejected(self):
         # no structured couples and no budget: nothing is evaluated, so there
         # is no lower bound and no certificate to report
-        bare = MatricialSpace("bare", 1, "operator-norm scalars", c_min().norm_fn)
+        bare = MatricialSpace("bare", 1, c_min().norm_batch)
         with pytest.raises(InvalidInputError, match="no couple"):
             hat_bounds(2, np.ones((1, 1, 2, 2)), catalog=[bare], budget=0)
+
+    @pytest.mark.parametrize("budget", [1.5, "3", True, -1])
+    @pytest.mark.parametrize("entry", [hat_bounds, search_lower_bound])
+    def test_non_integer_budget_rejected(self, entry, budget):
+        with pytest.raises(InvalidInputError, match="budget"):
+            entry(2, canonical_identity(2), budget=budget)
 
     def test_search_counts_couples(self):
         result = search_lower_bound(2, canonical_identity(2), budget=5, seed=4)
@@ -200,8 +212,8 @@ class TestBounds:
         # understates feasibility norms, inflates image norms
         base = c_max()
         liar = MatricialSpace(
-            "cmax", 1, "inconsistent evaluator",
-            lambda c: base.norm_fn(c) * (10.0 if c.shape[0] == 1 else 0.1),
+            "cmax", 1,
+            lambda c: base.norm_batch(c) * (10.0 if c.shape[0] == 1 else 0.1),
         )
         rng = np.random.default_rng(13)
         a = gauss(rng, (2, 2))

@@ -144,14 +144,14 @@ class TestPolarStep:
         # a custom evaluator with NaN on some level-1 images: a random-search
         # step keeps the best finite candidate, as a one-by-one loop does
         base = c_max()
-        space = MatricialSpace("nan", 1, "NaN on some images",
-                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_fn(c))
+        space = MatricialSpace("nan", 1,
+                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_batch(c))
         rng = np.random.default_rng(4)
         u = single_block(gauss(rng, (2, 2)))
         v = space.element(0.1 * gauss(rng, (2, 2, 1)))
         draws = np.random.default_rng(14)
-        candidates = [space.unit_scaled(v.coords + STEP_INIT * random_element(space, 2, draws).coords)
-                      for _ in range(4)]
+        candidates = [LeveledElement("nan", space.unit_scaled_stack(
+            (v.coords + STEP_INIT * random_element(space, 2, draws).coords)[None])[0]) for _ in range(4)]
         values = [space.norm(amplified_image(c, u)) for c in candidates]
         start = space.norm(amplified_image(v, u))
         _, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=1),
@@ -162,15 +162,17 @@ class TestPolarStep:
     def test_every_restart_nan_rejected(self):
         # NaN on every level-1 image: no restart has a value to compare
         base = c_max()
-        space = MatricialSpace("nan", 1, "NaN on level 1",
-                               lambda c: np.nan if c.shape[0] == 1 else base.norm_fn(c))
+        space = MatricialSpace("nan", 1, lambda c: np.nan if c.shape[0] == 1 else base.norm_batch(c))
         with pytest.raises(InvalidInputError, match="nan"):
             optimize_couple(space, 2, np.ones((1, 1, 2, 2)), OptimizerConfig(restarts=2, iterations=3))
 
     @pytest.mark.parametrize("start", [LeveledElement("cmax", np.ones((2, 2, 1), dtype=complex)),
-                                       LeveledElement("cmin", np.ones((3, 3, 1), dtype=complex))],
-                             ids=["other_space", "other_level"])
+                                       LeveledElement("cmin", np.ones((3, 3, 1), dtype=complex)),
+                                       LeveledElement("cmin", np.array([np.nan, 1, 1, 1]).reshape(2, 2, 1) + 0j),
+                                       LeveledElement("cmin", np.array([np.inf, 1, 1, 1]).reshape(2, 2, 1) + 0j)],
+                             ids=["other_space", "other_level", "nan", "inf"])
     def test_start_of_another_space_or_level_rejected(self, start):
+        # a non-finite start is no element either: NaN used to fail in the SVD ("SVD did not converge")
         with pytest.raises(InvalidInputError, match="start"):
             optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts=[start])
 
@@ -251,7 +253,7 @@ def reference_optimize(space, n, u4, cfg, starts, seed):
     best_v, best_val = None, -np.inf
     for restart in range(cfg.restarts):
         start = starts[restart] if restart < len(starts) else random_element(space, n, rng)
-        v = space.unit_scaled(start.coords).coords
+        v = space.unit_scaled_stack(np.array(start.coords)[None])[0]
         val = space.norm(amplified_image(LeveledElement(space.space_id, v), u4))
         stall, step = 0, STEP_INIT
         for _ in range(cfg.iterations):
@@ -314,9 +316,9 @@ class TestLockstepEquivalence:
     def test_matches_the_sequential_loop_bitwise(self, space_id, n, m, kind, restarts, iterations,
                                                  stall_limit, given_starts, vanishing, seed):
         if space_id == "bare":
-            space = MatricialSpace("bare", 1, "operator-norm scalars", c_min().norm_fn)
+            space = MatricialSpace("bare", 1, c_min().norm_batch)
         elif space_id == "flaky":
-            space = FlakyScalars("flaky", 1, "operator-norm scalars, polar step sometimes missing", None)
+            space = FlakyScalars("flaky", 1, None)
         else:
             space = space_from_id(space_id)
         rng = np.random.default_rng(seed)

@@ -37,8 +37,7 @@ BATCH_SPACE_IDS = ["cmin", "cmax", "op:1", "op:2", "op:3", "op:4", "op:5",
 def batch_space(space_id):
     if space_id == "bare":
         # a custom evaluator: the default loop over norm_fn
-        return MatricialSpace("bare", 2, "2-norm of the assembled m x 2m matrix",
-                              lambda c: np.linalg.norm(c.reshape(c.shape[0], -1), 2))
+        return MatricialSpace("bare", 2, lambda c: np.linalg.norm(c.reshape(c.shape[0], -1), 2))
     if space_id == "fault":
         return planted_fault_space()
     if space_id == "l1-bare":
@@ -147,6 +146,15 @@ class TestL1Sum:
         with pytest.raises(InvalidInputError):
             l1_sum([])
 
+    @pytest.mark.parametrize("index", [-1, 2, 1.0, True])
+    def test_summand_index_out_of_range_rejected(self, index):
+        # -1 used to embed into an empty slice and give the zero element
+        sp = l1_sum([c_min(), c_max()])
+        with pytest.raises(InvalidInputError, match="no summand"):
+            l1_embed(sp, c_max().element([1.0]), index)
+        with pytest.raises(InvalidInputError, match="no summand"):
+            l1_component(sp, sp.element(np.ones((1, 1, 2))), index)
+
 
 class TestSpaceIds:
     def test_roundtrip(self):
@@ -222,6 +230,12 @@ class TestAxiomChecker:
         with pytest.raises(InvalidInputError, match="max_level"):
             check_axioms(c_min(), 5, max_level=0)
 
+    @pytest.mark.parametrize("kwargs", [{"trials": 2.5}, {"trials": True}, {"trials": "3"},
+                                        {"trials": 2, "max_level": 2.5}, {"trials": 2, "max_level": True}])
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(InvalidInputError, match="integer"):
+            check_axioms(c_min(), **kwargs)
+
     def test_planted_fault_detected(self):
         rep = check_axioms(planted_fault_space(), trials=100, seed=8, max_level=2)
         assert rep.axiom1_max_violation >= 0.09
@@ -246,11 +260,10 @@ class TestValidation:
     def test_space_without_an_evaluator_rejected(self):
         # the default norm_batch loops over norm_fn, so one of the two is needed
         with pytest.raises(InvalidInputError):
-            MatricialSpace("bare", 1, "no evaluator", None)
+            MatricialSpace("bare", 1, None)
 
     def test_nan_norm_hides_no_infeasible_element(self):
-        space = MatricialSpace("nan", 1, "NaN on negative entries",
-                               lambda c: np.nan if c[0, 0, 0].real < 0 else abs(c[0, 0, 0]))
+        space = MatricialSpace("nan", 1, lambda c: np.nan if c[0, 0, 0].real < 0 else abs(c[0, 0, 0]))
         stack = np.array([-1.0, 0.5, 2.0], dtype=complex).reshape(3, 1, 1, 1)
         check_unit_ball(space, stack[:2])
         with pytest.raises(InvalidInputError, match="norm 2 > 1"):
