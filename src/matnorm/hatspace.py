@@ -41,7 +41,6 @@ from .spaces import (
     c_min,
     check_unit_ball,
     concrete_operator_space,
-    l1_sum,
 )
 
 __all__ = [
@@ -111,16 +110,13 @@ class NormBounds:
 def default_catalog(n: int) -> list[MatricialSpace]:
     """Catalog realizing all known extremal couples at size n.
 
-    Scalars with both norms, the concrete matrix spaces up to size n + 1,
-    and two l1 sums.
+    Scalars with both norms and the concrete matrix spaces up to size n + 1:
+    n + 3 spaces, each with a polar proposal. No l1 sum is needed, since a
+    couple of an l1 sum is worth at most the best of its summands.
     """
     if n < 1:
         raise InvalidInputError(f"size must be positive, got {n}")
-    spaces = [c_max(), c_min()]
-    spaces.extend(concrete_operator_space(k) for k in range(1, n + 2))
-    spaces.append(l1_sum([c_max(), c_max()]))
-    spaces.append(l1_sum([c_min(), c_max()]))
-    return spaces
+    return [c_max(), c_min(), *(concrete_operator_space(k) for k in range(1, n + 2))]
 
 
 def couple_value(couple: Couple, u) -> float:
@@ -176,10 +172,11 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     """Maximize couple values over the catalog; sequential and deterministic.
 
     Per space: structured couples, ``budget`` random couples, then an
-    optimizer run (skipped when budget is 0). The structured couples are one
-    stack and the random ones come in chunks of ``RANDOM_CHUNK``; each stack
-    takes one amplification and one batched norm, and only a winner becomes
-    a ``Couple``. Ties go to the earliest couple in evaluation order. Raises
+    optimizer run from the first of them (skipped when budget is 0; it
+    takes no step on a space without a polar proposal). The structured
+    couples are one stack and the random ones come in chunks of
+    ``RANDOM_CHUNK``; each stack takes one amplification and one batched
+    norm, and only a winner becomes a ``Couple``. Ties go to the earliest couple in evaluation order. Raises
     ``InvalidInputError`` when no couple has a value (no structured couples
     and budget 0, or NaN everywhere).
     """

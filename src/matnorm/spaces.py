@@ -146,7 +146,7 @@ class MatricialSpace:
 
         Takes and returns a (B, n, n, dim) stack. A zero row means no
         proposal: the space has no such step, or the linearization vanishes;
-        the optimizer then searches randomly.
+        that restart ends.
         """
         return np.zeros_like(coords)
 
@@ -358,6 +358,8 @@ def _summand(space: MatricialSpace, index: int) -> MatricialSpace:
 def l1_component(space: MatricialSpace, u: LeveledElement, index: int) -> LeveledElement:
     """Component of an l1-sum element as an element of the summand."""
     part, offs = _summand(space, index), space.offsets
+    if u.space_id != space.space_id:
+        raise InvalidInputError(f"element of {u.space_id} passed to {space.space_id}")
     return LeveledElement(part.space_id, np.ascontiguousarray(u.coords[:, :, offs[index]:offs[index + 1]]))
 
 
@@ -468,8 +470,7 @@ def scalar_action(s, u: LeveledElement, t) -> LeveledElement:
 
 def pad(u: LeveledElement, extra: int) -> LeveledElement:
     """The element u + 0 at level m + extra (zero rows and columns appended)."""
-    if extra < 0:
-        raise InvalidInputError(f"padding must be nonnegative, got {extra}")
+    require_int("padding", extra, 0)
     if extra == 0:
         return u
     m, _, d = u.coords.shape
@@ -480,6 +481,7 @@ def pad(u: LeveledElement, extra: int) -> LeveledElement:
 
 def random_element(space: MatricialSpace, level: int, rng) -> LeveledElement:
     """Gaussian random element."""
+    require_int("level", level, 1)
     rng = np.random.default_rng(rng)
     coords = rng.standard_normal((level, level, space.dim)) + 1j * rng.standard_normal((level, level, space.dim))
     return LeveledElement(space.space_id, coords)

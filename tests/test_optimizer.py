@@ -1,5 +1,7 @@
 """Couple optimizer: benchmark recovery, feasibility, determinism, lockstep equivalence."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from matnorm import (
     concrete_operator_space,
     canonical_identity,
     couple_value,
+    default_catalog,
     dual_witness,
     l1_sum,
     optimize_couple,
@@ -26,7 +29,7 @@ from matnorm import (
     trace_norm,
 )
 from matnorm.correspondence import amplified_images
-from matnorm.optimizer import STEP_DECAY, STEP_INIT, TOLERANCE
+from matnorm.optimizer import TOLERANCE
 from matnorm.spaces import OperatorScalars, OperatorSpace, TraceScalars
 
 
@@ -99,10 +102,9 @@ class TestInvariants:
             assert value <= 1.0 + 1e-9
 
 
-def polar_step(space, v, u, seed=0):
+def polar_step(space, v, u):
     """One ascent step from ``v``: a single restart started at v, one iteration."""
-    couple, _ = optimize_couple(space, v.level, u, OptimizerConfig(restarts=1, iterations=1),
-                                starts=[v], seed=seed)
+    couple, _ = optimize_couple(space, v.level, u, OptimizerConfig(restarts=1, iterations=1), starts=[v])
     return couple.v
 
 
@@ -141,22 +143,20 @@ class TestPolarStep:
         assert sp.norm(amplified_image(v_next, u)) == 0.0
 
     def test_nan_candidate_hides_no_better_one(self):
-        # a custom evaluator with NaN on some level-1 images: a random-search
-        # step keeps the best finite candidate, as a one-by-one loop does
-        base = c_max()
-        space = MatricialSpace("nan", 1,
-                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_batch(c))
+        # the full polar jump has the largest level-1 image and is the one
+        # NaN candidate: the step keeps the best finite line-search point
         rng = np.random.default_rng(4)
         u = single_block(gauss(rng, (2, 2)))
+        space = NanAbove("nan", 1, None, np.inf)
         v = space.element(0.1 * gauss(rng, (2, 2, 1)))
-        draws = np.random.default_rng(14)
-        candidates = [LeveledElement("nan", space.unit_scaled_stack(
-            (v.coords + STEP_INIT * random_element(space, 2, draws).coords)[None])[0]) for _ in range(4)]
-        values = [space.norm(amplified_image(c, u)) for c in candidates]
+        proposal = space.polar_proposal(v.coords[None], u)[0]
+        stack = space.unit_scaled_stack(np.stack([(1 - t) * v.coords + t * proposal for t in (1.0, 0.5, 0.25, 0.1)]))
+        finite = space.norm_batch(amplified_images(stack, u))
+        space = NanAbove("nan", 1, None, (finite[0] + finite[1]) / 2)
+        values = space.norm_batch(amplified_images(stack, u))
         start = space.norm(amplified_image(v, u))
-        _, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=1),
-                                   starts=[v], seed=14)
-        assert np.isnan(values).any() and not np.isnan(start)
+        _, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=1), starts=[v])
+        assert np.isnan(values[0]) and not np.isnan(values[1:]).any() and not np.isnan(start)
         assert value == np.nanmax(values) > start
 
     def test_every_restart_nan_rejected(self):
@@ -176,24 +176,47 @@ class TestPolarStep:
         with pytest.raises(InvalidInputError, match="start"):
             optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts=[start])
 
-    def test_unsupported_space_falls_back(self):
+    @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), MatricialSpace("bare", 1, c_min().norm_batch)],
+                             ids=["l1", "bare"])
+    def test_space_without_proposal_keeps_best_start(self, space):
+        # no polar step: the run returns its best start, rescaled into the ball, and that start's value
         rng = np.random.default_rng(11)
-        space = l1_sum([c_min(), c_max()])
-        coords = gauss(rng, (2, 2, 2))
-        v = space.element(coords / space.norm(coords))
-        u = gauss(rng, (1, 1, 2, 2))
-        before = space.norm(amplified_image(v, u))
-        v_next = polar_step(space, v, u, seed=12)
-        after = space.norm(amplified_image(v_next, u))
-        assert after >= before
-        assert space.norm(v_next) <= 1.0 + 1e-12
+        u = gauss(rng, (2, 2, 2, 2))
+        starts = [space.element(10.0 ** e * gauss(rng, (2, 2, space.dim))) for e in (-1, 1, 0)]
+        rescaled = space.unit_scaled_stack(np.stack([s.coords for s in starts]))
+        values = [space.norm(amplified_image(LeveledElement(space.space_id, c), u)) for c in rescaled]
+        best = int(np.argmax(values))
+        couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=3, iterations=10), starts=starts)
+        assert value == values[best]
+        np.testing.assert_array_equal(couple.v.coords, rescaled[best])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_default_catalog_is_polar(n):
+    # every default space takes polar steps: none is left to a random search
+    catalog = default_catalog(n)
+    assert len(catalog) == n + 3
+    for space in catalog:
+        assert type(space).polar_proposal is not MatricialSpace.polar_proposal, space.space_id
+
+
+@dataclass(frozen=True, eq=False)
+class NanAbove(TraceScalars):
+    """cmax whose level-1 norm is NaN above ``cap``."""
+
+    cap: float
+
+    def norm_batch(self, coords):
+        values = super().norm_batch(coords)
+        return np.where(values > self.cap, np.nan, values) if coords.shape[-3] == 1 else values
 
 
 # ---------------------------------------------------------------------------
 # Reference: the optimizer as one sequential loop that finishes a restart
-# before it starts the next, with single-element polar proposals. This is
-# the code the lockstep optimizer replaced, written out; the two must agree
-# bit for bit.
+# before it starts the next, with single-element polar proposals, and that
+# runs each restart through steps that do not move until the stall limit or
+# the iterations end it. The lockstep optimizer ends a restart at its first
+# step that does not move; the two must agree bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -204,8 +227,8 @@ def flaky_missing(first):
 class FlakyScalars(OperatorScalars):
     """cmin without a polar step wherever ``floor(1000 |first coordinate|)`` is odd.
 
-    Its restarts switch between polar and random steps in mid-run, so a
-    restart may need a draw after a higher one has taken polar steps.
+    Its proposals vanish in mid-run, so one restart may end while a higher
+    one still takes polar steps.
     """
 
     def polar_proposal(self, coords, u4):
@@ -255,14 +278,12 @@ def reference_optimize(space, n, u4, cfg, starts, seed):
         start = starts[restart] if restart < len(starts) else random_element(space, n, rng)
         v = space.unit_scaled_stack(np.array(start.coords)[None])[0]
         val = space.norm(amplified_image(LeveledElement(space.space_id, v), u4))
-        stall, step = 0, STEP_INIT
+        stall = 0
         for _ in range(cfg.iterations):
             proposal = reference_proposal(space, v, u4)
-            if proposal is not None:
-                candidates = [(1.0 - t) * v + t * proposal for t in (1.0, 0.5, 0.25, 0.1)]
-            else:
-                scale = step * max(1.0, float(np.abs(v).max()))
-                candidates = [v + scale * random_element(space, n, rng).coords for _ in range(4)]
+            if proposal is None:
+                proposal = np.zeros_like(v)
+            candidates = [(1.0 - t) * v + t * proposal for t in (1.0, 0.5, 0.25, 0.1)]
             stack = space.unit_scaled_stack(np.stack(candidates))
             values = space.norm_batch(amplified_images(stack, u4))
             best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
@@ -271,7 +292,6 @@ def reference_optimize(space, n, u4, cfg, starts, seed):
                 v, val_next = stack[best], float(values[best])
             stall = 0 if val_next > val + TOLERANCE else stall + 1
             val = val_next
-            step *= STEP_DECAY
             if stall >= cfg.stall_limit:
                 break
         if val > best_val:

@@ -155,6 +155,12 @@ class TestL1Sum:
         with pytest.raises(InvalidInputError, match="no summand"):
             l1_component(sp, sp.element(np.ones((1, 1, 2))), index)
 
+    def test_component_of_another_space_rejected(self):
+        # used to return a (1, 1, 0) element labelled cmax
+        sp = l1_sum([c_min(), c_max()])
+        with pytest.raises(InvalidInputError, match="element of cmin"):
+            l1_component(sp, c_min().element([1.0]), 1)
+
 
 class TestSpaceIds:
     def test_roundtrip(self):
@@ -199,6 +205,18 @@ class TestElementOps:
         op = concrete_operator_space(2)
         u = random_element(op, 2, rng)
         assert op.norm(pad(u, 2)) == pytest.approx(op.norm(u), abs=1e-9)
+
+    @pytest.mark.parametrize("extra", [-1, 2.5, 1.0, True])
+    def test_pad_non_integer_or_negative_rejected(self, extra):
+        # 2.5 used to raise a bare TypeError
+        with pytest.raises(InvalidInputError, match="padding"):
+            pad(c_min().element([1.0]), extra)
+
+    @pytest.mark.parametrize("level", [0, -1, 1.5])
+    def test_random_element_level_below_one_rejected(self, level):
+        # level 0 used to give an element whose norm raised a bare IndexError
+        with pytest.raises(InvalidInputError, match="level"):
+            random_element(c_min(), level, 0)
 
 
 class TestNormProperties:
