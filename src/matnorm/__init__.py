@@ -49,7 +49,9 @@ from .hatspace import (
     NormBounds,
     SearchResult,
     TraceFunctionalReport,
+    UpperCertificate,
     block_diag_lower,
+    check_upper_certificate,
     convexity_violation,
     couple_value,
     default_catalog,

@@ -7,18 +7,36 @@ is not computable, so the engine reports certified intervals:
 * every evaluated couple is feasible by construction, so the best value
   found is always a valid lower bound, with the achieving couple attached as
   a reproducible certificate;
-* the upper bound is the sum over all blocks of their trace norms, rule
-  ``entry_trace_sum``. A permutation moves any block to a diagonal position
-  without changing norms, where it alone has norm equal to its trace norm
-  (padding plus the m = 1 case), so the triangle inequality gives the
-  bound. At m = 1 it is the exact norm and the interval degenerates.
+* the upper bound, rule ``realignment``, splits u into flip atoms plus a
+  residual and is attached as an :class:`UpperCertificate`.
 
-No other closed form is needed. At m = 1 the trace norm of the single block
-is the same sum, bitwise. For block-diagonal u the sum of the diagonal
-blocks' trace norms is the same sum up to summation order, since the other
-blocks contribute exact zeros. The sum of the moduli of all scalar entries
-never beats it, since a block's trace norm is at most the sum of its
-entries' moduli.
+The upper bound rests on three facts. The flip element has norm 1, since
+every couple maps it to its own element. Axiom 2 holds for rectangular
+scalar matrices, since it passes through every amplified map, so the atom
+``A . flip . B`` (A of size m x n, B of size n x m; entry (i, j) of block
+(k, l) is ``A[k, j] B[i, l]``) has norm at most ``|A|_op |B|_op``. And the
+norm obeys the triangle inequality. The realignment of u, the (mn) x (nm)
+matrix ``U[(k, j), (i, l)] = u[k, l, i, j]``, turns each atom into the rank-one
+matrix ``vec(A) vec(B)^T``, so every rank-one decomposition of U is a
+decomposition of u into atoms. One SVD ``U = X S Yh`` gives one, with
+``A_t = s_t X[:, t]`` and ``B_t = Yh[t]`` reshaped, worth
+``sum_t s_t |X_t|_op |Y_t|_op``: at most the trace norm of U, which is at
+most the sum of the blocks' trace norms, and exactly the block's trace norm
+at m = 1. Singular values that tie span a space with no preferred basis; a
+DFT rotation of their atoms leaves their sum unchanged and is kept for each
+cluster where it lowers the cluster's value (on the flip-like witness
+``diag(e_11, ..., e_nn)`` it certifies 1 where the plain atoms give n).
+
+Floating point enters twice. The SVD does not rebuild u exactly, so the
+certificate carries the residual ``u - sum_t A_t . flip . B_t`` and adds the
+sum of its blocks' trace norms. That sum bounds the residual's norm: a
+matrix with one nonzero block has that block's trace norm as its norm
+(a permutation moves the block to the corner, padding drops the rest, and
+at m = 1 the norm is the trace norm), and the triangle inequality adds the
+blocks up. The singular values and the residual
+are themselves computed with rounding error, so the total is rounded
+outward by the relative margin ``UPPER_MARGIN * m * n``, a few times the
+error of a backward-stable SVD of U; it is stated, not proven.
 """
 
 from __future__ import annotations
@@ -52,7 +70,9 @@ __all__ = [
     "structured_couples",
     "random_couple",
     "search_lower_bound",
+    "UpperCertificate",
     "hat_upper_bound",
+    "check_upper_certificate",
     "hat_bounds",
     "block_diag_lower",
     "ConvexityReport",
@@ -70,6 +90,14 @@ DEFAULT_BUDGET = 64
 
 RANDOM_CHUNK = 64  # random couples per batched evaluation; bounds the memory a budget takes
 
+UPPER_RULE = "realignment"
+
+# outward rounding of the upper bound, relative, per unit of m * n
+UPPER_MARGIN = 8 * np.finfo(float).eps
+
+# singular values closer than this, relative to the largest, count as tied
+TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -79,11 +107,28 @@ class SearchResult:
 
 
 @dataclass(frozen=True, eq=False)
+class UpperCertificate:
+    """A decomposition ``u = sum_t A_t . flip . B_t + residual`` and the upper bound it gives.
+
+    ``left`` is the (T, m, n) stack of the A_t, ``right`` the (T, n, m)
+    stack of the B_t and ``residual`` an (m, m, n, n) block array. ``value``
+    is ``sum_t |A_t|_op |B_t|_op`` plus the sum of the residual blocks'
+    trace norms, rounded outward; :func:`check_upper_certificate` recomputes it.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    residual: np.ndarray
+    value: float
+
+
+@dataclass(frozen=True, eq=False)
 class NormBounds:
     """Certified interval for the norm of an m x m block matrix.
 
     ``certificate`` is the couple achieving ``lower``; re-evaluating it
-    reproduces the bound. ``upper_rule`` names the rule that gave ``upper``.
+    reproduces the bound. ``upper_rule`` names the rule that gave ``upper``,
+    and ``upper_certificate`` is the decomposition worth ``upper``.
     """
 
     n: int
@@ -92,6 +137,7 @@ class NormBounds:
     upper: float
     upper_rule: str
     certificate: Couple
+    upper_certificate: UpperCertificate
 
     def to_json(self) -> dict:
         return {
@@ -222,10 +268,84 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     return SearchResult(float(best_val), best_couple, evaluated)
 
 
-def hat_upper_bound(n: int, u):
-    """Sum of the trace norms of all blocks, from one batched SVD; returns (value, rule)."""
+def _realign(u4: np.ndarray) -> np.ndarray:
+    """The (mn) x (nm) matrix ``U[(k, j), (i, l)] = u4[k, l, i, j]``."""
+    m, _, n, _ = u4.shape
+    return u4.transpose(0, 3, 2, 1).reshape(m * n, n * m)
+
+
+def _residual(u4: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Blocks of ``u4`` less the atoms ``left[t] . flip . right[t]``, computed on the realignment."""
+    m, _, n, _ = u4.shape
+    rest = _realign(u4) - left.reshape(len(left), m * n).T @ right.reshape(len(right), n * m)
+    return rest.reshape(m, n, n, m).transpose(0, 3, 2, 1)  # the realignment is its own inverse
+
+
+def _atom_values(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``|left[t]|_op |right[t]|_op`` for each atom, from one batched SVD over both sides."""
+    ops = np.linalg.svd(np.concatenate([left, right.swapaxes(1, 2)]), compute_uv=False)[:, 0]
+    return ops[: len(left)] * ops[len(left):]
+
+
+def _certified_value(left: np.ndarray, right: np.ndarray, residual: np.ndarray) -> float:
+    """The atoms' values plus the residual blocks' trace norms, rounded outward."""
+    m, n = left.shape[1:]
+    raw = _atom_values(left, right).sum() + np.linalg.svd(residual, compute_uv=False).sum()
+    return float(raw * (1.0 + UPPER_MARGIN * m * n))
+
+
+def _tie_clusters(s: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of two or more nonincreasing singular values that tie; none if all are 0."""
+    apart = s[:-1] - s[1:] > TIE_RTOL * s[0]
+    if apart.all() or not s[0]:
+        return []
+    edges = [0, *(np.flatnonzero(apart) + 1), len(s)]
+    return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 1]
+
+
+def _rotate(stack: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``sum_r f[r, t] stack[r]`` for each t."""
+    return (f.T @ stack.reshape(len(stack), -1)).reshape(stack.shape)
+
+
+def hat_upper_bound(n: int, u) -> UpperCertificate:
+    """Upper bound from the SVD of the realignment of u, as a checked decomposition into flip atoms.
+
+    Each cluster of tied singular values keeps its plain atoms or their DFT
+    rotation, whichever is worth less.
+    """
     u4 = linalg.as_block_array(u, block_size=n)
-    return float(np.linalg.svd(u4, compute_uv=False).sum(axis=-1).sum()), "entry_trace_sum"
+    m = u4.shape[0]
+    x, s, yh = np.linalg.svd(_realign(u4), full_matrices=False)
+    left = np.ascontiguousarray((x * s).T).reshape(-1, m, n)
+    right = yh.reshape(-1, n, m)
+    clusters = _tie_clusters(s)
+    if clusters:
+        values = _atom_values(left, right)
+        for a, b in clusters:  # the rotation is unitary, so the atoms' sum stays U
+            k = b - a
+            f = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k) / np.sqrt(k)
+            rotated = _rotate(left[a:b], f), _rotate(right[a:b], f.conj())
+            if _atom_values(*rotated).sum() < values[a:b].sum():
+                left[a:b], right[a:b] = rotated
+    residual = _residual(u4, left, right)
+    return UpperCertificate(left, right, residual, _certified_value(left, right, residual))
+
+
+def check_upper_certificate(cert: UpperCertificate, u) -> bool:
+    """True when ``cert`` bounds the norm of u.
+
+    Recomputes the residual from u and the atoms, which must equal the
+    certificate's, and the value, which must not exceed the certificate's.
+    """
+    u4 = linalg.as_block_array(u)
+    m, _, n, _ = u4.shape
+    left, right = np.asarray(cert.left), np.asarray(cert.right)
+    if left.ndim != 3 or left.shape[1:] != (m, n) or right.shape != (len(left), n, m):
+        return False
+    residual = _residual(u4, left, right)
+    return bool(np.array_equal(residual, cert.residual)
+                and _certified_value(left, right, residual) <= cert.value)
 
 
 def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
@@ -236,16 +356,17 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
     """
     u4 = linalg.as_block_array(u, block_size=n)
     m = u4.shape[0]
-    upper, rule = hat_upper_bound(n, u4)
+    cert = hat_upper_bound(n, u4)
+    upper = cert.value
     result = search_lower_bound(n, u4, catalog=catalog, budget=budget, seed=seed,
                                 optimizer_config=optimizer_config)
     if result.value > upper + CONSISTENCY_TOL * max(1.0, upper):
         raise InconsistencyError(
             f"lower bound {result.value:.12g} via {result.couple.space.space_id} exceeds "
-            f"upper bound {upper:.12g} from rule {rule}",
-            lower=result.value, upper=upper, rule=rule, couple=result.couple,
+            f"upper bound {upper:.12g} from rule {UPPER_RULE}",
+            lower=result.value, upper=upper, rule=UPPER_RULE, couple=result.couple,
         )
-    return NormBounds(n, m, result.value, upper, rule, result.couple)
+    return NormBounds(n, m, result.value, upper, UPPER_RULE, result.couple, cert)
 
 
 def block_diag_lower(n: int, blocks) -> float:
@@ -274,6 +395,7 @@ class ConvexityReport:
     n: int
     p: float
     lower_on_sum: float
+    upper_on_sum: float
     bound_if_convex: float
     violated: bool
 
@@ -284,7 +406,8 @@ def convexity_violation(n: int, p: float) -> ConvexityReport:
     The flip element has norm exactly 1, so p-convexity would cap its
     doubled block-diagonal at 2^(1/p). The couple (trace-norm scalars,
     identity/n) already pushes the doubled element to 2: its amplified image
-    is the couple element repeated twice on the diagonal, of trace norm 2.
+    is the couple element repeated twice on the diagonal, of trace norm 2,
+    and the realignment rule bounds it by 2, one flip atom per copy.
     """
     if n < 1:
         raise InvalidInputError(f"size must be positive, got {n}")
@@ -296,7 +419,7 @@ def convexity_violation(n: int, p: float) -> ConvexityReport:
     doubled[n:, n:] = flip
     lower_on_sum = couple_value(_trace_identity_couple(n), doubled)
     bound_if_convex = float(2.0 ** (1.0 / p))
-    return ConvexityReport(n, p, lower_on_sum, bound_if_convex,
+    return ConvexityReport(n, p, lower_on_sum, hat_upper_bound(n, doubled).value, bound_if_convex,
                            lower_on_sum > bound_if_convex + 1e-6)
 
 

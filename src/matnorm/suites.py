@@ -51,6 +51,8 @@ def _check(check_id, description, claim, kind, observed, expected, tolerance):
         ok = abs(observed - expected) <= tolerance
     elif kind == "le":
         ok = observed <= expected + tolerance
+    elif kind == "lt":
+        ok = observed + tolerance < expected
     elif kind == "ge":
         ok = observed >= expected - tolerance
     elif kind == "bool":
@@ -339,14 +341,17 @@ def _suite_prop14(n_values, **_):
 
 
 def _suite_convexity(n_values, p_values, **_):
+    witness_n = [n for n in (n_values or range(2, 7)) if n > 1]
     n_values = n_values or DEFAULT_N_VALUES
-    p_values = p_values or (1.01, 1.5, 2.0, 10.0)
+    p_values = p_values or (1.01, 1.5, 2.0, 10.0, math.inf)
     checks = []
     min_lower = np.inf
+    off_two = {}
     for n in n_values:
         for p in p_values:
             rep = hatspace.convexity_violation(n, p)
             min_lower = min(min_lower, rep.lower_on_sum)
+            off_two[n] = max(abs(rep.lower_on_sum - 2.0), abs(rep.upper_on_sum - 2.0))
             checks.append(_check(
                 f"convexity.violated.n{n}.p{p:g}", f"block-doubling beats the l_{p:g} bound (n={n})",
                 f"the doubled flip element reaches 2 while p-convexity would cap it at 2^(1/{p:g})",
@@ -357,6 +362,25 @@ def _suite_convexity(n_values, p_values, **_):
         "the trace-norm scalar couple evaluates the doubled flip element to twice its unit trace norm",
         "ge", float(min_lower), 2.0, 1e-9,
     ))
+    for n, off in off_two.items():
+        checks.append(_check(
+            f"convexity.additive.n{n}", f"doubled flip element certified [2, 2] (n={n})",
+            "on the doubled flip element the norm adds like an l_1 sum: both ends of its interval are 2",
+            "le", off, 0.0, 1e-9,
+        ))
+    for n in witness_n:
+        x = np.zeros((n, n, n, n), dtype=complex)
+        x[range(n), range(n), range(n), range(n)] = 1.0
+        cert = hatspace.hat_upper_bound(n, x)
+        upper = cert.value if hatspace.check_upper_certificate(cert, x) else math.inf
+        # each summand e_kk is a single block, whose norm is its trace norm (thm6)
+        l1_sum = sum(linalg.trace_norm(x[k, k]) for k in range(n))
+        checks.append(_check(
+            f"convexity.not_l1.n{n}", f"diag(e_11, ..., e_nn) is certified below the l_1 sum of its summands (n={n})",
+            "an L^1 direct-sum rule would give the sum n of the summands' unit norms; "
+            "a checked realignment certificate bounds the norm by about 1",
+            "lt", upper, l1_sum, 0.0,
+        ))
     return checks
 
 

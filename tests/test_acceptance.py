@@ -60,11 +60,14 @@ def test_05_block_diagonal_lower_bound():
 
 
 def test_06_convexity_violation_witness():
-    # all n in 1..4 and p in {1.01, 1.5, 2, 10}: doubled flip element
-    # reaches 2 > 2^(1/p)
+    # all n in 1..4 and p in {1.01, 1.5, 2, 10, inf}: doubled flip element
+    # reaches 2 > 2^(1/p), and is certified [2, 2] as an l_1 sum would be;
+    # n in 2..6: diag(e_11, ..., e_nn) is certified below n, its l_1 sum
     report = run_suite("convexity", seed=SEED)
     ids = [c["id"] for c in report["checks"] if c["kind"] == "bool"]
-    assert len(ids) == 16
+    assert len(ids) == 20
+    assert sum(c["id"].startswith("convexity.additive.") for c in report["checks"]) == 4
+    assert sum(c["id"].startswith("convexity.not_l1.") for c in report["checks"]) == 5
     assert_suite("convexity violation", report)
 
 

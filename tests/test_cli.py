@@ -93,7 +93,7 @@ class TestHatBoundsCommand:
         path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
         assert main(["hat-bounds", path, "--budget", "20", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "lower=" in out and "upper=4" in out
+        assert "lower=1 " in out and "upper=1 by rule realignment" in out
 
     def test_json_schema(self, tmp_path, capsys):
         path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))

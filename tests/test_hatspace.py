@@ -1,6 +1,7 @@
 """Bound engine: lower/upper rules, certificates, and the quantitative checks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from matnorm import (
     c_max,
     c_min,
     canonical_identity,
+    check_upper_certificate,
     convexity_violation,
     couple_value,
     default_catalog,
@@ -25,6 +27,7 @@ from matnorm import (
     hat_bounds,
     hat_upper_bound,
     l1_functional_check,
+    operator_norm,
     optimize_couple,
     random_couple,
     random_unitary,
@@ -32,6 +35,7 @@ from matnorm import (
     split_blocks,
     trace_norm,
 )
+from matnorm.hatspace import UPPER_MARGIN
 
 
 def gauss(rng, shape):
@@ -138,58 +142,154 @@ class TestLowerBound:
         assert result.value <= 1.0 + 1e-9
 
 
+def realign(u):
+    m, _, n, _ = u.shape
+    return u.transpose(0, 3, 2, 1).reshape(m * n, n * m)
+
+
+def entry_trace_sum(u):
+    return sum(trace_norm(b) for row in u for b in row)
+
+
+def plain_atoms_value(u):
+    """Loop reference: the SVD atoms of the realignment, unrotated, each valued alone."""
+    m, _, n, _ = u.shape
+    x, s, yh = np.linalg.svd(realign(u))
+    return sum(s[t] * operator_norm(x[:, t].reshape(m, n)) * operator_norm(yh[t].reshape(n, m))
+               for t in range(len(s)))
+
+
+def diagonal_witness(n):
+    """diag(e_11, ..., e_nn) at level n: its realignment has n equal singular values."""
+    x = np.zeros((n, n, n, n), dtype=complex)
+    for k in range(n):
+        x[k, k, k, k] = 1.0
+    return x
+
+
+def doubled_flip(n):
+    d = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
+    d[:n, :n] = d[n:, n:] = canonical_identity(n)
+    return d
+
+
 class TestUpperBound:
     def test_level_one_is_trace_norm(self):
         a = np.diag([1.0, 1.0]).astype(complex)
-        value, rule = hat_upper_bound(2, single_block(a))
-        assert rule == "entry_trace_sum"
-        assert value == pytest.approx(2.0, abs=1e-12)
+        assert hat_upper_bound(2, single_block(a)).value == pytest.approx(2.0, abs=1e-12)
 
-    def test_flip_element_rules_give_four(self):
-        value, rule = hat_upper_bound(2, canonical_identity(2))
-        assert value == pytest.approx(4.0, abs=1e-12)
-        assert rule == "entry_trace_sum"
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_level_one_is_trace_norm_up_to_the_margin(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            a = gauss(rng, (n, n))
+            cert = hat_upper_bound(n, single_block(a))
+            assert trace_norm(a) <= cert.value <= trace_norm(a) * (1 + 2 * UPPER_MARGIN * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_flip_element_gives_one(self, n):
+        cert = hat_upper_bound(n, canonical_identity(n))
+        assert 1.0 <= cert.value <= 1.0 + 2 * UPPER_MARGIN * n * n
+        assert check_upper_certificate(cert, canonical_identity(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_tied_atoms_rotated_on_diagonal_witness(self, n):
+        # plain SVD atoms are the n summands, worth 1 each; their DFT rotation is worth 1 in all
+        cert = hat_upper_bound(n, diagonal_witness(n))
+        assert plain_atoms_value(diagonal_witness(n)) == pytest.approx(n, abs=1e-12)
+        assert 1.0 <= cert.value <= 1.0 + 2 * UPPER_MARGIN * n * n
+        assert check_upper_certificate(cert, diagonal_witness(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_doubled_flip_gives_two(self, n):
+        assert hat_upper_bound(n, doubled_flip(n)).value == pytest.approx(2.0, abs=1e-12)
 
     def test_single_nonzero_block(self):
         rng = np.random.default_rng(5)
         a = gauss(rng, (2, 2))
         u = np.zeros((2, 2, 2, 2), dtype=complex)
         u[0, 0] = a
-        value, rule = hat_upper_bound(2, u)
-        assert value == pytest.approx(trace_norm(a), abs=1e-9)
-        assert rule == "entry_trace_sum"
+        assert hat_upper_bound(2, u).value == pytest.approx(trace_norm(a), abs=1e-9)
 
     def test_off_diagonal_block_uses_entry_sum(self):
         rng = np.random.default_rng(5)
         u = np.zeros((2, 2, 2, 2), dtype=complex)
         u[0, 1] = gauss(rng, (2, 2))
-        value, rule = hat_upper_bound(2, u)
-        assert value == pytest.approx(trace_norm(u[0, 1]), abs=1e-9)
-        assert rule == "entry_trace_sum"
+        assert hat_upper_bound(2, u).value == pytest.approx(trace_norm(u[0, 1]), abs=1e-9)
 
     def test_block_diagonal_uses_block_rule(self):
         rng = np.random.default_rng(6)
         u = np.zeros((2, 2, 2, 2), dtype=complex)
         u[0, 0] = gauss(rng, (2, 2))
         u[1, 1] = gauss(rng, (2, 2))
-        value, rule = hat_upper_bound(2, u)
-        # the block-diagonal closed form is the same sum: off-diagonal blocks add exact zeros
-        assert rule == "entry_trace_sum"
+        # the realignment is block diagonal too, with atoms of one block each
+        value = hat_upper_bound(2, u).value
         assert value == pytest.approx(trace_norm(u[0, 0]) + trace_norm(u[1, 1]), abs=1e-9)
 
     def test_entry_trace_sum_never_worse_than_entrywise(self):
         rng = np.random.default_rng(7)
         u = gauss(rng, (3, 3, 2, 2))
-        value, _ = hat_upper_bound(2, u)
-        assert value <= float(np.abs(u).sum()) + 1e-9
+        value = hat_upper_bound(2, u).value
+        assert value <= entry_trace_sum(u) <= float(np.abs(u).sum()) + 1e-9
+
+    def test_chain_below_realigned_trace_norm_and_entry_trace_sum(self):
+        # O <= R (up to the margin) <= the sum of the blocks' trace norms
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            m, n = 1 + trial % 3, 1 + (trial // 3) % 3
+            u = gauss(rng, (m, m, n, n))
+            u[rng.uniform(size=(m, m)) < 0.3] = 0.0
+            value = hat_upper_bound(n, u).value
+            realigned = trace_norm(realign(u)) if u.any() else 0.0
+            assert value <= realigned * (1 + 2 * UPPER_MARGIN * m * n)
+            assert realigned <= entry_trace_sum(u) * (1 + 1e-12)
+
+    def test_never_worse_than_plain_atoms(self):
+        # permuted ties, where the DFT rotation of a cluster can be worth more than its plain atoms
+        rng = np.random.default_rng(24)
+        for trial in range(40):
+            m, n = 2 + trial % 2, 1 + trial % 3
+            k = m * n
+            s = np.sort(rng.integers(1, 3, size=k).astype(float))[::-1]
+            big = (np.eye(k)[rng.permutation(k)] * s) @ np.eye(k)[rng.permutation(k)]
+            u = big.reshape(m, n, n, m).transpose(0, 3, 2, 1)
+            value = hat_upper_bound(n, u).value
+            assert value <= plain_atoms_value(u) * (1 + 2 * UPPER_MARGIN * m * n)
+
+    def test_atoms_and_residual_rebuild_u(self):
+        # atom t is the scalar product A_t . flip . B_t: block (k, l) is sum_pq A_t[k, p] flip[p, q] B_t[q, l]
+        rng = np.random.default_rng(26)
+        for m, n in [(1, 2), (2, 3), (3, 2), (2, 2)]:
+            u = gauss(rng, (m, m, n, n)) if m != n else diagonal_witness(n)
+            cert = hat_upper_bound(n, u)
+            atoms = sum(np.einsum("kp,pqij,ql->klij", a, canonical_identity(n), b)
+                        for a, b in zip(cert.left, cert.right))
+            np.testing.assert_allclose(atoms + cert.residual, u, rtol=0, atol=1e-12)
+
+    def test_checker_rejects_tampering(self):
+        rng = np.random.default_rng(25)
+        u = gauss(rng, (2, 2, 3, 3))
+        cert = hat_upper_bound(3, u)
+        assert check_upper_certificate(cert, u)
+        left = cert.left.copy()
+        left[0, 0, 0] *= 1 + 1e-6
+        assert not check_upper_certificate(replace(cert, left=left), u)
+        residual = cert.residual.copy()
+        residual[1, 0, 2, 1] += 1e-6
+        assert not check_upper_certificate(replace(cert, residual=residual), u)
+        assert not check_upper_certificate(replace(cert, value=cert.value * (1 - 1e-9)), u)
+        assert not check_upper_certificate(replace(cert, right=cert.right[:-1]), u)
+        assert not check_upper_certificate(cert, 2 * u)
 
 
 class TestBounds:
     def test_flip_interval(self):
         b = hat_bounds(2, canonical_identity(2), budget=30, seed=8)
         assert b.lower == pytest.approx(1.0, abs=1e-9)
-        assert b.upper == pytest.approx(4.0, abs=1e-12)
-        assert b.lower <= b.upper + 1e-9
+        assert b.upper == pytest.approx(1.0, abs=1e-12)
+        assert b.lower < b.upper
+        assert b.upper_rule == "realignment"
+        assert check_upper_certificate(b.upper_certificate, canonical_identity(2))
         # the certificate reproduces the reported bound
         assert couple_value(b.certificate, canonical_identity(2)) == pytest.approx(b.lower, abs=1e-12)
 
@@ -207,6 +307,12 @@ class TestBounds:
     def test_zero_interval(self):
         b = hat_bounds(2, np.zeros((2, 2, 2, 2)), budget=10, seed=12)
         assert (b.lower, b.upper) == (0.0, 0.0)
+        assert check_upper_certificate(b.upper_certificate, np.zeros((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_flip_interval_is_one_and_ordered(self, n):
+        b = hat_bounds(n, canonical_identity(n), budget=8, seed=n)
+        assert b.lower <= 1.0 + 1e-12 and b.lower < b.upper <= 1.0 + 2 * UPPER_MARGIN * n * n
 
     def test_lying_space_raises_inconsistency(self):
         # understates feasibility norms, inflates image norms
@@ -250,7 +356,7 @@ class TestSoundness:
             n = 2 + trial % 2
             m = 1 + trial % 3
             u = gauss(rng, (m, m, n, n))
-            cap = hat_upper_bound(n, u)[0] + 1e-9
+            cap = hat_upper_bound(n, u).value + 1e-9
             for space in default_catalog(n):
                 for _ in range(5):
                     couple = random_couple(space, n, rng)
@@ -300,11 +406,15 @@ class TestIntervalProperty:
     def test_lower_below_upper_at_every_scale(self, m, n, exponent, kind, seed):
         rng = np.random.default_rng(seed)
         u = 10.0 ** exponent * structured_input(kind, m, n, rng)
-        b = hat_bounds(n, u, budget=4, seed=seed, optimizer_config=self.FAST)
+        with np.errstate(over="raise"):
+            b = hat_bounds(n, u, budget=4, seed=seed, optimizer_config=self.FAST)
+        # lower <= O <= R (up to the margin) <= the sum of the blocks' trace norms
+        realigned = trace_norm(realign(u)) if u.any() else 0.0
         assert b.lower <= b.upper * (1 + 1e-9)
-        per_block = sum(trace_norm(u[k, l]) for k in range(m) for l in range(m))
-        assert b.upper == pytest.approx(per_block, rel=1e-12, abs=0.0)
-        assert b.upper_rule == "entry_trace_sum"
+        assert b.upper <= realigned * (1 + 2 * UPPER_MARGIN * m * n)
+        assert realigned <= entry_trace_sum(u) * (1 + 1e-12)
+        assert b.upper_rule == "realignment"
+        assert check_upper_certificate(b.upper_certificate, u)
 
 
 class TestBlockDiagLower:

@@ -211,6 +211,25 @@ class NanAbove(TraceScalars):
         return np.where(values > self.cap, np.nan, values) if coords.shape[-3] == 1 else values
 
 
+@dataclass(frozen=True, eq=False)
+class CreepBelow(TraceScalars):
+    """cmax whose level-``level`` norms below ``floor`` are squeezed to within 1e-13 of it.
+
+    The squeeze is increasing, so the ascent takes the same points as on
+    cmax; only the gains change. With ``floor`` set to the value after one
+    step, that step gains at most ``TOLERANCE`` and the next one gains fully.
+    """
+
+    level: int
+    floor: float
+
+    def norm_batch(self, coords):
+        values = super().norm_batch(coords)
+        if coords.shape[-3] != self.level:
+            return values
+        return np.where(values < self.floor, self.floor - (self.floor - values) * 1e-13, values)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the optimizer as one sequential loop that finishes a restart
 # before it starts the next, with single-element polar proposals, and that
@@ -354,5 +373,26 @@ class TestLockstepEquivalence:
         if not u4.any():
             return
         ref_v, ref_value = reference_optimize(space, n, u4, cfg, starts, seed)
+        assert value == ref_value
+        np.testing.assert_array_equal(couple.v.coords, ref_v)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sub_tolerance_gain_does_not_end_a_restart(self, seed):
+        # a step gaining at most TOLERANCE counts toward the stall limit but
+        # does not end the restart: the step after it gains fully
+        rng = np.random.default_rng(seed)
+        m, n = 2, 3
+        u4 = gauss(rng, (m, m, n, n))
+        coords = gauss(rng, (n, n, 1))
+        one_step = OptimizerConfig(restarts=1, iterations=1)
+        _, floor = optimize_couple(c_max(), n, u4, one_step, starts=[c_max().element(coords)])
+        space = CreepBelow("creep", 1, None, m, floor)
+        start = space.element(coords)
+        start_value = space.norm(amplified_image(space.element(space.unit_scaled_stack(coords[None])[0]), u4))
+        _, first = optimize_couple(space, n, u4, one_step, starts=[start])
+        cfg = OptimizerConfig(restarts=1, iterations=3, stall_limit=2)
+        couple, value = optimize_couple(space, n, u4, cfg, starts=[start])
+        assert 0 < first - start_value <= TOLERANCE < value - first
+        ref_v, ref_value = reference_optimize(space, n, u4, cfg, [start], 0)
         assert value == ref_value
         np.testing.assert_array_equal(couple.v.coords, ref_v)
