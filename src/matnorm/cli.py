@@ -50,7 +50,7 @@ def _block_matrix(data: dict, path: str):
         if key not in data:
             raise InvalidInputError(f"{path}: missing key {key!r}")
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (n, m)):
         raise InvalidInputError(f"{path}: n and m must be positive integers")
     arr = pairs_to_complex(data["blocks"])
     if arr.shape != (m, m, n, n):

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and its one integer-argument check."""
 
+import numbers
+
 
 class MatnormError(Exception):
     """Base class for all package errors."""
@@ -29,6 +31,6 @@ class InconsistencyError(MatnormError):
 
 
 def require_int(name: str, value, low: int) -> None:
-    """Raise ``InvalidInputError`` unless ``value`` is an int (bool excluded) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    """Raise ``InvalidInputError`` unless ``value`` is an integer (numpy's too, not bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise InvalidInputError(f"{name} must be an integer of at least {low}, got {value!r}")

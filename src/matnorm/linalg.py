@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, require_int
 
 __all__ = [
     "as_matrix",
@@ -41,6 +41,8 @@ def as_matrix(a) -> np.ndarray:
 
 def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
     """Coerce ``blocks`` to an (m, m, n, n) array of square blocks, m and n positive."""
+    if block_size is not None:
+        require_int("block size", block_size, 1)
     try:
         arr = np.asarray(blocks, dtype=complex)
     except (ValueError, TypeError) as exc:

@@ -14,10 +14,10 @@ space without a polar step, or a vanishing linearization) only shrinks the
 point, so such a restart ends after one step with its start.
 
 The restarts advance in lockstep: each step makes one ``polar_proposal``
-call over the stack of running restarts, then one rescale, amplification and
-batched norm over their four candidates each. Steps draw nothing; the drawn
-starts come first, in restart order. So a sequential run is this loop with a
-batch of one, and the result is the same for any batching.
+call over the images of the running restarts, then one amplification and
+``norm_batch`` over their four candidates each (a convex combination of
+unit-ball points needs no rescale). Steps draw nothing; the drawn starts come
+first, in restart order, so any batching gives a sequential run's result.
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correspondence import amplified_image, amplified_images
+from .correspondence import amplified_image, amplified_images  # noqa: F401 (bench/tracing.py patches the first)
 from .errors import InvalidInputError, require_int
 from .spaces import Couple, LeveledElement, MatricialSpace, random_element
 
@@ -55,40 +55,42 @@ class OptimizerConfig:
             require_int(name, getattr(self, name), low)
 
 
-def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, vals: np.ndarray,
-            cfg: OptimizerConfig) -> None:
-    """Run the restarts of a (R, n, n, dim) stack in lockstep, updating ``coords`` and ``vals`` in place.
+def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+    """Run the restarts of a (R, n, n, dim) stack in lockstep, updating ``coords`` in place; returns their values.
 
-    Per restart, a step keeps the best of its four candidates when that beats
-    the current value (the first best wins; NaN never does), and the restart
-    ends when it does not.
+    Per restart, a step keeps the best of its four candidates, and the image
+    it was valued by, when that beats the current value (the first best
+    wins; NaN never does), and the restart ends when it does not.
     """
+    images = amplified_images(coords, u4)
+    vals = space.norm_batch(images)
     active = np.arange(len(vals))
     stall = np.zeros(len(vals), dtype=int)
     for _ in range(cfg.iterations):
         if not active.size:
             break
-        v = coords[active]
-        candidates = (1.0 - _LINE_SEARCH) * v[:, None] + _LINE_SEARCH * space.polar_proposal(v, u4)[:, None]
-        flat = space.unit_scaled_stack(candidates.reshape(-1, *v.shape[1:]))
-        values = space.norm_batch(amplified_images(flat, u4)).reshape(-1, 4)
+        v, proposals = coords[active], space.polar_proposal(images[active], u4)
+        flat = ((1.0 - _LINE_SEARCH) * v[:, None] + _LINE_SEARCH * proposals[:, None]).reshape(-1, *v.shape[1:])
+        flat_images = amplified_images(flat, u4)
+        values = space.norm_batch(flat_images).reshape(-1, 4)
         pick = 4 * np.arange(len(active)) + np.argmax(np.where(np.isnan(values), -np.inf, values), axis=1)
         top, current = values.ravel()[pick], vals[active]
         better = top > current
-        coords[active[better]] = flat[pick[better]]
-        vals[active[better]] = top[better]
+        won, pick = active[better], pick[better]
+        coords[won], images[won], vals[won] = flat[pick], flat_images[pick], top[better]
         stall[active] = np.where(top > current + TOLERANCE, 0, stall[active] + 1)
         active = active[better & (stall[active] < cfg.stall_limit)]
+    return vals
 
 
 def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | None = None,
                     starts=None, seed=0):
     """Best couple found by multi-restart ascent; returns (couple, value).
 
-    Restarts beyond the given ``starts`` start from Gaussian draws. The
-    returned element is feasible by radial projection, ties between restarts
-    go to the first one found, and the reported value is the returned
-    couple's. Deterministic per seed.
+    Restarts beyond the given ``starts`` start from Gaussian draws, and only
+    the starts are rescaled into the ball. The returned element is feasible by
+    convexity, ties between restarts go to the first one found, and the
+    reported value is the returned couple's. Deterministic per seed.
     """
     cfg = config or OptimizerConfig()
     u4 = linalg.as_block_array(u, block_size=n)
@@ -103,8 +105,7 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     for r in range(cfg.restarts):
         coords[r] = starts[r].coords if r < len(starts) else random_element(space, n, rng).coords
     space.unit_scaled_stack(coords)
-    vals = np.array([space.norm(amplified_image(LeveledElement(space.space_id, c), u4)) for c in coords])
-    _ascend(space, u4, coords, vals, cfg)
+    vals = _ascend(space, u4, coords, cfg)
 
     best = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))  # ties go to the first restart
     if np.isnan(vals[best]):

@@ -141,14 +141,14 @@ class MatricialSpace:
         """
         return np.empty((0, n, n, self.dim), dtype=complex)
 
-    def polar_proposal(self, coords: np.ndarray, u4: np.ndarray) -> np.ndarray:
+    def polar_proposal(self, images: np.ndarray, u4: np.ndarray) -> np.ndarray:
         """Closed-form maximizer over the unit ball of the objective linearized at each element of a stack.
 
-        Takes and returns a (B, n, n, dim) stack. A zero row means no
-        proposal: the space has no such step, or the linearization vanishes;
-        that restart ends.
+        Takes the (B, m, m, dim) images of the elements under u4 and returns
+        a (B, n, n, dim) stack. A zero row means no proposal: the space has no
+        such step, or the linearization vanishes; that restart ends.
         """
-        return np.zeros_like(coords)
+        return np.zeros((len(images), *u4.shape[2:], self.dim), dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +200,11 @@ class ScalarSpace(MatricialSpace):
             coords.extend(self._shrink(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))]), n))
         return np.stack(coords)[..., None]
 
-    def polar_proposal(self, coords, u4):
-        # One einsum per element: a batched einsum sums in another order and
-        # changes the last bits. The SVDs and products below are batched; they
-        # give the same bits as one call per matrix.
-        images = np.stack([np.einsum("klji,ij->kl", u4, c[:, :, 0]) for c in coords])
+    def polar_proposal(self, images, u4):
+        # The pullbacks take one einsum per element: a batched einsum sums in
+        # another order and changes the last bits. The SVDs and products are
+        # batched; they give the same bits as one call per matrix.
+        images = images[..., 0]
         pullbacks = self._pullback(images, u4)
         live = images.any(axis=(1, 2)) & pullbacks.any(axis=(1, 2))
         # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball
@@ -266,15 +266,14 @@ class OperatorSpace(MatricialSpace):
             coords.append(linalg.canonical_identity(n).reshape(n, n, n * n))
         return np.stack(coords)
 
-    def polar_proposal(self, coords, u4):
-        k, b, n, m = self.k, *coords.shape[:2], u4.shape[0]
-        # one einsum per element, as for the scalar spaces
-        images = np.stack([np.einsum("klji,ijab->klab", u4, c.reshape(n, n, k, k)) for c in coords])
-        images = images.transpose(0, 1, 3, 2, 4).reshape(b, m * k, m * k)  # assembled
+    def polar_proposal(self, images, u4):
+        k, b, m, n = self.k, len(images), *u4.shape[1:3]
+        images = images.reshape(b, m, m, k, k).transpose(0, 1, 3, 2, 4).reshape(b, m * k, m * k)  # assembled
         # top singular pair of each image
         x, _, yh = np.linalg.svd(images)
         xc = x[..., 0].reshape(b, m, k)
         yc = yh[:, 0].conj().reshape(b, m, k)
+        # one einsum per element, as for the scalar spaces
         pulls = np.stack([np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr) for xr, yr in zip(xc, yc)])
         pulls = pulls.transpose(0, 1, 3, 2, 4).reshape(b, n * k, n * k)
         live = images.any(axis=(1, 2)) & pulls.any(axis=(1, 2))
@@ -499,7 +498,8 @@ class AxiomReport:
     worst_case_inputs: dict
 
 
-def _sample_element(space, level, rng, variant):
+def _draw_element(space, level, rng, variant):
+    """Coordinates of one sample before its rescale onto the unit sphere."""
     if variant == 1:
         # single elementary coordinate at a random position
         coords = np.zeros((level, level, space.dim), dtype=complex)
@@ -515,7 +515,14 @@ def _sample_element(space, level, rng, variant):
         coords = scalar_action(u, LeveledElement(space.space_id, coords), u.conj().T).coords
     else:
         coords = random_element(space, level, rng).coords
-    return LeveledElement(space.space_id, space.unit_scaled_stack(coords[None], sphere=True)[0])
+    return coords
+
+
+def _first_max(values: np.ndarray, floor: float) -> int | None:
+    """Index of the first largest value above ``floor`` (NaN never counts), or None."""
+    values = np.where(np.isnan(values), -np.inf, values)
+    best = int(np.argmax(values))
+    return best if values[best] > floor else None
 
 
 def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4) -> AxiomReport:
@@ -523,9 +530,14 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
 
     Records the largest absolute padding-equality violation and the largest
     positive part of the scalar-action inequality, together with serialized
-    worst-case inputs. Samples mix normalized Gaussian elements with
-    structured ones (elementary, unitary-conjugated diagonal) to hit the
-    equality edges.
+    worst-case inputs (the first trial attaining each). Samples mix
+    normalized Gaussian elements with structured ones (elementary,
+    unitary-conjugated diagonal) to hit the equality edges.
+
+    Each level draws its trials in turn (sample, padding, then the scalar
+    factors) and then evaluates them as stacks: one ``norm_batch`` each for
+    the samples, the padded samples of each padding and the two scalar
+    actions, and one SVD for the factors' operator norms.
     """
     require_int("trials", trials, 1)
     require_int("max_level", max_level, 1)
@@ -535,32 +547,47 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
     worst: dict = {"axiom1": None, "axiom2": None}
     for level in range(1, max_level + 1):
         eye = np.eye(level)
+        samples, extras, factors = [], [], []
         for t in range(trials):
-            u = _sample_element(space, level, rng, variant=t % 3)
-            base = space.norm(u)
-
-            extra = int(rng.integers(1, 3))
-            v1 = abs(space.norm(pad(u, extra)) - base)
-            if v1 > a1_max:
-                a1_max = v1
-                worst["axiom1"] = {
-                    "level": level, "extra": extra, "violation": v1,
-                    "coords": complex_to_pairs(u.coords),
-                }
-
+            samples.append(_draw_element(space, level, rng, variant=t % 3))
+            extras.append(int(rng.integers(1, 3)))
             if t % 2:
-                s = linalg.random_unitary(level, rng)
-                tt = linalg.random_unitary(level, rng)
+                factors.append([linalg.random_unitary(level, rng), linalg.random_unitary(level, rng)])
             else:
-                s = rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
-                tt = rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
-            v2 = space.norm(scalar_action(s, u, eye)) - linalg.operator_norm(s) * base
-            v2 = max(v2, space.norm(scalar_action(eye, u, tt)) - base * linalg.operator_norm(tt))
-            v2 = max(0.0, v2)
-            if v2 > a2_max:
-                a2_max = v2
-                worst["axiom2"] = {
-                    "level": level, "violation": v2,
-                    "coords": complex_to_pairs(u.coords),
-                }
+                factors.append([rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
+                                for _ in range(2)])
+        us = space.unit_scaled_stack(np.stack(samples), sphere=True)
+        base = space.norm_batch(us)
+
+        padded = np.empty(trials)
+        for extra in (1, 2):
+            picked = np.array(extras) == extra
+            stack = np.zeros((picked.sum(), level + extra, level + extra, space.dim), dtype=complex)
+            stack[:, :level, :level] = us[picked]
+            padded[picked] = space.norm_batch(stack)
+        v1 = np.abs(padded - base)
+        top = _first_max(v1, a1_max)
+        if top is not None:
+            a1_max = float(v1[top])
+            worst["axiom1"] = {
+                "level": level, "extra": extras[top], "violation": a1_max,
+                "coords": complex_to_pairs(us[top]),
+            }
+
+        s, tt = np.array(factors, dtype=complex).swapaxes(0, 1)
+        ops = np.linalg.svd(np.concatenate([s, tt]), compute_uv=False)[:, 0]
+        elements = [LeveledElement(space.space_id, c) for c in us]
+        left = space.norm_batch(np.stack([scalar_action(a, u, eye).coords for a, u in zip(s, elements)]))
+        left = left - ops[:trials] * base
+        right = space.norm_batch(np.stack([scalar_action(eye, u, b).coords for b, u in zip(tt, elements)]))
+        right = right - base * ops[trials:]
+        v2 = np.where(right > left, right, left)  # the order of Python's max(left, right), NaN included
+        v2 = np.where(v2 > 0.0, v2, 0.0)
+        top = _first_max(v2, a2_max)
+        if top is not None:
+            a2_max = float(v2[top])
+            worst["axiom2"] = {
+                "level": level, "violation": a2_max,
+                "coords": complex_to_pairs(us[top]),
+            }
     return AxiomReport(a1_max, a2_max, worst)

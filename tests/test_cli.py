@@ -107,6 +107,14 @@ class TestHatBoundsCommand:
         path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
         assert main(["hat-bounds", path, "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("n,m", [(True, True), (True, 1), (1, True), (1.0, 1), (1, 1.5)])
+    def test_non_integer_sizes_exit_2(self, tmp_path, capsys, n, m):
+        # a bool is an int to Python: {"n": true, "m": true} once ended in a traceback and exit 4
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"n": n, "m": m, "blocks": complex_to_pairs(np.ones((1, 1, 1, 1)))}))
+        assert main(["hat-bounds", str(path)]) == 2
+        assert "n and m must be positive integers" in capsys.readouterr().err
+
     def test_optimizer_config_json(self, tmp_path, capsys):
         path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
         args = ["hat-bounds", path, "--budget", "5", "--seed", "3",

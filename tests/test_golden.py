@@ -13,7 +13,11 @@ takes polar steps. ``bare_spaces_random_starts`` and
 search went: a restart with no polar proposal now ends instead of drawing
 random steps. Every digest was re-pinned when the upper bound became the
 realignment certificate: the ``upper`` and ``rule`` fields changed, and the
-lower bounds and couples stayed bitwise equal.
+lower bounds and couples stayed bitwise equal. Ten digests and the verify
+report were re-pinned when the optimizer stopped rescaling its line-search
+points and took its polar proposals from the images it had valued: the
+``upper`` fields stayed bitwise equal, and the lower bounds moved by 4 ulps
+or less (``flip_n4`` kept its lower bound with a couple of another space).
 
 ``test_verify_report_is_pinned`` pins the whole ``verify`` report the same
 way, with its one timing field removed.
@@ -90,19 +94,19 @@ DIGESTS = {
     "budget_64": "60ec3382523bac13fddf5c4e78fabc566811812971141cadd46125e89811b386",
     "budget_65": "60ec3382523bac13fddf5c4e78fabc566811812971141cadd46125e89811b386",
     "flip_n2": "6a68e815a9009af1d34f1c8a6ad9d1b28c0ab58e604472666582782b98e77a53",
-    "flip_n4": "ae80acb7c8116ec756eead37232e54527471573c30b79425084c4cb5481bab66",
+    "flip_n4": "64d672126829e1e1307bd5cc1082c38c062f10f042ae312e34a4d311cb3e370b",
     "flip_n3": "63743e204b2540e812e1af4dc12bd9b387702fb79882c00d83efdd1d06d8dc3c",
-    "gauss_m1_n2_seed5": "936ad035d72245dce98e326743297d58f866c3d0f1e8679f7f6783b4c4f3160b",
-    "gauss_m2_n2": "13ecb3195a7e7b3698a71f02bb0f3f23604417e6127c75e9a37dae0433e7b330",
-    "gauss_m2_n3": "be3ba8505bee9ceca5d0c086f950524c740ca6fd4256c0fd3335ca1b07c34ca1",
-    "gauss_m3_n2": "a7dadae474f851bca1a6e5ffc773b46dbcfbb65e503750e078495d93017736d9",
-    "polar_proposal_vanishes": "4d9210aa26b42b461aca1c5b1dee94f7f73e571f827e4f4465e90eee52cfc2bd",
-    "restarts_4_default_catalog": "a51b43d9b7da17f7238501e4b72ff8badc1d783f45f0497e9e49838238231a5a",
-    "restarts_from_random": "0f4403855e450817a2bc1454f7beab3dea6cabe97ffd0bddfd377319d7aaf6c0",
+    "gauss_m1_n2_seed5": "9481265830e640cd1302da45cbfcb0e3b71459708c3d00d543d461627f2abf9b",
+    "gauss_m2_n2": "3c7a3be382df38d42b7e4237e505c0ca1f3104b7824e0f15be136ba69cee36ff",
+    "gauss_m2_n3": "8919f12ba64f82621e60b6f17aa41cf713c29770f857e354a3fe64c0e31033d4",
+    "gauss_m3_n2": "11f5178f33938b19d39d2d6f7b205143b1bbe657df0c6fc818a89f25566368c5",
+    "polar_proposal_vanishes": "ede10d871dd66994400b5a1ecd76627db6f39b4ec994d015f91fd650da0ba4dd",
+    "restarts_4_default_catalog": "7c2e00dd48ad9e761979d194c262104763be4cc1962d31a23e18ed05a86fe4b7",
+    "restarts_from_random": "082991cd5e247487f3742fb67c05eae43957a1ce22cb14593fee34d8328c14b7",
     "single_n1_fast": "f7583ea6f6861c1ac63a69c91779941ae91a6764c0c9634211ec097366f3260e",
     "single_n2_fast": "d8d247bd3edd77764b957ce252cfebd16a137b7fbbf5b9a1eb4cab5673bbed02",
-    "single_n3_fast": "5aaefcd8734c75c7fd4a01b1dcc94a25497b7af489a9de1d2324ea4d6740cb8f",
-    "single_n4_fast": "3d6bb8018a9121e2dc24f724ba53a65517c8e9eb5c86dbf5b8b5951cd8d46cb7",
+    "single_n3_fast": "133a8a45d2aaa4b923ed60e96649d6ae9b390831edcec02778eb62317a3c0538",
+    "single_n4_fast": "9da5a3368602e30e1ca34dd30bb9ed990357aa2a52d0f72907c07ccf7f32df2d",
 }
 
 
@@ -112,7 +116,7 @@ def test_hat_bounds_output_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
 
 
-VERIFY_ALL_2024 = "491166ca4b3e2c11f275f5ffd2ebe68392f6a13ea909a57ef89d9310552f5579"
+VERIFY_ALL_2024 = "7db12ca6646481524b8aa90b0fcadcd5b4c9dde66d8b7b1c9186a7578d226cf9"
 
 
 def test_verify_report_is_pinned():

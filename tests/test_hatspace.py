@@ -74,6 +74,25 @@ class TestCoupleValue:
             couple_value(couple, np.ones((1, 1, 3, 3)))
 
 
+class TestBlockSize:
+    @pytest.mark.parametrize("n", [True, 1.0, 2.0, "2"], ids=["bool", "one_float", "float", "str"])
+    @pytest.mark.parametrize("entry", [hat_bounds, hat_upper_bound, search_lower_bound],
+                             ids=["hat_bounds", "hat_upper_bound", "search_lower_bound"])
+    def test_non_integer_size_rejected(self, entry, n):
+        # True and 1.0 match the shape of 1 x 1 blocks and once failed deeper, with a TypeError
+        with pytest.raises(InvalidInputError, match="block size must be an integer"):
+            entry(n, np.ones((2, 2, 1, 1)) if n in (True, 1.0) else np.ones((2, 2, 2, 2)))
+
+    def test_numpy_integer_size_accepted(self):
+        # the bare space draws an optimizer start at level n, so n reaches random_element too
+        space = MatricialSpace("bare", 1, c_min().norm_batch)
+        u = gauss(np.random.default_rng(3), (2, 2, 2, 2))
+        ours = hat_bounds(np.int64(2), u, catalog=[space], budget=1, seed=4)
+        ref = hat_bounds(2, u, catalog=[space], budget=1, seed=4)
+        assert (ours.lower, ours.upper) == (ref.lower, ref.upper)
+        np.testing.assert_array_equal(ours.certificate.v.coords, ref.certificate.v.coords)
+
+
 class TestNonFiniteInput:
     # complex128, the dtype the engine builds, is scanned like any other input
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

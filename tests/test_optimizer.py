@@ -21,6 +21,7 @@ from matnorm import (
     couple_value,
     default_catalog,
     dual_witness,
+    hat_bounds,
     l1_sum,
     optimize_couple,
     random_element,
@@ -149,8 +150,8 @@ class TestPolarStep:
         u = single_block(gauss(rng, (2, 2)))
         space = NanAbove("nan", 1, None, np.inf)
         v = space.element(0.1 * gauss(rng, (2, 2, 1)))
-        proposal = space.polar_proposal(v.coords[None], u)[0]
-        stack = space.unit_scaled_stack(np.stack([(1 - t) * v.coords + t * proposal for t in (1.0, 0.5, 0.25, 0.1)]))
+        proposal = space.polar_proposal(amplified_images(v.coords[None], u), u)[0]
+        stack = np.stack([(1 - t) * v.coords + t * proposal for t in (1.0, 0.5, 0.25, 0.1)])
         finite = space.norm_batch(amplified_images(stack, u))
         space = NanAbove("nan", 1, None, (finite[0] + finite[1]) / 2)
         values = space.norm_batch(amplified_images(stack, u))
@@ -189,6 +190,35 @@ class TestPolarStep:
         couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=3, iterations=10), starts=starts)
         assert value == values[best]
         np.testing.assert_array_equal(couple.v.coords, rescaled[best])
+
+    @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), MatricialSpace("bare", 1, c_min().norm_batch)],
+                             ids=["l1", "bare"])
+    def test_hat_bounds_without_proposals_at_m_other_than_n(self, space):
+        # the zero proposal has the (B, n, n, dim) shape of the elements, not
+        # the (B, m, m, dim) shape of the images it is made from
+        u = gauss(np.random.default_rng(12), (2, 2, 3, 3))
+        bounds = hat_bounds(3, u, catalog=[space], budget=8, seed=0)
+        no_steps = hat_bounds(3, u, catalog=[space], budget=8, seed=0,
+                              optimizer_config=OptimizerConfig(iterations=0))
+        assert bounds.lower == no_steps.lower <= bounds.upper
+        assert space.norm(bounds.certificate.v) <= 1.0
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_polar_proposal_of_a_stack_matches_rows_bitwise(m, n):
+    # one call over the stack of images gives each row the bits of its own call;
+    # the stack holds an element with a zero image, whose proposal is zero
+    rng = np.random.default_rng(10 * m + n)
+    u4 = gauss(rng, (m, m, n, n))
+    for space in default_catalog(n):
+        coords = gauss(rng, (5, n, n, space.dim))
+        coords[1] = 0
+        images = amplified_images(coords, u4)
+        stacked = space.polar_proposal(images, u4)
+        rows = np.concatenate([space.polar_proposal(images[b:b + 1], u4) for b in range(len(images))])
+        assert stacked.shape == coords.shape
+        np.testing.assert_array_equal(stacked, rows, err_msg=space.space_id)
+        assert not stacked[1].any() and stacked[0].any()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -232,7 +262,8 @@ class CreepBelow(TraceScalars):
 
 # ---------------------------------------------------------------------------
 # Reference: the optimizer as one sequential loop that finishes a restart
-# before it starts the next, with single-element polar proposals, and that
+# before it starts the next, with single-element polar proposals made from
+# the image of the current point, no rescale of the candidates, and that
 # runs each restart through steps that do not move until the stall limit or
 # the iterations end it. The lockstep optimizer ends a restart at its first
 # step that does not move; the two must agree bit for bit.
@@ -250,17 +281,17 @@ class FlakyScalars(OperatorScalars):
     one still takes polar steps.
     """
 
-    def polar_proposal(self, coords, u4):
-        return np.where(flaky_missing(coords[:, :1, :1]), 0, super().polar_proposal(coords, u4))
+    def polar_proposal(self, images, u4):
+        return np.where(flaky_missing(images[:, :1, :1]), 0, super().polar_proposal(images, u4))
 
 
-def reference_proposal(space, v, u4):
-    """Single-element polar proposal for an (n, n, dim) element, or None."""
-    if isinstance(space, FlakyScalars) and flaky_missing(v[0, 0, 0]):
+def reference_proposal(space, image, u4):
+    """Single-element polar proposal from the (m, m, dim) amplified image of an element, or None."""
+    if isinstance(space, FlakyScalars) and flaky_missing(image[0, 0, 0]):
         return None
     if isinstance(space, OperatorSpace):
-        k, n, m = space.k, v.shape[0], u4.shape[0]
-        image = assemble_blocks(np.einsum("klji,ijab->klab", u4, v.reshape(n, n, k, k)))
+        k, m, n = space.k, u4.shape[0], u4.shape[2]
+        image = assemble_blocks(image.reshape(m, m, k, k))
         if not image.any():
             return None
         x, _, yh = np.linalg.svd(image)
@@ -272,7 +303,7 @@ def reference_proposal(space, v, u4):
         return split_blocks(dual_witness(pull.T), k).reshape(n, n, k * k)
     if not isinstance(space, (OperatorScalars, TraceScalars)):
         return None
-    image = np.einsum("klji,ij->kl", u4, v[:, :, 0])
+    image = image[:, :, 0]
     if not image.any():
         return None
     if isinstance(space, OperatorScalars):
@@ -290,25 +321,31 @@ def reference_proposal(space, v, u4):
     return w.reshape(*pullback.shape, 1)
 
 
-def reference_optimize(space, n, u4, cfg, starts, seed):
+def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
+    """The sequential loop; appends each point a restart starts at or moves to to ``kept``, if given."""
     rng = np.random.default_rng(seed)
     best_v, best_val = None, -np.inf
     for restart in range(cfg.restarts):
         start = starts[restart] if restart < len(starts) else random_element(space, n, rng)
         v = space.unit_scaled_stack(np.array(start.coords)[None])[0]
-        val = space.norm(amplified_image(LeveledElement(space.space_id, v), u4))
+        image = amplified_image(LeveledElement(space.space_id, v), u4).coords
+        val = space.norm(LeveledElement(space.space_id, image))
+        if kept is not None:
+            kept.append(v)
         stall = 0
         for _ in range(cfg.iterations):
-            proposal = reference_proposal(space, v, u4)
+            proposal = reference_proposal(space, image, u4)
             if proposal is None:
                 proposal = np.zeros_like(v)
-            candidates = [(1.0 - t) * v + t * proposal for t in (1.0, 0.5, 0.25, 0.1)]
-            stack = space.unit_scaled_stack(np.stack(candidates))
-            values = space.norm_batch(amplified_images(stack, u4))
+            stack = np.stack([(1.0 - t) * v + t * proposal for t in (1.0, 0.5, 0.25, 0.1)])
+            images = amplified_images(stack, u4)
+            values = space.norm_batch(images)
             best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
             val_next = val
             if values[best] > val:
-                v, val_next = stack[best], float(values[best])
+                v, image, val_next = stack[best], images[best], float(values[best])
+                if kept is not None:
+                    kept.append(v)
             stall = 0 if val_next > val + TOLERANCE else stall + 1
             val = val_next
             if stall >= cfg.stall_limit:
@@ -396,3 +433,35 @@ class TestLockstepEquivalence:
         ref_v, ref_value = reference_optimize(space, n, u4, cfg, [start], 0)
         assert value == ref_value
         np.testing.assert_array_equal(couple.v.coords, ref_v)
+
+
+class DoubledProposal(TraceScalars):
+    """cmax with twice its polar proposal: the proposals leave the unit ball."""
+
+    def polar_proposal(self, images, u4):
+        return 2 * super().polar_proposal(images, u4)
+
+
+class TestFeasibilityWithoutRescale:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(space_id=st.sampled_from(["cmin", "cmax", "op:1", "op:2", "op:3", "op:4"]), n=st.integers(1, 3),
+           m=st.integers(1, 3), scale=st.floats(-3, 3), seed=st.integers(0, 2**16))
+    def test_every_kept_point_stays_in_the_ball(self, space_id, n, m, scale, seed):
+        # the line-search points are convex combinations of unit-ball points,
+        # so they stay in the ball up to rounding without a rescale
+        space = space_from_id(space_id)
+        u4 = 10.0 ** scale * gauss(np.random.default_rng(seed), (m, m, n, n))
+        cfg = OptimizerConfig(iterations=40)
+        couple, value = optimize_couple(space, n, u4, cfg, seed=seed)
+        kept = []
+        ref_v, ref_value = reference_optimize(space, n, u4, cfg, [], seed, kept)
+        assert value == ref_value
+        np.testing.assert_array_equal(couple.v.coords, ref_v)
+        assert space.norm_batch(np.stack(kept)).max() <= 1.0 + 1e-13
+        assert space.norm(couple.v) <= 1.0 + 1e-13
+
+    def test_proposal_outside_the_ball_rejected(self):
+        # the couple check, not a rescale, keeps an infeasible point from being returned
+        u = gauss(np.random.default_rng(13), (2, 2, 2, 2))
+        with pytest.raises(InvalidInputError, match="norm .* > 1"):
+            optimize_couple(DoubledProposal("double", 1, None), 2, u, OptimizerConfig(restarts=1, iterations=3))

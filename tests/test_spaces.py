@@ -1,5 +1,8 @@
 """Catalog space evaluators, element operations, and the randomized axiom checker."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,13 @@ from hypothesis import strategies as st
 
 from matnorm import (
     InvalidInputError,
+    LeveledElement,
     MatricialSpace,
     c_max,
     c_min,
     check_axioms,
     concrete_operator_space,
+    default_catalog,
     l1_component,
     l1_embed,
     l1_sum,
@@ -23,7 +28,8 @@ from matnorm import (
     scalar_action,
     space_from_id,
 )
-from matnorm.spaces import check_unit_ball
+from matnorm.serialize import complex_to_pairs
+from matnorm.spaces import AxiomReport, check_unit_ball
 
 
 def gauss(rng, shape):
@@ -254,6 +260,22 @@ class TestAxiomChecker:
         with pytest.raises(InvalidInputError, match="integer"):
             check_axioms(c_min(), **kwargs)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("space", [*default_catalog(3), l1_sum([c_min(), c_max()]), planted_fault_space()],
+                             ids=lambda sp: sp.space_id)
+    def test_report_matches_the_trial_loop_bitwise(self, space, seed):
+        # the stacked evaluation reports the per-trial loop's violations and worst cases, bit for bit
+        ours = check_axioms(space, trials=25, seed=seed, max_level=4)
+        ref = reference_check_axioms(space, trials=25, seed=seed, max_level=4)
+        assert json.dumps(asdict(ours)) == json.dumps(asdict(ref))
+
+    @pytest.mark.parametrize("space_id", BATCH_SPACE_IDS)
+    def test_single_trial_matches_the_trial_loop_bitwise(self, space_id):
+        # one trial per level leaves one padding's stack empty
+        space = batch_space(space_id)
+        ours = check_axioms(space, trials=1, seed=5, max_level=3)
+        assert json.dumps(asdict(ours)) == json.dumps(asdict(reference_check_axioms(space, 1, 5, 3)))
+
     def test_planted_fault_detected(self):
         rep = check_axioms(planted_fault_space(), trials=100, seed=8, max_level=2)
         assert rep.axiom1_max_violation >= 0.09
@@ -286,3 +308,56 @@ class TestValidation:
         check_unit_ball(space, stack[:2])
         with pytest.raises(InvalidInputError, match="norm 2 > 1"):
             check_unit_ball(space, stack)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the axiom checker as one loop over trials, each element valued
+# on its own.
+# ---------------------------------------------------------------------------
+
+
+def reference_sample(space, level, rng, variant):
+    if variant == 1:
+        coords = np.zeros((level, level, space.dim), dtype=complex)
+        k = int(rng.integers(level))
+        l = int(rng.integers(level))
+        coords[k, l, int(rng.integers(space.dim))] = np.exp(2j * np.pi * rng.uniform())
+    elif variant == 2:
+        coords = np.zeros((level, level, space.dim), dtype=complex)
+        for k in range(level):
+            coords[k, k, int(rng.integers(space.dim))] = rng.standard_normal() + 1j * rng.standard_normal()
+        u = random_unitary(level, rng)
+        coords = scalar_action(u, LeveledElement(space.space_id, coords), u.conj().T).coords
+    else:
+        coords = random_element(space, level, rng).coords
+    return LeveledElement(space.space_id, space.unit_scaled_stack(coords[None], sphere=True)[0])
+
+
+def reference_check_axioms(space, trials, seed, max_level):
+    rng = np.random.default_rng(seed)
+    a1_max = a2_max = 0.0
+    worst = {"axiom1": None, "axiom2": None}
+    for level in range(1, max_level + 1):
+        eye = np.eye(level)
+        for t in range(trials):
+            u = reference_sample(space, level, rng, t % 3)
+            base = space.norm(u)
+            extra = int(rng.integers(1, 3))
+            v1 = abs(space.norm(pad(u, extra)) - base)
+            if v1 > a1_max:
+                a1_max = v1
+                worst["axiom1"] = {"level": level, "extra": extra, "violation": v1,
+                                   "coords": complex_to_pairs(u.coords)}
+            if t % 2:
+                s = random_unitary(level, rng)
+                tt = random_unitary(level, rng)
+            else:
+                s = rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
+                tt = rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
+            v2 = space.norm(scalar_action(s, u, eye)) - operator_norm(s) * base
+            v2 = max(v2, space.norm(scalar_action(eye, u, tt)) - base * operator_norm(tt))
+            v2 = max(0.0, v2)
+            if v2 > a2_max:
+                a2_max = v2
+                worst["axiom2"] = {"level": level, "violation": v2, "coords": complex_to_pairs(u.coords)}
+    return AxiomReport(a1_max, a2_max, worst)
