@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correspondence import amplified_image, amplified_images  # noqa: F401 (bench/tracing.py patches the first)
+from .correspondence import amplified_image, amplified_images
 from .errors import InvalidInputError, require_int
 from .spaces import Couple, LeveledElement, MatricialSpace, random_element
 
@@ -55,21 +55,22 @@ class OptimizerConfig:
             require_int(name, getattr(self, name), low)
 
 
-def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """Run the restarts of a (R, n, n, dim) stack in lockstep, updating ``coords`` in place; returns their values.
+def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, images: np.ndarray, vals: np.ndarray,
+            cfg: OptimizerConfig) -> None:
+    """Run the restarts of a (R, n, n, dim) stack in lockstep, updating ``coords``, ``images`` and ``vals`` in place.
 
     Per restart, a step keeps the best of its four candidates, and the image
     it was valued by, when that beats the current value (the first best
     wins; NaN never does), and the restart ends when it does not.
     """
-    images = amplified_images(coords, u4)
-    vals = space.norm_batch(images)
     active = np.arange(len(vals))
     stall = np.zeros(len(vals), dtype=int)
     for _ in range(cfg.iterations):
         if not active.size:
             break
         v, proposals = coords[active], space.polar_proposal(images[active], u4)
+        if proposals.shape != v.shape:
+            raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {v.shape}")
         flat = ((1.0 - _LINE_SEARCH) * v[:, None] + _LINE_SEARCH * proposals[:, None]).reshape(-1, *v.shape[1:])
         flat_images = amplified_images(flat, u4)
         values = space.norm_batch(flat_images).reshape(-1, 4)
@@ -80,7 +81,6 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, cfg: Opti
         coords[won], images[won], vals[won] = flat[pick], flat_images[pick], top[better]
         stall[active] = np.where(top > current + TOLERANCE, 0, stall[active] + 1)
         active = active[better & (stall[active] < cfg.stall_limit)]
-    return vals
 
 
 def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | None = None,
@@ -105,7 +105,9 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     for r in range(cfg.restarts):
         coords[r] = starts[r].coords if r < len(starts) else random_element(space, n, rng).coords
     space.unit_scaled_stack(coords)
-    vals = _ascend(space, u4, coords, cfg)
+    start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
+    vals = np.array([space.norm(image) for image in start_images])
+    _ascend(space, u4, coords, np.stack([image.coords for image in start_images]), vals, cfg)
 
     best = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))  # ties go to the first restart
     if np.isnan(vals[best]):

@@ -146,7 +146,9 @@ class MatricialSpace:
 
         Takes the (B, m, m, dim) images of the elements under u4 and returns
         a (B, n, n, dim) stack. A zero row means no proposal: the space has no
-        such step, or the linearization vanishes; that restart ends.
+        such step, or the linearization vanishes; that restart ends. The
+        optimizer rejects a stack of another shape, but when m == n it cannot
+        tell an override that reads the images as the elements' coordinates.
         """
         return np.zeros((len(images), *u4.shape[2:], self.dim), dtype=complex)
 
@@ -204,9 +206,8 @@ class ScalarSpace(MatricialSpace):
         # The pullbacks take one einsum per element: a batched einsum sums in
         # another order and changes the last bits. The SVDs and products are
         # batched; they give the same bits as one call per matrix.
-        images = images[..., 0]
-        pullbacks = self._pullback(images, u4)
-        live = images.any(axis=(1, 2)) & pullbacks.any(axis=(1, 2))
+        pullbacks = self._pullback(images[..., 0], u4)
+        live = images.any(axis=(1, 2, 3)) & pullbacks.any(axis=(1, 2))
         # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball
         return np.where(live[:, None, None], self._ball_maximizer(pullbacks.swapaxes(1, 2)), 0)[..., None]
 

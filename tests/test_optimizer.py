@@ -377,20 +377,26 @@ def equivalence_input(kind, m, n, rng):
 
 class TestLockstepEquivalence:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(space_id=st.sampled_from(EQUIVALENCE_SPACES), n=st.integers(1, 3), m=st.integers(1, 2),
-           kind=st.sampled_from(["gauss", "rank_one", "zero_block"]), restarts=st.integers(1, 4),
-           iterations=st.integers(0, 12), stall_limit=st.integers(1, 4), given_starts=st.integers(0, 4),
-           vanishing=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**16))
-    @example(space_id="cmin", n=2, m=2, kind="rank_one", restarts=4, iterations=12, stall_limit=3,
+    @given(space_id=st.sampled_from(EQUIVALENCE_SPACES), n=st.integers(1, 3), m=st.integers(1, 3),
+           kind=st.sampled_from(["gauss", "rank_one", "zero_block"]), scale=st.floats(-3, 3),
+           restarts=st.integers(1, 4), iterations=st.integers(0, 40), stall_limit=st.integers(1, 4),
+           given_starts=st.integers(0, 4), vanishing=st.lists(st.booleans(), min_size=4, max_size=4),
+           seed=st.integers(0, 2**16))
+    @example(space_id="cmin", n=2, m=2, kind="rank_one", scale=0.0, restarts=4, iterations=12, stall_limit=3,
              given_starts=3, vanishing=[False, True, False, True], seed=1)
-    @example(space_id="op:2", n=2, m=1, kind="zero_block", restarts=3, iterations=10, stall_limit=4,
+    @example(space_id="op:2", n=2, m=1, kind="zero_block", scale=0.0, restarts=3, iterations=10, stall_limit=4,
              given_starts=2, vanishing=[True, False, False, False], seed=2)
-    @example(space_id="flaky", n=2, m=2, kind="gauss", restarts=4, iterations=12, stall_limit=4,
+    @example(space_id="flaky", n=2, m=2, kind="gauss", scale=0.0, restarts=4, iterations=12, stall_limit=4,
              given_starts=3, vanishing=[False, False, False, False], seed=4)
-    @example(space_id="cmax", n=3, m=2, kind="rank_one", restarts=2, iterations=12, stall_limit=2,
+    @example(space_id="cmax", n=3, m=2, kind="rank_one", scale=0.0, restarts=2, iterations=12, stall_limit=2,
              given_starts=2, vanishing=[False, True, False, False], seed=3)
-    def test_matches_the_sequential_loop_bitwise(self, space_id, n, m, kind, restarts, iterations,
+    @example(space_id="op:3", n=3, m=3, kind="gauss", scale=2.5, restarts=2, iterations=40, stall_limit=4,
+             given_starts=0, vanishing=[False, False, False, False], seed=5)
+    def test_matches_the_sequential_loop_bitwise(self, space_id, n, m, kind, scale, restarts, iterations,
                                                  stall_limit, given_starts, vanishing, seed):
+        # also: without a rescale of the line-search points (convex
+        # combinations of unit-ball points), every point a restart keeps
+        # stays in the ball up to rounding
         if space_id == "bare":
             space = MatricialSpace("bare", 1, c_min().norm_batch)
         elif space_id == "flaky":
@@ -398,7 +404,7 @@ class TestLockstepEquivalence:
         else:
             space = space_from_id(space_id)
         rng = np.random.default_rng(seed)
-        u4 = equivalence_input(kind, m, n, rng)
+        u4 = 10.0 ** scale * equivalence_input(kind, m, n, rng)
         starts = []
         for drop in vanishing[:given_starts]:
             coords = 10.0 ** rng.uniform(-1, 1) * gauss(rng, (n, n, space.dim))
@@ -409,9 +415,12 @@ class TestLockstepEquivalence:
         couple, value = optimize_couple(space, n, u4, cfg, starts=starts, seed=seed)
         if not u4.any():
             return
-        ref_v, ref_value = reference_optimize(space, n, u4, cfg, starts, seed)
+        kept = []
+        ref_v, ref_value = reference_optimize(space, n, u4, cfg, starts, seed, kept)
         assert value == ref_value
         np.testing.assert_array_equal(couple.v.coords, ref_v)
+        assert space.norm_batch(np.stack(kept)).max() <= 1.0 + 1e-13
+        assert space.norm(couple.v) <= 1.0 + 1e-13
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sub_tolerance_gain_does_not_end_a_restart(self, seed):
@@ -442,26 +451,22 @@ class DoubledProposal(TraceScalars):
         return 2 * super().polar_proposal(images, u4)
 
 
-class TestFeasibilityWithoutRescale:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(space_id=st.sampled_from(["cmin", "cmax", "op:1", "op:2", "op:3", "op:4"]), n=st.integers(1, 3),
-           m=st.integers(1, 3), scale=st.floats(-3, 3), seed=st.integers(0, 2**16))
-    def test_every_kept_point_stays_in_the_ball(self, space_id, n, m, scale, seed):
-        # the line-search points are convex combinations of unit-ball points,
-        # so they stay in the ball up to rounding without a rescale
-        space = space_from_id(space_id)
-        u4 = 10.0 ** scale * gauss(np.random.default_rng(seed), (m, m, n, n))
-        cfg = OptimizerConfig(iterations=40)
-        couple, value = optimize_couple(space, n, u4, cfg, seed=seed)
-        kept = []
-        ref_v, ref_value = reference_optimize(space, n, u4, cfg, [], seed, kept)
-        assert value == ref_value
-        np.testing.assert_array_equal(couple.v.coords, ref_v)
-        assert space.norm_batch(np.stack(kept)).max() <= 1.0 + 1e-13
-        assert space.norm(couple.v) <= 1.0 + 1e-13
+class ImagesAsCoordinates(TraceScalars):
+    """cmax whose proposal returns its (B, m, m, dim) images: a stack of the images' shape, not the elements'."""
 
+    def polar_proposal(self, images, u4):
+        return images
+
+
+class TestProposalContract:
     def test_proposal_outside_the_ball_rejected(self):
         # the couple check, not a rescale, keeps an infeasible point from being returned
         u = gauss(np.random.default_rng(13), (2, 2, 2, 2))
         with pytest.raises(InvalidInputError, match="norm .* > 1"):
             optimize_couple(DoubledProposal("double", 1, None), 2, u, OptimizerConfig(restarts=1, iterations=3))
+
+    def test_proposal_of_another_shape_rejected(self):
+        # at m != n the images and the elements differ in shape
+        u = gauss(np.random.default_rng(14), (3, 3, 2, 2))
+        with pytest.raises(InvalidInputError, match="polar_proposal gave shape"):
+            optimize_couple(ImagesAsCoordinates("images", 1, None), 2, u, OptimizerConfig(restarts=1, iterations=3))
