@@ -160,8 +160,7 @@ def default_catalog(n: int) -> list[MatricialSpace]:
     n + 3 spaces, each with a polar proposal. No l1 sum is needed, since a
     couple of an l1 sum is worth at most the best of its summands.
     """
-    if n < 1:
-        raise InvalidInputError(f"size must be positive, got {n}")
+    require_int("block size", n, 1)
     return [c_max(), c_min(), *(concrete_operator_space(k) for k in range(1, n + 2))]
 
 
@@ -183,6 +182,7 @@ def structured_couples(space: MatricialSpace, n: int, u=None) -> np.ndarray:
     a custom evaluator has none. Returns them rescaled into the unit ball and
     checked feasible, as an (S, n, n, dim) stack.
     """
+    require_int("block size", n, 1)
     u4 = None if u is None else linalg.as_block_array(u, block_size=n)
     coords = space.unit_scaled_stack(space.structured_couples(n, u4))
     check_unit_ball(space, coords)
@@ -226,6 +226,7 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     ``InvalidInputError`` when no couple has a value (no structured couples
     and budget 0, or NaN everywhere).
     """
+    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     catalog = list(catalog) if catalog is not None else default_catalog(n)
     if not catalog:
@@ -314,6 +315,7 @@ def hat_upper_bound(n: int, u) -> UpperCertificate:
     Each cluster of tied singular values keeps its plain atoms or their DFT
     rotation, whichever is worth less.
     """
+    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     m = u4.shape[0]
     x, s, yh = np.linalg.svd(_realign(u4), full_matrices=False)
@@ -354,6 +356,7 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
 
     The zero matrix short-circuits to [0, 0] without touching the optimizer.
     """
+    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     m = u4.shape[0]
     cert = hat_upper_bound(n, u4)
@@ -409,8 +412,7 @@ def convexity_violation(n: int, p: float) -> ConvexityReport:
     is the couple element repeated twice on the diagonal, of trace norm 2,
     and the realignment rule bounds it by 2, one flip atom per copy.
     """
-    if n < 1:
-        raise InvalidInputError(f"size must be positive, got {n}")
+    require_int("block size", n, 1)
     if not p > 1:  # also rejects nan
         raise InvalidInputError(f"exponent must exceed 1, got {p}")
     flip = canonical_identity(n)
@@ -436,8 +438,7 @@ def l1_functional_check(n: int) -> TraceFunctionalReport:
     The contrast with the flip element's own unit norm rules out an additive
     block-diagonal structure for the supremum norm.
     """
-    if n < 1:
-        raise InvalidInputError(f"size must be positive, got {n}")
+    require_int("block size", n, 1)
     flip = canonical_identity(n)
     image = np.einsum("klaa->kl", flip)
     return TraceFunctionalReport(n, image, linalg.trace_norm(image))

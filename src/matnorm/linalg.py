@@ -110,7 +110,8 @@ def split_blocks(a, block_size: int) -> np.ndarray:
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInputError("block splitting requires a square matrix")
-    if block_size < 1 or arr.shape[0] % block_size:
+    require_int("block size", block_size, 1)
+    if arr.shape[0] % block_size:
         raise InvalidInputError(f"size {arr.shape[0]} is not a multiple of block size {block_size}")
     m = arr.shape[0] // block_size
     return arr.reshape(m, block_size, m, block_size).transpose(0, 2, 1, 3).copy()
@@ -122,8 +123,7 @@ def canonical_identity(n: int) -> np.ndarray:
     Its amplified image under any phi_v is v itself, and the assembled
     n^2 x n^2 matrix is the (unitary) swap permutation.
     """
-    if n < 1:
-        raise InvalidInputError(f"size must be positive, got {n}")
+    require_int("block size", n, 1)
     out = np.zeros((n, n, n, n), dtype=complex)
     for p in range(n):
         for q in range(n):
@@ -133,8 +133,7 @@ def canonical_identity(n: int) -> np.ndarray:
 
 def random_unitary(k: int, seed) -> np.ndarray:
     """Haar-random k x k unitary, deterministic per seed."""
-    if k < 1:
-        raise InvalidInputError(f"size must be positive, got {k}")
+    require_int("size", k, 1)
     rng = np.random.default_rng(seed)
     # QR of a complex Ginibre matrix with the R diagonal phase-fixed gives
     # the Haar distribution.

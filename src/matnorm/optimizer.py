@@ -2,22 +2,25 @@
 
 Each ascent step linearizes the objective at the current point through the
 extremal vectors of its norm, pulls the resulting linear functional back to
-the variable, and moves towards the closed-form maximizer of that functional
-over the unit ball (``MatricialSpace.polar_proposal``; a conditional-gradient
-step built from dual witnesses), keeping the best of four line-search points.
-Nonsmoothness is handled by restart diversity, not subgradient machinery:
-the known optima at this scale are recovered in a few steps.
+the variable, and moves to the closed-form maximizer ``p`` of that functional
+over the unit ball (``MatricialSpace.polar_proposal``, built from dual
+witnesses): the monotone generalized power method of Journee, Nesterov,
+Richtarik and Sepulchre (JMLR 2010). The objective ``f(v) = |phi_v(u)|`` is
+convex, so ``f(p) >= f(v)`` and no point between v and p beats both ends: a
+step needs no line search and no step size. Nonsmoothness is handled by
+restart diversity, not subgradient machinery: the known optima at this scale
+are recovered in a few steps.
 
 A restart ends as soon as a step does not raise its value: the point did not
 move, so the next step would make the same proposal. A zero proposal (a
-space without a polar step, or a vanishing linearization) only shrinks the
-point, so such a restart ends after one step with its start.
+space without a polar step, or a vanishing linearization) is worth 0, no
+more than any start, so such a restart ends after one step with its start.
 
 The restarts advance in lockstep: each step makes one ``polar_proposal``
 call over the images of the running restarts, then one amplification and
-``norm_batch`` over their four candidates each (a convex combination of
-unit-ball points needs no rescale). Steps draw nothing; the drawn starts come
-first, in restart order, so any batching gives a sequential run's result.
+``norm_batch`` over their proposals (points of the unit ball, so nothing is
+rescaled). Steps draw nothing; the drawn starts come first, in restart
+order, so any batching gives a sequential run's result.
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
@@ -38,7 +41,6 @@ from .spaces import Couple, LeveledElement, MatricialSpace, random_element
 
 __all__ = ["OptimizerConfig", "optimize_couple"]
 
-_LINE_SEARCH = np.array([1.0, 0.5, 0.25, 0.1])[:, None, None, None]
 TOLERANCE = 1e-12
 
 
@@ -59,27 +61,24 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, images: n
             cfg: OptimizerConfig) -> None:
     """Run the restarts of a (R, n, n, dim) stack in lockstep, updating ``coords``, ``images`` and ``vals`` in place.
 
-    Per restart, a step keeps the best of its four candidates, and the image
-    it was valued by, when that beats the current value (the first best
-    wins; NaN never does), and the restart ends when it does not.
+    Per restart, a step moves to its proposal, and keeps the image it was
+    valued by, when the proposal's value beats the current one (NaN never
+    does); the restart ends when it does not.
     """
     active = np.arange(len(vals))
     stall = np.zeros(len(vals), dtype=int)
     for _ in range(cfg.iterations):
         if not active.size:
             break
-        v, proposals = coords[active], space.polar_proposal(images[active], u4)
-        if proposals.shape != v.shape:
-            raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {v.shape}")
-        flat = ((1.0 - _LINE_SEARCH) * v[:, None] + _LINE_SEARCH * proposals[:, None]).reshape(-1, *v.shape[1:])
-        flat_images = amplified_images(flat, u4)
-        values = space.norm_batch(flat_images).reshape(-1, 4)
-        pick = 4 * np.arange(len(active)) + np.argmax(np.where(np.isnan(values), -np.inf, values), axis=1)
-        top, current = values.ravel()[pick], vals[active]
-        better = top > current
-        won, pick = active[better], pick[better]
-        coords[won], images[won], vals[won] = flat[pick], flat_images[pick], top[better]
-        stall[active] = np.where(top > current + TOLERANCE, 0, stall[active] + 1)
+        proposals, shape = space.polar_proposal(images[active], u4), (len(active), *coords.shape[1:])
+        if proposals.shape != shape:
+            raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {shape}")
+        proposal_images = amplified_images(proposals, u4)
+        values, current = space.norm_batch(proposal_images), vals[active]
+        better = values > current
+        won = active[better]
+        coords[won], images[won], vals[won] = proposals[better], proposal_images[better], values[better]
+        stall[active] = np.where(values > current + TOLERANCE, 0, stall[active] + 1)
         active = active[better & (stall[active] < cfg.stall_limit)]
 
 
@@ -88,11 +87,14 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     """Best couple found by multi-restart ascent; returns (couple, value).
 
     Restarts beyond the given ``starts`` start from Gaussian draws, and only
-    the starts are rescaled into the ball. The returned element is feasible by
-    convexity, ties between restarts go to the first one found, and the
-    reported value is the returned couple's. Deterministic per seed.
+    the starts are rescaled into the ball: a step moves straight to its polar
+    proposal, a unit-ball point, with no line search (see the module
+    docstring). The ``Couple`` checks the returned element, ties between
+    restarts go to the first one found, and the reported value is the
+    returned couple's. Deterministic per seed.
     """
     cfg = config or OptimizerConfig()
+    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     rng = np.random.default_rng(seed)
     starts = list(starts or [])

@@ -145,10 +145,13 @@ class MatricialSpace:
         """Closed-form maximizer over the unit ball of the objective linearized at each element of a stack.
 
         Takes the (B, m, m, dim) images of the elements under u4 and returns
-        a (B, n, n, dim) stack. A zero row means no proposal: the space has no
-        such step, or the linearization vanishes; that restart ends. The
-        optimizer rejects a stack of another shape, but when m == n it cannot
-        tell an override that reads the images as the elements' coordinates.
+        a (B, n, n, dim) stack. The optimizer moves a restart straight there
+        and ends it when that does not raise the value, so an override must
+        return the maximizer (worth at least the current value by convexity).
+        A zero row means no proposal: the space has no such step, or the
+        linearization vanishes; that restart ends. The optimizer rejects a
+        stack of another shape, but when m == n it cannot tell an override
+        that reads the images as the elements' coordinates.
         """
         return np.zeros((len(images), *u4.shape[2:], self.dim), dtype=complex)
 
@@ -327,8 +330,7 @@ def concrete_operator_space(k: int) -> MatricialSpace:
     row-major order, so the coordinate vector of an entry is just the entry
     flattened.
     """
-    if k < 1:
-        raise InvalidInputError(f"size must be positive, got {k}")
+    require_int("size", k, 1)
     return OperatorSpace(f"op:{k}", k * k, None, k)
 
 

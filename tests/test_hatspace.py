@@ -20,6 +20,7 @@ from matnorm import (
     c_min,
     canonical_identity,
     check_upper_certificate,
+    concrete_operator_space,
     convexity_violation,
     couple_value,
     default_catalog,
@@ -33,6 +34,7 @@ from matnorm import (
     random_unitary,
     search_lower_bound,
     split_blocks,
+    structured_couples,
     trace_norm,
 )
 from matnorm.hatspace import UPPER_MARGIN
@@ -82,6 +84,30 @@ class TestBlockSize:
         # True and 1.0 match the shape of 1 x 1 blocks and once failed deeper, with a TypeError
         with pytest.raises(InvalidInputError, match="block size must be an integer"):
             entry(n, np.ones((2, 2, 1, 1)) if n in (True, 1.0) else np.ones((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("call", [
+        lambda: hat_bounds(None, np.ones((2, 2, 2, 2))),
+        lambda: search_lower_bound(None, np.ones((2, 2, 2, 2))),
+        lambda: hat_upper_bound(None, np.ones((2, 2, 2, 2))),
+        lambda: optimize_couple(c_min(), None, np.ones((2, 2, 2, 2))),
+        lambda: structured_couples(c_min(), None),
+        lambda: default_catalog(None),
+        lambda: default_catalog(2.0),
+        lambda: convexity_violation(2.0, 2),
+        lambda: l1_functional_check(2.0),
+        lambda: split_blocks(np.eye(4), 2.0),
+        lambda: split_blocks(np.eye(4), True),
+        lambda: canonical_identity(2.0),
+        lambda: random_unitary(2.5, 0),
+        lambda: concrete_operator_space(2.0),
+    ], ids=["hat_bounds_none", "search_lower_bound_none", "hat_upper_bound_none", "optimize_couple_none",
+            "structured_couples_none", "default_catalog_none", "default_catalog_float", "convexity_violation_float",
+            "l1_functional_check_float", "split_blocks_float", "split_blocks_bool", "canonical_identity_float",
+            "random_unitary_float", "concrete_operator_space_float"])
+    def test_size_of_another_type_rejected(self, call):
+        # each raised a TypeError deeper down, or (op:2.0) built a space with a float dim
+        with pytest.raises(InvalidInputError, match="size must be an integer"):
+            call()
 
     def test_numpy_integer_size_accepted(self):
         # the bare space draws an optimizer start at level n, so n reaches random_element too

@@ -1,6 +1,6 @@
 """Couple optimizer: benchmark recovery, feasibility, determinism, lockstep equivalence."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -143,22 +143,21 @@ class TestPolarStep:
         v_next = polar_step(sp, v, u)
         assert sp.norm(amplified_image(v_next, u)) == 0.0
 
-    def test_nan_candidate_hides_no_better_one(self):
-        # the full polar jump has the largest level-1 image and is the one
-        # NaN candidate: the step keeps the best finite line-search point
+    def test_nan_proposal_is_never_kept(self):
+        # the proposal's level-1 image is the one NaN value: the restart
+        # ends at its first step and keeps its start and that start's value
         rng = np.random.default_rng(4)
         u = single_block(gauss(rng, (2, 2)))
-        space = NanAbove("nan", 1, None, np.inf)
-        v = space.element(0.1 * gauss(rng, (2, 2, 1)))
-        proposal = space.polar_proposal(amplified_images(v.coords[None], u), u)[0]
-        stack = np.stack([(1 - t) * v.coords + t * proposal for t in (1.0, 0.5, 0.25, 0.1)])
-        finite = space.norm_batch(amplified_images(stack, u))
-        space = NanAbove("nan", 1, None, (finite[0] + finite[1]) / 2)
-        values = space.norm_batch(amplified_images(stack, u))
-        start = space.norm(amplified_image(v, u))
-        _, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=1), starts=[v])
-        assert np.isnan(values[0]) and not np.isnan(values[1:]).any() and not np.isnan(start)
-        assert value == np.nanmax(values) > start
+        v = 0.1 * gauss(rng, (1, 2, 2, 1))
+        proposal = c_max().polar_proposal(amplified_images(v, u), u)
+        start, jump = c_max().norm_batch(amplified_images(np.concatenate([v, proposal]), u))
+        space = NanAbove("nan", 1, None, (start + jump) / 2)
+        couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=5),
+                                        starts=[space.element(v[0])])
+        assert start < jump and c_max().norm_batch(v)[0] < 1
+        assert value == start
+        np.testing.assert_array_equal(couple.v.coords, v[0])
+        assert space.rows == [1, 1]  # the start's value, then one step's: the NaN proposal's
 
     def test_every_restart_nan_rejected(self):
         # NaN on every level-1 image: no restart has a value to compare
@@ -221,6 +220,57 @@ def test_polar_proposal_of_a_stack_matches_rows_bitwise(m, n):
         assert not stacked[1].any() and stacked[0].any()
 
 
+@pytest.mark.parametrize("n,space_id", [(n, space.space_id) for n in (1, 2, 3) for space in default_catalog(n)])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3), scale=st.floats(-3, 3), seed=st.integers(0, 2**16))
+def test_proposal_dominates_its_segment(n, space_id, m, scale, seed):
+    # the facts that let a step skip a line search: f(v) = |phi_v(u)| is
+    # convex, so the polar proposal p (the maximizer of f's linearization at
+    # v over the ball) has f(p) >= f(v), and no point between v and p beats
+    # both ends
+    space = space_from_id(space_id)
+    rng = np.random.default_rng(seed)
+    u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
+    v = space.unit_scaled_stack(gauss(rng, (1, n, n, space.dim)), sphere=bool(rng.integers(2)))
+    p = space.polar_proposal(amplified_images(v, u4), u4)
+    f_v, f_p = space.norm_batch(amplified_images(np.concatenate([v, p]), u4))
+    assert f_p >= f_v * (1 - 1e-13)
+    segment = np.concatenate([(1 - t) * v + t * p for t in (0.5, 0.25, 0.1)])
+    assert space.norm_batch(amplified_images(segment, u4)).max() <= max(f_v, f_p) * (1 + 1e-13)
+
+
+@dataclass(frozen=True, eq=False)
+class CountedScalars(TraceScalars):
+    """cmax that logs, in order, the rows of each ``polar_proposal`` call and of each level-``m`` ``norm_batch`` call."""
+
+    m: int
+    log: list = field(default_factory=list)
+
+    def norm_batch(self, coords):
+        if coords.shape[-3] == self.m:
+            self.log.append(("norm", int(np.prod(coords.shape[:-3]))))
+        return super().norm_batch(coords)
+
+    def polar_proposal(self, images, u4):
+        self.log.append(("proposal", len(images)))
+        return super().polar_proposal(images, u4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_step_values_one_candidate_per_running_restart(seed):
+    # at m = 3, n = 2 the images (level 3) and the elements (level 2) differ,
+    # so the log holds the starts' values and each step's, not the couple check
+    restarts = 4
+    space = CountedScalars("count", 1, None, 3)
+    u4 = gauss(np.random.default_rng(seed), (3, 3, 2, 2))
+    optimize_couple(space, 2, u4, OptimizerConfig(restarts=restarts, iterations=40), seed=seed)
+    assert space.log[:restarts] == [("norm", 1)] * restarts  # the starts, one restart at a time
+    steps = space.log[restarts:]
+    running = [rows for kind, rows in steps[::2]]
+    assert steps == [entry for rows in running for entry in (("proposal", rows), ("norm", rows))]
+    assert running[0] == restarts and running == sorted(running, reverse=True) and running[-1] < restarts
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_default_catalog_is_polar(n):
     # every default space takes polar steps: none is left to a random search
@@ -232,13 +282,17 @@ def test_default_catalog_is_polar(n):
 
 @dataclass(frozen=True, eq=False)
 class NanAbove(TraceScalars):
-    """cmax whose level-1 norm is NaN above ``cap``."""
+    """cmax whose level-1 norm is NaN above ``cap``; ``rows`` lists the size of each level-1 ``norm_batch`` call."""
 
     cap: float
+    rows: list = field(default_factory=list)
 
     def norm_batch(self, coords):
         values = super().norm_batch(coords)
-        return np.where(values > self.cap, np.nan, values) if coords.shape[-3] == 1 else values
+        if coords.shape[-3] != 1:
+            return values
+        self.rows.append(int(np.prod(coords.shape[:-3])))
+        return np.where(values > self.cap, np.nan, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +317,9 @@ class CreepBelow(TraceScalars):
 # ---------------------------------------------------------------------------
 # Reference: the optimizer as one sequential loop that finishes a restart
 # before it starts the next, with single-element polar proposals made from
-# the image of the current point, no rescale of the candidates, and that
-# runs each restart through steps that do not move until the stall limit or
+# the image of the current point, a step that values its proposal alone and
+# moves there only if that raises the value, no rescale of the proposals, and
+# that runs each restart through steps that do not move until the stall limit or
 # the iterations end it. The lockstep optimizer ends a restart at its first
 # step that does not move; the two must agree bit for bit.
 # ---------------------------------------------------------------------------
@@ -337,13 +392,11 @@ def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
             proposal = reference_proposal(space, image, u4)
             if proposal is None:
                 proposal = np.zeros_like(v)
-            stack = np.stack([(1.0 - t) * v + t * proposal for t in (1.0, 0.5, 0.25, 0.1)])
-            images = amplified_images(stack, u4)
-            values = space.norm_batch(images)
-            best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+            proposal_image = amplified_image(LeveledElement(space.space_id, proposal), u4).coords
+            value = space.norm(LeveledElement(space.space_id, proposal_image))
             val_next = val
-            if values[best] > val:
-                v, image, val_next = stack[best], images[best], float(values[best])
+            if value > val:
+                v, image, val_next = proposal, proposal_image, value
                 if kept is not None:
                     kept.append(v)
             stall = 0 if val_next > val + TOLERANCE else stall + 1
@@ -394,9 +447,8 @@ class TestLockstepEquivalence:
              given_starts=0, vanishing=[False, False, False, False], seed=5)
     def test_matches_the_sequential_loop_bitwise(self, space_id, n, m, kind, scale, restarts, iterations,
                                                  stall_limit, given_starts, vanishing, seed):
-        # also: without a rescale of the line-search points (convex
-        # combinations of unit-ball points), every point a restart keeps
-        # stays in the ball up to rounding
+        # also: without a rescale of the proposals (maximizers over the unit
+        # ball), every point a restart keeps stays in the ball up to rounding
         if space_id == "bare":
             space = MatricialSpace("bare", 1, c_min().norm_batch)
         elif space_id == "flaky":
