@@ -156,12 +156,14 @@ class NormBounds:
 def default_catalog(n: int) -> list[MatricialSpace]:
     """Catalog realizing all known extremal couples at size n.
 
-    Scalars with both norms and the concrete matrix spaces up to size n + 1:
-    n + 3 spaces, each with a polar proposal. No l1 sum is needed, since a
-    couple of an l1 sum is worth at most the best of its summands.
+    Scalars with both norms and the concrete matrix spaces up to size n + 1,
+    each searched once: ``cmin`` is the 1 x 1 matrices, so the matrix spaces
+    start at ``op:2``. That makes n + 2 spaces, each with a polar proposal.
+    No l1 sum is needed, since a couple of an l1 sum is worth at most the
+    best of its summands.
     """
     require_int("block size", n, 1)
-    return [c_max(), c_min(), *(concrete_operator_space(k) for k in range(1, n + 2))]
+    return [c_max(), c_min(), *(concrete_operator_space(k) for k in range(2, n + 2))]
 
 
 def couple_value(couple: Couple, u) -> float:
@@ -380,6 +382,7 @@ def block_diag_lower(n: int, blocks) -> float:
     single couple (trace-norm scalars, identity/n) evaluates the rotated
     block-diagonal element to the closed form.
     """
+    require_int("block size", n, 1)
     mats = [linalg.as_matrix(b) for b in blocks]
     if not mats:
         raise InvalidInputError("no blocks given")

@@ -3,10 +3,11 @@
 A space is a coordinate dimension together with a norm evaluator accepting
 the (m, m, dim) coordinate array of a level-m element. The catalog:
 
-* ``cmin``    scalars; level-m norm is the operator norm of the m x m matrix
 * ``cmax``    scalars; level-m norm is the trace norm of the m x m matrix
 * ``op:k``    k x k matrices; level-m norm is the operator norm of the
               assembled mk x mk matrix
+* ``cmin``    scalars; level-m norm is the operator norm of the m x m
+              matrix, i.e. ``op:1`` (the same class) under its own id
 * ``l1:[..]`` direct sums; level-m norm is the sum of the component norms
 
 The two axioms every evaluator must satisfy, checked here on random and
@@ -185,70 +186,33 @@ def check_unit_ball(space: MatricialSpace, stack: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-class ScalarSpace(MatricialSpace):
-    """Scalars (dim 1). A subclass gives the level norm and three hooks.
-
-    ``_shrink(w, n)`` scales a unitary level-n matrix onto the unit sphere;
-    ``_pullback(images, u4)`` pulls the norm's gradient at each of a stack
-    of images back through the amplification by u4; ``_ball_maximizer(g)``
-    maximizes Re tr(w g) over the level-n unit ball for each g of a stack.
-    """
-
-    def structured_couples(self, n, u4):
-        """The identity and, when u4 is given, the dual witnesses of its nonzero blocks.
-
-        A dual witness achieves the trace norm of its block at level 1.
-        """
-        coords = [self._shrink(np.eye(n), n).astype(complex)]
-        if u4 is not None:
-            blocks = u4.reshape(-1, n, n)
-            coords.extend(self._shrink(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))]), n))
-        return np.stack(coords)[..., None]
-
-    def polar_proposal(self, images, u4):
-        # The pullbacks take one einsum per element: a batched einsum sums in
-        # another order and changes the last bits. The SVDs and products are
-        # batched; they give the same bits as one call per matrix.
-        pullbacks = self._pullback(images[..., 0], u4)
-        live = images.any(axis=(1, 2, 3)) & pullbacks.any(axis=(1, 2))
-        # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball
-        return np.where(live[:, None, None], self._ball_maximizer(pullbacks.swapaxes(1, 2)), 0)[..., None]
-
-
-class OperatorScalars(ScalarSpace):
-    """Scalars with the operator norm at every level (``cmin``)."""
-
-    def norm_batch(self, coords):
-        return np.linalg.svd(coords[..., 0], compute_uv=False).T[0]  # a scalar for one matrix
-
-    def _shrink(self, w, n):
-        return w
-
-    def _pullback(self, images, u4):
-        # top singular pair of each image
-        x, _, yh = np.linalg.svd(images)
-        return np.stack([np.einsum("k,l,klji->ij", a.conj(), b.conj(), u4) for a, b in zip(x[..., 0], yh[:, 0])])
-
-    def _ball_maximizer(self, g):
-        return linalg.dual_witnesses(g)
-
-
-class TraceScalars(ScalarSpace):
+class TraceScalars(MatricialSpace):
     """Scalars with the trace norm at every level (``cmax``)."""
 
     def norm_batch(self, coords):
         return np.linalg.svd(coords[..., 0], compute_uv=False).sum(axis=-1)
 
-    def _shrink(self, w, n):
-        return w / n
+    def structured_couples(self, n, u4):
+        """The identity and, when u4 is given, the dual witnesses of its nonzero blocks, each divided by n.
 
-    def _pullback(self, images, u4):
-        return np.stack([np.einsum("klji,lk->ij", u4, w) for w in linalg.dual_witnesses(images)])
+        A dual witness achieves the trace norm of its block at level 1.
+        """
+        coords = [np.eye(n, dtype=complex)]
+        if u4 is not None:
+            blocks = u4.reshape(-1, n, n)
+            coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))]))
+        return np.stack(coords)[..., None] / n
 
-    def _ball_maximizer(self, g):
-        # the top rank-one part of each g
-        uu, _, vvh = np.linalg.svd(g)
-        return vvh[:, 0].conj()[:, :, None] * uu[..., 0].conj()[:, None, :]
+    def polar_proposal(self, images, u4):
+        # The pullbacks take one einsum per element: a batched einsum sums in
+        # another order and changes the last bits. The SVDs and products are
+        # batched; they give the same bits as one call per matrix.
+        pullbacks = np.stack([np.einsum("klji,lk->ij", u4, w) for w in linalg.dual_witnesses(images[..., 0])])
+        live = images.any(axis=(1, 2, 3)) & pullbacks.any(axis=(1, 2))
+        # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball: the top rank-one part of g^T
+        uu, _, vvh = np.linalg.svd(pullbacks.swapaxes(1, 2))
+        w = vvh[:, 0].conj()[:, :, None] * uu[..., 0].conj()[:, None, :]
+        return np.where(live[:, None, None], w, 0)[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,11 +227,18 @@ class OperatorSpace(MatricialSpace):
         return np.linalg.svd(assembled, compute_uv=False).T[0]
 
     def structured_couples(self, n, u4):
-        """The assembled identity; when k = n also the flip element."""
+        """The assembled identity; when k = n also the flip element.
+
+        When k = 1 and u4 is given, also the dual witnesses of its nonzero
+        blocks; a dual witness achieves the trace norm of its block at level 1.
+        """
         k = self.k
         coords = [np.einsum("pq,x->pqx", np.eye(n), np.eye(k).reshape(-1)).astype(complex)]
         if k == n:
             coords.append(linalg.canonical_identity(n).reshape(n, n, n * n))
+        if k == 1 and u4 is not None:
+            blocks = u4.reshape(-1, n, n)
+            coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))])[..., None])
         return np.stack(coords)
 
     def polar_proposal(self, images, u4):
@@ -277,7 +248,7 @@ class OperatorSpace(MatricialSpace):
         x, _, yh = np.linalg.svd(images)
         xc = x[..., 0].reshape(b, m, k)
         yc = yh[:, 0].conj().reshape(b, m, k)
-        # one einsum per element, as for the scalar spaces
+        # one einsum per element: a batched einsum sums in another order and changes the last bits
         pulls = np.stack([np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr) for xr, yr in zip(xc, yc)])
         pulls = pulls.transpose(0, 1, 3, 2, 4).reshape(b, n * k, n * k)
         live = images.any(axis=(1, 2)) & pulls.any(axis=(1, 2))
@@ -299,23 +270,10 @@ class L1Sum(MatricialSpace):
         return sum(part.norm_batch(np.ascontiguousarray(coords[..., lo:hi]))
                    for part, lo, hi in zip(self.parts, self.offsets[:-1], self.offsets[1:]))
 
-    def structured_couples(self, n, u4):
-        """The summands' elements, embedded componentwise.
-
-        An embedded element's norm is its summand norm bit for bit (the other
-        parts add exact zeros), so rescaling in the sum is the summand's rescale.
-        """
-        stacks = []
-        for part, lo, hi in zip(self.parts, self.offsets[:-1], self.offsets[1:]):
-            sub = part.structured_couples(n, u4)
-            stacks.append(np.zeros(sub.shape[:-1] + (self.dim,), dtype=complex))
-            stacks[-1][..., lo:hi] = sub
-        return np.concatenate(stacks)
-
 
 def c_min() -> MatricialSpace:
-    """Scalars with the operator norm at every level."""
-    return OperatorScalars("cmin", 1, None)
+    """Scalars with the operator norm at every level: the 1 x 1 matrices ``op:1`` under their own id."""
+    return OperatorSpace("cmin", 1, None, 1)
 
 
 def c_max() -> MatricialSpace:
@@ -413,30 +371,30 @@ def _split_top_level(text: str) -> list[str]:
             depth -= 1
         cur.append(ch)
     parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    return [p.strip() for p in parts]
 
 
 def space_from_id(space_id: str) -> MatricialSpace:
     """Build a catalog space from its stable identifier.
 
-    Understood forms: "cmin", "cmax", "op:k", "l1:[id,id,...]" (nesting
-    allowed).
+    Understood forms: "cmin", "cmax", "op:k" with k in ASCII digits and
+    "l1:[id,id,...]" (nesting allowed, no empty id).
     """
+    if not isinstance(space_id, str):
+        raise InvalidInputError(f"space id must be a string, got {space_id!r}")
     s = space_id.strip()
     if s == "cmin":
         return c_min()
     if s == "cmax":
         return c_max()
     if s.startswith("op:"):
-        try:
-            k = int(s[3:])
-        except ValueError as exc:
-            raise InvalidInputError(f"bad operator-space id: {space_id!r}") from exc
-        return concrete_operator_space(k)
+        if not (s[3:].isascii() and s[3:].isdigit()):  # int() also takes signs, underscores and spaces
+            raise InvalidInputError(f"bad operator-space id: {space_id!r}")
+        return concrete_operator_space(int(s[3:]))
     if s.startswith("l1:[") and s.endswith("]"):
         inner = _split_top_level(s[4:-1])
-        if not inner:
-            raise InvalidInputError(f"empty l1 sum id: {space_id!r}")
+        if "" in inner:
+            raise InvalidInputError(f"empty summand in l1 sum id: {space_id!r}")
         return l1_sum([space_from_id(tok) for tok in inner])
     raise InvalidInputError(f"unknown space id: {space_id!r}")
 

@@ -100,10 +100,11 @@ class TestBlockSize:
         lambda: canonical_identity(2.0),
         lambda: random_unitary(2.5, 0),
         lambda: concrete_operator_space(2.0),
+        lambda: block_diag_lower(2.0, [np.eye(2)]),
     ], ids=["hat_bounds_none", "search_lower_bound_none", "hat_upper_bound_none", "optimize_couple_none",
             "structured_couples_none", "default_catalog_none", "default_catalog_float", "convexity_violation_float",
             "l1_functional_check_float", "split_blocks_float", "split_blocks_bool", "canonical_identity_float",
-            "random_unitary_float", "concrete_operator_space_float"])
+            "random_unitary_float", "concrete_operator_space_float", "block_diag_lower_float"])
     def test_size_of_another_type_rejected(self, call):
         # each raised a TypeError deeper down, or (op:2.0) built a space with a float dim
         with pytest.raises(InvalidInputError, match="size must be an integer"):
@@ -167,6 +168,14 @@ class TestLowerBound:
         values = [couple_value(random_couple(space, 2, rng), u) for _ in range(16)]
         assert np.isnan(values).any() and not np.isnan(values[0])
         assert result.value == np.nanmax(values) > values[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cmin_witness_reaches_trace_norm_without_a_search(self, n):
+        # with no random couples and no optimizer run, cmin's structured stack
+        # alone holds the block's dual witness, worth its trace norm (thm6)
+        a = gauss(np.random.default_rng(40 + n), (n, n))
+        result = search_lower_bound(n, single_block(a), catalog=[c_min()], budget=0)
+        assert result.value == pytest.approx(trace_norm(a), rel=1e-12)
 
     def test_search_without_a_couple_rejected(self):
         # no structured couples and no budget: nothing is evaluated, so there

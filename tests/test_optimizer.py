@@ -31,7 +31,7 @@ from matnorm import (
 )
 from matnorm.correspondence import amplified_images
 from matnorm.optimizer import TOLERANCE
-from matnorm.spaces import OperatorScalars, OperatorSpace, TraceScalars
+from matnorm.spaces import OperatorSpace, TraceScalars
 
 
 def gauss(rng, shape):
@@ -273,9 +273,12 @@ def test_each_step_values_one_candidate_per_running_restart(seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_default_catalog_is_polar(n):
-    # every default space takes polar steps: none is left to a random search
+    # every default space takes polar steps: none is left to a random search,
+    # and none is searched twice (cmin is op:1 under its own id)
     catalog = default_catalog(n)
-    assert len(catalog) == n + 3
+    assert len(catalog) == n + 2
+    kinds = [(type(space), getattr(space, "k", None)) for space in catalog]
+    assert len(set(kinds)) == len(kinds)
     for space in catalog:
         assert type(space).polar_proposal is not MatricialSpace.polar_proposal, space.space_id
 
@@ -329,8 +332,9 @@ def flaky_missing(first):
     return np.floor(1000 * np.abs(first)) % 2 == 1
 
 
-class FlakyScalars(OperatorScalars):
-    """cmin without a polar step wherever ``floor(1000 |first coordinate|)`` is odd.
+@dataclass(frozen=True, eq=False)
+class FlakyScalars(OperatorSpace):
+    """cmin (op:1) without a polar step wherever ``floor(1000 |first coordinate|)`` is odd.
 
     Its proposals vanish in mid-run, so one restart may end while a higher
     one still takes polar steps.
@@ -356,24 +360,16 @@ def reference_proposal(space, image, u4):
         if not pull.any():
             return None
         return split_blocks(dual_witness(pull.T), k).reshape(n, n, k * k)
-    if not isinstance(space, (OperatorScalars, TraceScalars)):
+    if not isinstance(space, TraceScalars):
         return None
     image = image[:, :, 0]
     if not image.any():
         return None
-    if isinstance(space, OperatorScalars):
-        x, _, yh = np.linalg.svd(image)
-        pullback = np.einsum("k,l,klji->ij", x[:, 0].conj(), yh[0].conj(), u4)
-    else:
-        pullback = np.einsum("klji,lk->ij", u4, dual_witness(image))
+    pullback = np.einsum("klji,lk->ij", u4, dual_witness(image))
     if not pullback.any():
         return None
-    if isinstance(space, OperatorScalars):
-        w = dual_witness(pullback.T)
-    else:
-        uu, _, vvh = np.linalg.svd(pullback.T)
-        w = np.outer(vvh[0].conj(), uu[:, 0].conj())
-    return w.reshape(*pullback.shape, 1)
+    uu, _, vvh = np.linalg.svd(pullback.T)
+    return np.outer(vvh[0].conj(), uu[:, 0].conj()).reshape(*pullback.shape, 1)
 
 
 def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
@@ -452,7 +448,7 @@ class TestLockstepEquivalence:
         if space_id == "bare":
             space = MatricialSpace("bare", 1, c_min().norm_batch)
         elif space_id == "flaky":
-            space = FlakyScalars("flaky", 1, None)
+            space = FlakyScalars("flaky", 1, None, 1)
         else:
             space = space_from_id(space_id)
         rng = np.random.default_rng(seed)

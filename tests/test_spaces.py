@@ -28,6 +28,7 @@ from matnorm import (
     scalar_action,
     space_from_id,
 )
+from matnorm.correspondence import amplified_images
 from matnorm.serialize import complex_to_pairs
 from matnorm.spaces import AxiomReport, check_unit_ball
 
@@ -99,6 +100,23 @@ class TestScalarSpaces:
         assert sp.norm([[-2.0]]) == pytest.approx(2.0)
         assert sp.norm(np.eye(2)) == pytest.approx(2.0)
         assert sp.norm(np.ones((2, 2))) == pytest.approx(2.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), n=st.integers(1, 3), batch=st.integers(1, 4), scale=st.floats(-3, 3),
+           zeros=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_cmin_is_op1_bitwise(self, m, n, batch, scale, zeros, seed):
+        # cmin is op:1 under its own id: same norms, polar proposals and structured couples, bit for bit
+        rng = np.random.default_rng(seed)
+        u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
+        coords = gauss(rng, (batch, n, n, 1))
+        coords[np.array(zeros[:batch])] = 0
+        images = amplified_images(coords, u4)
+        cmin, op1 = c_min(), space_from_id("op:1")
+        assert (cmin.space_id, op1.space_id) == ("cmin", "op:1")
+        np.testing.assert_array_equal(cmin.norm_batch(images), op1.norm_batch(images))
+        np.testing.assert_array_equal(cmin.norm_batch(coords), op1.norm_batch(coords))
+        np.testing.assert_array_equal(cmin.polar_proposal(images, u4), op1.polar_proposal(images, u4))
+        np.testing.assert_array_equal(cmin.structured_couples(n, u4), op1.structured_couples(n, u4))
 
 
 class TestOperatorSpace:
@@ -172,9 +190,12 @@ class TestSpaceIds:
     def test_roundtrip(self):
         for sid in ("cmin", "cmax", "op:3", "l1:[cmax,cmax]", "l1:[cmin,l1:[cmax,op:2]]"):
             assert space_from_id(sid).space_id == sid
+        assert space_from_id(" l1:[ cmin , op:2 ] ").space_id == "l1:[cmin,op:2]"
 
     def test_unknown_rejected(self):
-        for sid in ("bogus", "op:x", "l1:[]", "l1:[nope]"):
+        # int() read "op:2_0" as op:20 and "op:+2" as op:2; None raised an AttributeError
+        for sid in ("bogus", "op:x", "l1:[]", "l1:[nope]", None, "op:2_0", "op:+2", "op: 2", "op:-1", "op:0",
+                    "l1:[cmin,,cmax]", "l1:[cmin,]"):
             with pytest.raises(InvalidInputError):
                 space_from_id(sid)
 
