@@ -222,9 +222,10 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     Per space: structured couples, ``budget`` random couples, then an
     optimizer run from the first of them (skipped when budget is 0; it
     takes no step on a space without a polar proposal). The structured
-    couples are one stack and the random ones come in chunks of
-    ``RANDOM_CHUNK``; each stack takes one amplification and one batched
-    norm, and only a winner becomes a ``Couple``. Ties go to the earliest couple in evaluation order. Raises
+    couples and the first ``RANDOM_CHUNK`` random ones are one stack, and
+    the rest come in chunks of ``RANDOM_CHUNK``; each stack takes one
+    amplification and one batched norm, and only a winner becomes a
+    ``Couple``. Ties go to the earliest couple in evaluation order. Raises
     ``InvalidInputError`` when no couple has a value (no structured couples
     and budget 0, or NaN everywhere).
     """
@@ -249,7 +250,8 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
         starts = []
         chunks = (_random_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done))
                   for done in range(0, budget, RANDOM_CHUNK))
-        for coords in itertools.chain([structured_couples(space, n, u4)], chunks):
+        first = np.concatenate([structured_couples(space, n, u4), *itertools.islice(chunks, 1)])
+        for coords in itertools.chain([first], chunks):
             if not len(coords):
                 continue
             values = space.norm_batch(amplified_images(coords, u4))

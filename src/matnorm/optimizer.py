@@ -17,10 +17,13 @@ space without a polar step, or a vanishing linearization) is worth 0, no
 more than any start, so such a restart ends after one step with its start.
 
 The restarts advance in lockstep: each step makes one ``polar_proposal``
-call over the images of the running restarts, then one amplification and
-``norm_batch`` over their proposals (points of the unit ball, so nothing is
-rescaled). Steps draw nothing; the drawn starts come first, in restart
-order, so any batching gives a sequential run's result.
+call over the states of the running restarts, then one amplification and
+one ``polar_state`` call over their proposals (points of the unit ball, so
+nothing is rescaled). ``polar_state`` values the proposals' images and keeps
+what their own proposals need from the same factorization, so a catalog
+step makes two SVD calls: the proposal's and the image's. Steps draw
+nothing; the drawn starts come first, in restart order, so any batching
+gives a sequential run's result.
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
@@ -57,27 +60,30 @@ class OptimizerConfig:
             require_int(name, getattr(self, name), low)
 
 
-def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, images: np.ndarray, vals: np.ndarray,
-            cfg: OptimizerConfig) -> None:
-    """Run the restarts of a (R, n, n, dim) stack in lockstep, updating ``coords``, ``images`` and ``vals`` in place.
+def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, images: np.ndarray, states: np.ndarray,
+            vals: np.ndarray, cfg: OptimizerConfig) -> None:
+    """Run the restarts of a (R, n, n, dim) stack in lockstep, updating their rows in place.
 
-    Per restart, a step moves to its proposal, and keeps the image it was
-    valued by, when the proposal's value beats the current one (NaN never
-    does); the restart ends when it does not.
+    ``coords``, ``images``, ``states`` and ``vals`` hold each restart's
+    point, its image, that image's ``polar_state`` row and its value. Per
+    restart, a step moves to its proposal, and keeps the image and the
+    state it was valued by, when the proposal's value beats the current one
+    (NaN never does); the restart ends when it does not.
     """
     active = np.arange(len(vals))
     stall = np.zeros(len(vals), dtype=int)
     for _ in range(cfg.iterations):
         if not active.size:
             break
-        proposals, shape = space.polar_proposal(images[active], u4), (len(active), *coords.shape[1:])
+        proposals, shape = space.polar_proposal(states[active], u4), (len(active), *coords.shape[1:])
         if proposals.shape != shape:
             raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {shape}")
         proposal_images = amplified_images(proposals, u4)
-        values, current = space.norm_batch(proposal_images), vals[active]
+        (values, proposal_states), current = space.polar_state(proposal_images), vals[active]
         better = values > current
         won = active[better]
-        coords[won], images[won], vals[won] = proposals[better], proposal_images[better], values[better]
+        coords[won], images[won], states[won], vals[won] = (
+            proposals[better], proposal_images[better], proposal_states[better], values[better])
         stall[active] = np.where(values > current + TOLERANCE, 0, stall[active] + 1)
         active = active[better & (stall[active] < cfg.stall_limit)]
 
@@ -89,9 +95,12 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     Restarts beyond the given ``starts`` start from Gaussian draws, and only
     the starts are rescaled into the ball: a step moves straight to its polar
     proposal, a unit-ball point, with no line search (see the module
-    docstring). The ``Couple`` checks the returned element, ties between
-    restarts go to the first one found, and the reported value is the
-    returned couple's. Deterministic per seed.
+    docstring). Each start is valued on its own, and one ``polar_state`` call
+    over the starts' images gives their states. The ``Couple`` checks the
+    returned element. The restarts end valued by one ``norm_batch`` of the
+    images they kept, so the reported value is the returned couple's
+    ``couple_value`` bit for bit; ties go to the first restart. Deterministic
+    per seed.
     """
     cfg = config or OptimizerConfig()
     require_int("block size", n, 1)
@@ -109,8 +118,10 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     space.unit_scaled_stack(coords)
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
     vals = np.array([space.norm(image) for image in start_images])
-    _ascend(space, u4, coords, np.stack([image.coords for image in start_images]), vals, cfg)
+    images = np.stack([image.coords for image in start_images])
+    _ascend(space, u4, coords, images, space.polar_state(images)[1], vals, cfg)
 
+    vals = space.norm_batch(images)  # as couple_value values the returned couple
     best = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))  # ties go to the first restart
     if np.isnan(vals[best]):
         raise InvalidInputError(f"{space.space_id}: the norm is NaN at every optimizer restart")

@@ -76,8 +76,9 @@ class MatricialSpace:
     gives ``norm_fn``, which receives one raw (m, m, dim) coordinate array
     and which the default ``norm_batch`` loops over. The catalog kinds pass
     ``norm_fn=None`` and subclass this with a ``norm_batch`` kernel over any
-    leading axes, structured couples and a polar proposal for the
-    optimizer; both hooks work on (B, n, n, dim) stacks.
+    leading axes, structured couples and the optimizer's two polar hooks:
+    ``polar_state`` values a stack of images and keeps, per row, what
+    ``polar_proposal`` needs, both from one full SVD of the stack.
     """
 
     space_id: str
@@ -142,19 +143,32 @@ class MatricialSpace:
         """
         return np.empty((0, n, n, self.dim), dtype=complex)
 
-    def polar_proposal(self, images: np.ndarray, u4: np.ndarray) -> np.ndarray:
+    def polar_state(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Norms of a (B, m, m, dim) stack of images, and per row what ``polar_proposal`` needs.
+
+        Returns the (B,) norms, within rounding of ``norm_batch``'s, and a
+        state stack whose first axis is B. The optimizer calls it on the
+        images of its starts and of each step's proposals, and keeps a
+        restart's state row beside its point, so one factorization of an
+        image both values it and proposes from it. Each row must get the
+        bits of its own call, whatever the batch. By default the state is
+        the images themselves.
+        """
+        return self.norm_batch(images), images
+
+    def polar_proposal(self, state: np.ndarray, u4: np.ndarray) -> np.ndarray:
         """Closed-form maximizer over the unit ball of the objective linearized at each element of a stack.
 
-        Takes the (B, m, m, dim) images of the elements under u4 and returns
-        a (B, n, n, dim) stack. The optimizer moves a restart straight there
-        and ends it when that does not raise the value, so an override must
-        return the maximizer (worth at least the current value by convexity).
-        A zero row means no proposal: the space has no such step, or the
-        linearization vanishes; that restart ends. The optimizer rejects a
-        stack of another shape, but when m == n it cannot tell an override
-        that reads the images as the elements' coordinates.
+        Takes the ``polar_state`` rows of the elements' images under u4 and
+        returns a (B, n, n, dim) stack. The optimizer moves a restart
+        straight there and ends it when that does not raise the value, so an
+        override must return the maximizer (worth at least the current value
+        by convexity). A zero row means no proposal: the space has no such
+        step, or the linearization vanishes (a zero image included); that
+        restart ends. The optimizer rejects a stack of another shape, but
+        when m == n it cannot tell an override that returns the images.
         """
-        return np.zeros((len(images), *u4.shape[2:], self.dim), dtype=complex)
+        return np.zeros((len(state), *u4.shape[2:], self.dim), dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,16 +217,21 @@ class TraceScalars(MatricialSpace):
             coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))]))
         return np.stack(coords)[..., None] / n
 
-    def polar_proposal(self, images, u4):
-        # The pullbacks take one einsum per element: a batched einsum sums in
-        # another order and changes the last bits. The SVDs and products are
-        # batched; they give the same bits as one call per matrix.
-        pullbacks = np.stack([np.einsum("klji,lk->ij", u4, w) for w in linalg.dual_witnesses(images[..., 0])])
-        live = images.any(axis=(1, 2, 3)) & pullbacks.any(axis=(1, 2))
+    def polar_state(self, images):
+        """Trace norms and dual witnesses ``V U*`` of the images, from one full SVD; a zero image gets witness 0."""
+        uu, s, vvh = np.linalg.svd(images[..., 0])
+        witnesses = vvh.conj().swapaxes(1, 2) @ uu.conj().swapaxes(1, 2)
+        return s.sum(axis=-1), np.where(images.any(axis=(1, 2, 3))[:, None, None], witnesses, 0)
+
+    def polar_proposal(self, witnesses, u4):
+        m, n = u4.shape[1:3]
+        # The transposed pullback g^T[j, i] = sum_kl w[l, k] u4[k, l, j, i], one broadcast @: each row is
+        # its own product, where a batched einsum sums in another order and changes the last bits.
+        gt = (witnesses.swapaxes(1, 2).reshape(-1, 1, m * m) @ u4.reshape(m * m, n * n)).reshape(-1, n, n)
         # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball: the top rank-one part of g^T
-        uu, _, vvh = np.linalg.svd(pullbacks.swapaxes(1, 2))
+        uu, _, vvh = np.linalg.svd(gt)
         w = vvh[:, 0].conj()[:, :, None] * uu[..., 0].conj()[:, None, :]
-        return np.where(live[:, None, None], w, 0)[..., None]
+        return np.where(gt.any(axis=(1, 2))[:, None, None], w, 0)[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,39 +240,47 @@ class OperatorSpace(MatricialSpace):
 
     k: int
 
-    def norm_batch(self, coords):
+    def _assembled(self, coords):
+        """The mk x mk matrices of a (..., m, m, k * k) stack."""
         lead, m, k = coords.shape[:-3], coords.shape[-3], self.k
-        assembled = coords.reshape(lead + (m, m, k, k)).swapaxes(-3, -2).reshape(lead + (m * k, m * k))
-        return np.linalg.svd(assembled, compute_uv=False).T[0]
+        return coords.reshape(lead + (m, m, k, k)).swapaxes(-3, -2).reshape(lead + (m * k, m * k))
+
+    def norm_batch(self, coords):
+        return np.linalg.svd(self._assembled(coords), compute_uv=False).T[0]
 
     def structured_couples(self, n, u4):
-        """The assembled identity; when k = n also the flip element.
+        """The assembled identity; when k = n > 1 also the flip element (at n = 1 it is the identity).
 
         When k = 1 and u4 is given, also the dual witnesses of its nonzero
         blocks; a dual witness achieves the trace norm of its block at level 1.
         """
         k = self.k
         coords = [np.einsum("pq,x->pqx", np.eye(n), np.eye(k).reshape(-1)).astype(complex)]
-        if k == n:
+        if k == n > 1:
             coords.append(linalg.canonical_identity(n).reshape(n, n, n * n))
         if k == 1 and u4 is not None:
             blocks = u4.reshape(-1, n, n)
             coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))])[..., None])
         return np.stack(coords)
 
-    def polar_proposal(self, images, u4):
-        k, b, m, n = self.k, len(images), *u4.shape[1:3]
-        images = images.reshape(b, m, m, k, k).transpose(0, 1, 3, 2, 4).reshape(b, m * k, m * k)  # assembled
-        # top singular pair of each image
-        x, _, yh = np.linalg.svd(images)
-        xc = x[..., 0].reshape(b, m, k)
-        yc = yh[:, 0].conj().reshape(b, m, k)
-        # one einsum per element: a batched einsum sums in another order and changes the last bits
+    def polar_state(self, images):
+        """Operator norms and top singular pairs ``(x, conj y)`` of the assembled images, from one full SVD.
+
+        The (B, 2, mk) state of a zero image is 0.
+        """
+        x, s, yh = np.linalg.svd(self._assembled(images))
+        pairs = np.stack([x[..., 0], yh[:, 0].conj()], axis=1)
+        return s[:, 0], np.where(images.any(axis=(1, 2, 3))[:, None, None], pairs, 0)
+
+    def polar_proposal(self, pairs, u4):
+        k, b, m, n = self.k, len(pairs), *u4.shape[1:3]
+        xc, yc = pairs[:, 0].reshape(b, m, k), pairs[:, 1].reshape(b, m, k)
+        # One einsum per element: a batched einsum or a product sums in another order and changes the last bits.
+        # The pull has rank at most mn of nk, so its witness off the range follows those bits and steers the search.
         pulls = np.stack([np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr) for xr, yr in zip(xc, yc)])
         pulls = pulls.transpose(0, 1, 3, 2, 4).reshape(b, n * k, n * k)
-        live = images.any(axis=(1, 2)) & pulls.any(axis=(1, 2))
         w = linalg.dual_witnesses(pulls.swapaxes(1, 2)).reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
-        return np.where(live[:, None, None, None], w.reshape(b, n, n, k * k), 0)
+        return np.where(pulls.any(axis=(1, 2))[:, None, None, None], w.reshape(b, n, n, k * k), 0)
 
 
 @dataclass(frozen=True, eq=False)

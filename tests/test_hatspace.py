@@ -75,6 +75,23 @@ class TestCoupleValue:
         with pytest.raises(InvalidInputError, match="2 x 2 blocks"):
             couple_value(couple, np.ones((1, 1, 3, 3)))
 
+    @pytest.mark.parametrize("psd", [False, True], ids=["gauss", "psd_block_diag"])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_certificate_reproduces_the_lower_bound_bitwise(self, m, n, psd):
+        # the optimizer steps on full-SVD values but reports its couples'
+        # norm_batch values, which couple_value gives bit for bit
+        for seed in range(4):
+            rng = np.random.default_rng([m, n, seed])
+            if psd:
+                u = np.zeros((m, m, n, n), dtype=complex)
+                for k in range(m):
+                    g = gauss(rng, (n, n))
+                    u[k, k] = g @ g.conj().T
+            else:
+                u = gauss(rng, (m, m, n, n))
+            b = hat_bounds(n, u, seed=seed)
+            assert couple_value(b.certificate, u) == b.lower
+
 
 class TestBlockSize:
     @pytest.mark.parametrize("n", [True, 1.0, 2.0, "2"], ids=["bool", "one_float", "float", "str"])
@@ -176,6 +193,26 @@ class TestLowerBound:
         a = gauss(np.random.default_rng(40 + n), (n, n))
         result = search_lower_bound(n, single_block(a), catalog=[c_min()], budget=0)
         assert result.value == pytest.approx(trace_norm(a), rel=1e-12)
+
+    def test_n1_structured_couples_stack_the_identity_once(self, monkeypatch):
+        # at n = 1 the flip element is the identity, so cmin (op:1) stacks the
+        # identity and then the witnesses of the nonzero blocks, and a
+        # 2-restart search starts from the identity and the first witness
+        u4 = gauss(np.random.default_rng(50), (2, 2, 1, 1))
+        u4[0, 1] = 0
+        witnesses = [dual_witness(b) for b in u4.reshape(-1, 1, 1) if b.any()]
+        for space in (c_min(), concrete_operator_space(1)):
+            np.testing.assert_array_equal(space.structured_couples(1, u4), np.stack([np.eye(1), *witnesses])[..., None])
+        seen = []
+
+        def spy(space, n, u, config, starts, seed):
+            seen.extend(start.coords for start in starts)
+            return optimize_couple(space, n, u, config, starts=starts, seed=seed)
+
+        monkeypatch.setattr("matnorm.hatspace.optimize_couple", spy)
+        search_lower_bound(1, u4, catalog=[c_min()], budget=4, seed=0)
+        assert len(seen) == OptimizerConfig().restarts == 2
+        assert seen[0][0, 0, 0] == 1 and seen[1][0, 0, 0] == pytest.approx(witnesses[0][0, 0], abs=1e-15)
 
     def test_search_without_a_couple_rejected(self):
         # no structured couples and no budget: nothing is evaluated, so there

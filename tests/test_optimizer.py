@@ -43,6 +43,11 @@ def single_block(a):
     return a.reshape(1, 1, *a.shape)
 
 
+def propose(space, coords, u4):
+    """Polar proposals for a (B, n, n, dim) stack of elements, from the polar states of their images."""
+    return space.polar_proposal(space.polar_state(amplified_images(coords, u4))[1], u4)
+
+
 class TestBenchmarkRecovery:
     def test_level_one_trace_norm_100_matrices(self):
         # the known optimum is the dual witness; the polar step finds it fast
@@ -149,7 +154,7 @@ class TestPolarStep:
         rng = np.random.default_rng(4)
         u = single_block(gauss(rng, (2, 2)))
         v = 0.1 * gauss(rng, (1, 2, 2, 1))
-        proposal = c_max().polar_proposal(amplified_images(v, u), u)
+        proposal = propose(c_max(), v, u)
         start, jump = c_max().norm_batch(amplified_images(np.concatenate([v, proposal]), u))
         space = NanAbove("nan", 1, None, (start + jump) / 2)
         couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=5),
@@ -157,7 +162,8 @@ class TestPolarStep:
         assert start < jump and c_max().norm_batch(v)[0] < 1
         assert value == start
         np.testing.assert_array_equal(couple.v.coords, v[0])
-        assert space.rows == [1, 1]  # the start's value, then one step's: the NaN proposal's
+        # the start's value and state, one step's (the NaN proposal's), then the kept start's valuation
+        assert space.rows == [1, 1, 1, 1]
 
     def test_every_restart_nan_rejected(self):
         # NaN on every level-1 image: no restart has a value to compare
@@ -203,21 +209,30 @@ class TestPolarStep:
         assert space.norm(bounds.certificate.v) <= 1.0
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
-def test_polar_proposal_of_a_stack_matches_rows_bitwise(m, n):
-    # one call over the stack of images gives each row the bits of its own call;
-    # the stack holds an element with a zero image, whose proposal is zero
-    rng = np.random.default_rng(10 * m + n)
-    u4 = gauss(rng, (m, m, n, n))
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(scale=st.floats(-3, 3), zero=st.integers(0, 4), seed=st.integers(0, 2**16))
+def test_polar_proposal_of_a_stack_matches_rows_bitwise(m, n, scale, zero, seed):
+    # one polar_state and one polar_proposal call over a stack give each row
+    # the bits of its own calls; the values are the norms up to rounding; the
+    # element with a zero image gets a zero proposal (the SVD of 0 has
+    # unitary factors, which must not propose) and the others a nonzero one
+    rng = np.random.default_rng(seed)
+    u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
     for space in default_catalog(n):
         coords = gauss(rng, (5, n, n, space.dim))
-        coords[1] = 0
+        coords[zero] = 0
         images = amplified_images(coords, u4)
-        stacked = space.polar_proposal(images, u4)
-        rows = np.concatenate([space.polar_proposal(images[b:b + 1], u4) for b in range(len(images))])
+        values, state = space.polar_state(images)
+        rows = [space.polar_state(images[b:b + 1]) for b in range(len(images))]
+        np.testing.assert_array_equal(values, np.concatenate([v for v, _ in rows]), err_msg=space.space_id)
+        np.testing.assert_array_equal(state, np.concatenate([st for _, st in rows]), err_msg=space.space_id)
+        np.testing.assert_allclose(values, space.norm_batch(images), rtol=1e-13, atol=0, err_msg=space.space_id)
+        stacked = space.polar_proposal(state, u4)
+        rows = np.concatenate([space.polar_proposal(state[b:b + 1], u4) for b in range(len(state))])
         assert stacked.shape == coords.shape
         np.testing.assert_array_equal(stacked, rows, err_msg=space.space_id)
-        assert not stacked[1].any() and stacked[0].any()
+        assert [bool(p.any()) for p in stacked] == [b != zero for b in range(len(stacked))], space.space_id
 
 
 @pytest.mark.parametrize("n,space_id", [(n, space.space_id) for n in (1, 2, 3) for space in default_catalog(n)])
@@ -232,7 +247,7 @@ def test_proposal_dominates_its_segment(n, space_id, m, scale, seed):
     rng = np.random.default_rng(seed)
     u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
     v = space.unit_scaled_stack(gauss(rng, (1, n, n, space.dim)), sphere=bool(rng.integers(2)))
-    p = space.polar_proposal(amplified_images(v, u4), u4)
+    p = propose(space, v, u4)
     f_v, f_p = space.norm_batch(amplified_images(np.concatenate([v, p]), u4))
     assert f_p >= f_v * (1 - 1e-13)
     segment = np.concatenate([(1 - t) * v + t * p for t in (0.5, 0.25, 0.1)])
@@ -241,7 +256,7 @@ def test_proposal_dominates_its_segment(n, space_id, m, scale, seed):
 
 @dataclass(frozen=True, eq=False)
 class CountedScalars(TraceScalars):
-    """cmax that logs, in order, the rows of each ``polar_proposal`` call and of each level-``m`` ``norm_batch`` call."""
+    """cmax that logs, in order, the rows of each polar hook call and of each level-``m`` ``norm_batch`` call."""
 
     m: int
     log: list = field(default_factory=list)
@@ -251,24 +266,63 @@ class CountedScalars(TraceScalars):
             self.log.append(("norm", int(np.prod(coords.shape[:-3]))))
         return super().norm_batch(coords)
 
-    def polar_proposal(self, images, u4):
-        self.log.append(("proposal", len(images)))
-        return super().polar_proposal(images, u4)
+    def polar_state(self, images):
+        self.log.append(("state", len(images)))
+        return super().polar_state(images)
+
+    def polar_proposal(self, state, u4):
+        self.log.append(("proposal", len(state)))
+        return super().polar_proposal(state, u4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_each_step_values_one_candidate_per_running_restart(seed):
     # at m = 3, n = 2 the images (level 3) and the elements (level 2) differ,
-    # so the log holds the starts' values and each step's, not the couple check
+    # so the log holds the starts' values, their states, each step's calls
+    # and the kept images' valuation, not the couple check
     restarts = 4
     space = CountedScalars("count", 1, None, 3)
     u4 = gauss(np.random.default_rng(seed), (3, 3, 2, 2))
     optimize_couple(space, 2, u4, OptimizerConfig(restarts=restarts, iterations=40), seed=seed)
-    assert space.log[:restarts] == [("norm", 1)] * restarts  # the starts, one restart at a time
-    steps = space.log[restarts:]
+    # the starts, one restart at a time, then their states in one call
+    assert space.log[:restarts + 1] == [("norm", 1)] * restarts + [("state", restarts)]
+    assert space.log[-1] == ("norm", restarts)  # the kept images, valued as couple_value values them
+    steps = space.log[restarts + 1:-1]
     running = [rows for kind, rows in steps[::2]]
-    assert steps == [entry for rows in running for entry in (("proposal", rows), ("norm", rows))]
+    assert steps == [entry for rows in running for entry in (("proposal", rows), ("state", rows))]
     assert running[0] == restarts and running == sorted(running, reverse=True) and running[-1] < restarts
+
+
+@pytest.mark.parametrize("space_id", ["cmax", "op:1", "op:2", "op:3"])
+def test_each_step_factors_twice(space_id, monkeypatch):
+    # one SVD in the proposal (the pullback's) and one in the proposal
+    # image's polar_state, which both values the image and keeps the
+    # factors the next proposal needs
+    space = space_from_id(space_id)
+    u4 = gauss(np.random.default_rng(15), (3, 3, 2, 2))
+    log = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        log.append("svd")
+        return svd(*args, **kwargs)
+
+    def logged(name, hook):
+        def call(self, *args):
+            log.append(name)
+            return hook(self, *args)
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for name in ("polar_state", "polar_proposal"):
+        monkeypatch.setattr(type(space), name, logged(name, getattr(type(space), name)))
+    optimize_couple(space, 2, u4, OptimizerConfig(restarts=3, iterations=40), seed=15)
+    # the starts' rescale and three values, then their states; at the end the
+    # kept images' values and the couple check
+    first = log.index("polar_proposal")
+    assert log[:first] == ["svd"] * 4 + ["polar_state", "svd"] and log[-2:] == ["svd", "svd"]
+    steps = log[first:-2]
+    assert len(steps) >= 8 and steps == ["polar_proposal", "svd", "polar_state", "svd"] * (len(steps) // 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -280,18 +334,28 @@ def test_default_catalog_is_polar(n):
     kinds = [(type(space), getattr(space, "k", None)) for space in catalog]
     assert len(set(kinds)) == len(kinds)
     for space in catalog:
+        assert type(space).polar_state is not MatricialSpace.polar_state, space.space_id
         assert type(space).polar_proposal is not MatricialSpace.polar_proposal, space.space_id
 
 
 @dataclass(frozen=True, eq=False)
 class NanAbove(TraceScalars):
-    """cmax whose level-1 norm is NaN above ``cap``; ``rows`` lists the size of each level-1 ``norm_batch`` call."""
+    """cmax whose level-1 norm is NaN above ``cap``, in ``norm_batch`` and ``polar_state`` alike.
+
+    ``rows`` lists the size of each level-1 call of either.
+    """
 
     cap: float
     rows: list = field(default_factory=list)
 
     def norm_batch(self, coords):
-        values = super().norm_batch(coords)
+        return self._nan_above(super().norm_batch(coords), coords)
+
+    def polar_state(self, images):
+        values, state = super().polar_state(images)
+        return self._nan_above(values, images), state
+
+    def _nan_above(self, values, coords):
         if coords.shape[-3] != 1:
             return values
         self.rows.append(int(np.prod(coords.shape[:-3])))
@@ -302,16 +366,23 @@ class NanAbove(TraceScalars):
 class CreepBelow(TraceScalars):
     """cmax whose level-``level`` norms below ``floor`` are squeezed to within 1e-13 of it.
 
-    The squeeze is increasing, so the ascent takes the same points as on
-    cmax; only the gains change. With ``floor`` set to the value after one
-    step, that step gains at most ``TOLERANCE`` and the next one gains fully.
+    The squeeze is increasing and applies to ``norm_batch`` and
+    ``polar_state`` alike, so the ascent takes the same points as on cmax;
+    only the gains change. With ``floor`` set to the value after one step,
+    that step gains at most ``TOLERANCE`` and the next one gains fully.
     """
 
     level: int
     floor: float
 
     def norm_batch(self, coords):
-        values = super().norm_batch(coords)
+        return self._squeezed(super().norm_batch(coords), coords)
+
+    def polar_state(self, images):
+        values, state = super().polar_state(images)
+        return self._squeezed(values, images), state
+
+    def _squeezed(self, values, coords):
         if coords.shape[-3] != self.level:
             return values
         return np.where(values < self.floor, self.floor - (self.floor - values) * 1e-13, values)
@@ -319,12 +390,13 @@ class CreepBelow(TraceScalars):
 
 # ---------------------------------------------------------------------------
 # Reference: the optimizer as one sequential loop that finishes a restart
-# before it starts the next, with single-element polar proposals made from
-# the image of the current point, a step that values its proposal alone and
-# moves there only if that raises the value, no rescale of the proposals, and
-# that runs each restart through steps that do not move until the stall limit or
-# the iterations end it. The lockstep optimizer ends a restart at its first
-# step that does not move; the two must agree bit for bit.
+# before it starts the next, with single-element polar proposals made by hand
+# from the image of the current point, a step that values its proposal alone
+# (with the space's ``polar_state`` on a stack of one) and moves there only if
+# that raises the value, no rescale of the proposals, and that runs each
+# restart through steps that do not move until the stall limit or the
+# iterations end it. The lockstep optimizer ends a restart at its first step
+# that does not move; the two must agree bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -334,26 +406,29 @@ def flaky_missing(first):
 
 @dataclass(frozen=True, eq=False)
 class FlakyScalars(OperatorSpace):
-    """cmin (op:1) without a polar step wherever ``floor(1000 |first coordinate|)`` is odd.
+    """cmin (op:1) without a polar step wherever ``floor(1000 |x_0|)`` is odd, x the image's top left singular vector.
 
     Its proposals vanish in mid-run, so one restart may end while a higher
     one still takes polar steps.
     """
 
-    def polar_proposal(self, images, u4):
-        return np.where(flaky_missing(images[:, :1, :1]), 0, super().polar_proposal(images, u4))
+    def polar_proposal(self, pairs, u4):
+        return np.where(flaky_missing(pairs[:, 0, 0])[:, None, None, None], 0, super().polar_proposal(pairs, u4))
 
 
 def reference_proposal(space, image, u4):
-    """Single-element polar proposal from the (m, m, dim) amplified image of an element, or None."""
-    if isinstance(space, FlakyScalars) and flaky_missing(image[0, 0, 0]):
+    """Single-element polar proposal from the (m, m, dim) amplified image of an element, or None.
+
+    The pullbacks sum in the order the catalog kinds' do, so the bits agree.
+    """
+    m, n = u4.shape[1:3]
+    if not image.any():
         return None
     if isinstance(space, OperatorSpace):
-        k, m, n = space.k, u4.shape[0], u4.shape[2]
-        image = assemble_blocks(image.reshape(m, m, k, k))
-        if not image.any():
+        k = space.k
+        x, _, yh = np.linalg.svd(assemble_blocks(image.reshape(m, m, k, k)))
+        if isinstance(space, FlakyScalars) and flaky_missing(x[0, 0]):
             return None
-        x, _, yh = np.linalg.svd(image)
         xc = x[:, 0].reshape(m, k)
         yc = yh[0].conj().reshape(m, k)
         pull = assemble_blocks(np.einsum("klji,ka,lb->ijab", u4, xc.conj(), yc))
@@ -362,14 +437,12 @@ def reference_proposal(space, image, u4):
         return split_blocks(dual_witness(pull.T), k).reshape(n, n, k * k)
     if not isinstance(space, TraceScalars):
         return None
-    image = image[:, :, 0]
-    if not image.any():
+    witness = dual_witness(image[:, :, 0])
+    pullback_t = (witness.T.reshape(1, m * m) @ u4.reshape(m * m, n * n)).reshape(n, n)
+    if not pullback_t.any():
         return None
-    pullback = np.einsum("klji,lk->ij", u4, dual_witness(image))
-    if not pullback.any():
-        return None
-    uu, _, vvh = np.linalg.svd(pullback.T)
-    return np.outer(vvh[0].conj(), uu[:, 0].conj()).reshape(*pullback.shape, 1)
+    uu, _, vvh = np.linalg.svd(pullback_t)
+    return np.outer(vvh[0].conj(), uu[:, 0].conj()).reshape(n, n, 1)
 
 
 def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
@@ -389,7 +462,7 @@ def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
             if proposal is None:
                 proposal = np.zeros_like(v)
             proposal_image = amplified_image(LeveledElement(space.space_id, proposal), u4).coords
-            value = space.norm(LeveledElement(space.space_id, proposal_image))
+            value = space.polar_state(proposal_image[None])[0][0]
             val_next = val
             if value > val:
                 v, image, val_next = proposal, proposal_image, value
@@ -399,6 +472,7 @@ def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
             val = val_next
             if stall >= cfg.stall_limit:
                 break
+        val = space.norm(LeveledElement(space.space_id, image))  # the kept image, as couple_value values it
         if val > best_val:
             best_v, best_val = v, val
     return best_v, best_val
@@ -495,15 +569,18 @@ class TestLockstepEquivalence:
 class DoubledProposal(TraceScalars):
     """cmax with twice its polar proposal: the proposals leave the unit ball."""
 
-    def polar_proposal(self, images, u4):
-        return 2 * super().polar_proposal(images, u4)
+    def polar_proposal(self, state, u4):
+        return 2 * super().polar_proposal(state, u4)
 
 
 class ImagesAsCoordinates(TraceScalars):
-    """cmax whose proposal returns its (B, m, m, dim) images: a stack of the images' shape, not the elements'."""
+    """cmax whose state is its (B, m, m, dim) images and whose proposal returns them: a stack of the images' shape."""
 
-    def polar_proposal(self, images, u4):
-        return images
+    def polar_state(self, images):
+        return self.norm_batch(images), images
+
+    def polar_proposal(self, state, u4):
+        return state
 
 
 class TestProposalContract:

@@ -105,7 +105,7 @@ class TestScalarSpaces:
     @given(m=st.integers(1, 3), n=st.integers(1, 3), batch=st.integers(1, 4), scale=st.floats(-3, 3),
            zeros=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
     def test_cmin_is_op1_bitwise(self, m, n, batch, scale, zeros, seed):
-        # cmin is op:1 under its own id: same norms, polar proposals and structured couples, bit for bit
+        # cmin is op:1 under its own id: same norms, polar states and proposals and structured couples, bit for bit
         rng = np.random.default_rng(seed)
         u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
         coords = gauss(rng, (batch, n, n, 1))
@@ -115,7 +115,10 @@ class TestScalarSpaces:
         assert (cmin.space_id, op1.space_id) == ("cmin", "op:1")
         np.testing.assert_array_equal(cmin.norm_batch(images), op1.norm_batch(images))
         np.testing.assert_array_equal(cmin.norm_batch(coords), op1.norm_batch(coords))
-        np.testing.assert_array_equal(cmin.polar_proposal(images, u4), op1.polar_proposal(images, u4))
+        (values, state), (op1_values, op1_state) = cmin.polar_state(images), op1.polar_state(images)
+        np.testing.assert_array_equal(values, op1_values)
+        np.testing.assert_array_equal(state, op1_state)
+        np.testing.assert_array_equal(cmin.polar_proposal(state, u4), op1.polar_proposal(state, u4))
         np.testing.assert_array_equal(cmin.structured_couples(n, u4), op1.structured_couples(n, u4))
 
 
