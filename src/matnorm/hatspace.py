@@ -206,9 +206,10 @@ def _random_chunk(space: MatricialSpace, n: int, rng, count: int) -> np.ndarray:
     """
     draws = np.empty((count, 2, n, n, space.dim))
     sphere = np.zeros(count, dtype=bool)
-    for b in range(count):
-        rng.standard_normal(out=draws[b])
-        sphere[b] = draws[b].any() and rng.uniform() < 0.5
+    normal, coin = rng.standard_normal, rng.random  # random() is the double uniform() returns
+    for b, row in enumerate(draws):
+        normal(out=row)
+        sphere[b] = (row.flat[0] != 0 or row.any()) and coin() < 0.5
     coords = draws[:, 0] + 1j * draws[:, 1]
     space.unit_scaled_stack(coords, sphere)
     check_unit_ball(space, coords)

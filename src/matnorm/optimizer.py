@@ -75,16 +75,20 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, images: n
     for _ in range(cfg.iterations):
         if not active.size:
             break
-        proposals, shape = space.polar_proposal(states[active], u4), (len(active), *coords.shape[1:])
+        every = len(active) == len(vals)  # no restart has ended: pass the rows themselves, not copies
+        proposals = space.polar_proposal(states if every else states[active], u4)
+        shape = (len(active), *coords.shape[1:])
         if proposals.shape != shape:
             raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {shape}")
         proposal_images = amplified_images(proposals, u4)
-        (values, proposal_states), current = space.polar_state(proposal_images), vals[active]
-        better = values > current
-        won = active[better]
+        values, proposal_states = space.polar_state(proposal_images)
+        current = vals if every else vals[active]
+        better, gained = values > current, values > current + TOLERANCE  # before the write-back into vals
+        # every restart won: write back by slice, with no mask copies
+        won, pick = (slice(None), slice(None)) if every and better.all() else (active[better], better)
         coords[won], images[won], states[won], vals[won] = (
-            proposals[better], proposal_images[better], proposal_states[better], values[better])
-        stall[active] = np.where(values > current + TOLERANCE, 0, stall[active] + 1)
+            proposals[pick], proposal_images[pick], proposal_states[pick], values[pick])
+        stall[active] = np.where(gained, 0, stall[active] + 1)
         active = active[better & (stall[active] < cfg.stall_limit)]
 
 

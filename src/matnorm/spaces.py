@@ -78,7 +78,9 @@ class MatricialSpace:
     ``norm_fn=None`` and subclass this with a ``norm_batch`` kernel over any
     leading axes, structured couples and the optimizer's two polar hooks:
     ``polar_state`` values a stack of images and keeps, per row, what
-    ``polar_proposal`` needs, both from one full SVD of the stack.
+    ``polar_proposal`` needs, both from one full SVD of the stack. Neither
+    hook may write into the arrays it receives: the optimizer passes its own
+    state rows, uncopied, and keeps what the hooks return.
     """
 
     space_id: str
@@ -151,8 +153,8 @@ class MatricialSpace:
         images of its starts and of each step's proposals, and keeps a
         restart's state row beside its point, so one factorization of an
         image both values it and proposes from it. Each row must get the
-        bits of its own call, whatever the batch. By default the state is
-        the images themselves.
+        bits of its own call, whatever the batch. It must not write into
+        ``images``. By default the state is the images themselves.
         """
         return self.norm_batch(images), images
 
@@ -165,8 +167,10 @@ class MatricialSpace:
         override must return the maximizer (worth at least the current value
         by convexity). A zero row means no proposal: the space has no such
         step, or the linearization vanishes (a zero image included); that
-        restart ends. The optimizer rejects a stack of another shape, but
-        when m == n it cannot tell an override that returns the images.
+        restart ends. ``state`` may be the optimizer's own state rows, so an
+        override must not write into it. The optimizer rejects a stack of
+        another shape, but when m == n it cannot tell an override that
+        returns the images.
         """
         return np.zeros((len(state), *u4.shape[2:], self.dim), dtype=complex)
 
@@ -185,6 +189,13 @@ class Couple:
         if self.v.space_id != self.space.space_id:
             raise InvalidInputError(f"couple mixes {self.space.space_id} with {self.v.space_id}")
         check_unit_ball(self.space, self.v.coords[None])
+
+
+def _zero_rows(stack: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Set, in place, the rows of ``stack`` that ``zero`` flags to 0, and return the stack."""
+    if zero.any():
+        stack[zero] = 0
+    return stack
 
 
 def check_unit_ball(space: MatricialSpace, stack: np.ndarray) -> None:
@@ -221,7 +232,8 @@ class TraceScalars(MatricialSpace):
         """Trace norms and dual witnesses ``V U*`` of the images, from one full SVD; a zero image gets witness 0."""
         uu, s, vvh = np.linalg.svd(images[..., 0])
         witnesses = vvh.conj().swapaxes(1, 2) @ uu.conj().swapaxes(1, 2)
-        return s.sum(axis=-1), np.where(images.any(axis=(1, 2, 3))[:, None, None], witnesses, 0)
+        _zero_rows(witnesses, ~images.any(axis=(1, 2, 3)))
+        return s.sum(axis=-1), witnesses
 
     def polar_proposal(self, witnesses, u4):
         m, n = u4.shape[1:3]
@@ -231,7 +243,7 @@ class TraceScalars(MatricialSpace):
         # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball: the top rank-one part of g^T
         uu, _, vvh = np.linalg.svd(gt)
         w = vvh[:, 0].conj()[:, :, None] * uu[..., 0].conj()[:, None, :]
-        return np.where(gt.any(axis=(1, 2))[:, None, None], w, 0)[..., None]
+        return _zero_rows(w, ~gt.any(axis=(1, 2)))[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,18 +281,22 @@ class OperatorSpace(MatricialSpace):
         The (B, 2, mk) state of a zero image is 0.
         """
         x, s, yh = np.linalg.svd(self._assembled(images))
-        pairs = np.stack([x[..., 0], yh[:, 0].conj()], axis=1)
-        return s[:, 0], np.where(images.any(axis=(1, 2, 3))[:, None, None], pairs, 0)
+        pairs = np.empty((len(s), 2, s.shape[1]), dtype=complex)
+        pairs[:, 0] = x[..., 0]
+        np.conjugate(yh[:, 0], out=pairs[:, 1])
+        return s[:, 0], _zero_rows(pairs, ~images.any(axis=(1, 2, 3)))
 
     def polar_proposal(self, pairs, u4):
         k, b, m, n = self.k, len(pairs), *u4.shape[1:3]
         xc, yc = pairs[:, 0].reshape(b, m, k), pairs[:, 1].reshape(b, m, k)
         # One einsum per element: a batched einsum or a product sums in another order and changes the last bits.
         # The pull has rank at most mn of nk, so its witness off the range follows those bits and steers the search.
-        pulls = np.stack([np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr) for xr, yr in zip(xc, yc)])
+        pulls = np.empty((b, n, n, k, k), dtype=complex)
+        for xr, yr, out in zip(xc, yc, pulls):
+            np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr, out=out)
         pulls = pulls.transpose(0, 1, 3, 2, 4).reshape(b, n * k, n * k)
         w = linalg.dual_witnesses(pulls.swapaxes(1, 2)).reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
-        return np.where(pulls.any(axis=(1, 2))[:, None, None, None], w.reshape(b, n, n, k * k), 0)
+        return _zero_rows(w.reshape(b, n, n, k * k), ~pulls.any(axis=(1, 2)))
 
 
 @dataclass(frozen=True, eq=False)

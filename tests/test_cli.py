@@ -175,11 +175,14 @@ class TestHatBoundsCommand:
 
 
 class TestCheckedInExample:
-    def test_hat_bounds_json_matches_expected_file(self, capsys):
-        # the console-script step in CI diffs the same pair of files
+    # blocks_n3_m2 is the default_rng(0) complex Gaussian at m = 2, n = 3, certified by an op:4 couple: its pull
+    # has rank at most mn of nk, so the file pins the last bits of op:k's proposal
+    @pytest.mark.parametrize("name", ["blocks_n2_m2", "blocks_n3_m2"])
+    def test_hat_bounds_json_matches_expected_file(self, name, capsys):
+        # the console-script step in CI diffs the same pairs of files
         data = Path(__file__).parent / "data"
-        assert main(["hat-bounds", "--json", str(data / "blocks_n2_m2.json")]) == 0
-        assert capsys.readouterr().out == (data / "blocks_n2_m2.expected.json").read_text()
+        assert main(["hat-bounds", "--json", str(data / f"{name}.json")]) == 0
+        assert capsys.readouterr().out == (data / f"{name}.expected.json").read_text()
 
 
 class TestVerifyCommand:

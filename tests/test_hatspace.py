@@ -33,11 +33,12 @@ from matnorm import (
     random_couple,
     random_unitary,
     search_lower_bound,
+    space_from_id,
     split_blocks,
     structured_couples,
     trace_norm,
 )
-from matnorm.hatspace import UPPER_MARGIN
+from matnorm.hatspace import UPPER_MARGIN, _random_chunk
 
 
 def gauss(rng, shape):
@@ -231,6 +232,65 @@ class TestLowerBound:
         result = search_lower_bound(2, canonical_identity(2), budget=5, seed=4)
         assert result.couples_evaluated >= 5 * len(default_catalog(2))
         assert result.value <= 1.0 + 1e-9
+
+
+def reference_chunk(space, n, rng, count):
+    """The random couples one at a time: a draw into the couple's row, then the sphere coin for a nonzero row only."""
+    rows = []
+    for _ in range(count):
+        draw = np.empty((2, n, n, space.dim))
+        rng.standard_normal(out=draw)
+        sphere = draw.any() and rng.uniform() < 0.5
+        rows.append(space.unit_scaled_stack((draw[0] + 1j * draw[1])[None], sphere)[0])
+    return np.stack(rows) if rows else np.empty((0, n, n, space.dim), dtype=complex)
+
+
+class ZeroRowGenerator:
+    """A generator whose draw for one row is zero: all of it, or its first entry only.
+
+    It logs its calls, so a test sees which rows drew a coin.
+    """
+
+    def __init__(self, seed, zero_row, first_only):
+        self.inner, self.zero_row, self.first_only, self.log = np.random.default_rng(seed), zero_row, first_only, []
+
+    def standard_normal(self, out):
+        self.inner.standard_normal(out=out)
+        if self.log.count("normal") == self.zero_row:
+            out.reshape(-1)[:1 if self.first_only else None] = 0
+        self.log.append("normal")
+        return out
+
+    def random(self):
+        self.log.append("coin")
+        return self.inner.random()
+
+    uniform = random
+
+
+class TestRandomChunk:
+    @pytest.mark.parametrize("count", [0, 1, 5, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("space_id", ["cmax", "cmin", "op:2", "op:3"])
+    def test_matches_the_per_couple_loop_bitwise(self, space_id, n, count):
+        space = space_from_id(space_id)
+        rng, ref_rng = np.random.default_rng(count + n), np.random.default_rng(count + n)
+        np.testing.assert_array_equal(_random_chunk(space, n, rng, count), reference_chunk(space, n, ref_rng, count))
+        assert rng.random() == ref_rng.random()  # the two streams end at the same place
+
+    @pytest.mark.parametrize("first_only", [False, True])
+    @pytest.mark.parametrize("space_id", ["cmax", "op:2"])
+    def test_zero_row_draws_no_coin(self, space_id, first_only):
+        # an all-zero draw has norm 0: it draws no coin and is not divided onto the sphere; a draw whose first
+        # entry only is zero still draws its coin
+        space, count, zero_row = space_from_id(space_id), 5, 2
+        rng, ref_rng = (ZeroRowGenerator(7, zero_row, first_only) for _ in range(2))
+        coords = _random_chunk(space, 2, rng, count)
+        np.testing.assert_array_equal(coords, reference_chunk(space, 2, ref_rng, count))
+        assert rng.log == ref_rng.log
+        assert rng.log.count("normal") == count
+        assert rng.log.count("coin") == count - (not first_only)
+        assert np.isfinite(coords).all() and coords[zero_row].any() == first_only
 
 
 def realign(u):

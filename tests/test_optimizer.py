@@ -216,14 +216,19 @@ def test_polar_proposal_of_a_stack_matches_rows_bitwise(m, n, scale, zero, seed)
     # one polar_state and one polar_proposal call over a stack give each row
     # the bits of its own calls; the values are the norms up to rounding; the
     # element with a zero image gets a zero proposal (the SVD of 0 has
-    # unitary factors, which must not propose) and the others a nonzero one
+    # unitary factors, which must not propose) and the others a nonzero one;
+    # neither hook writes into what it receives (the optimizer passes its own
+    # state rows), so read-only inputs raise nothing
     rng = np.random.default_rng(seed)
     u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
+    u4.flags.writeable = False
     for space in default_catalog(n):
         coords = gauss(rng, (5, n, n, space.dim))
         coords[zero] = 0
         images = amplified_images(coords, u4)
+        images.flags.writeable = False
         values, state = space.polar_state(images)
+        state.flags.writeable = False
         rows = [space.polar_state(images[b:b + 1]) for b in range(len(images))]
         np.testing.assert_array_equal(values, np.concatenate([v for v, _ in rows]), err_msg=space.space_id)
         np.testing.assert_array_equal(state, np.concatenate([st for _, st in rows]), err_msg=space.space_id)
@@ -515,6 +520,8 @@ class TestLockstepEquivalence:
              given_starts=2, vanishing=[False, True, False, False], seed=3)
     @example(space_id="op:3", n=3, m=3, kind="gauss", scale=2.5, restarts=2, iterations=40, stall_limit=4,
              given_starts=0, vanishing=[False, False, False, False], seed=5)
+    @example(space_id="op:3", n=3, m=3, kind="gauss", scale=0.0, restarts=2, iterations=40, stall_limit=1,
+             given_starts=0, vanishing=[False, False, False, False], seed=6)
     def test_matches_the_sequential_loop_bitwise(self, space_id, n, m, kind, scale, restarts, iterations,
                                                  stall_limit, given_starts, vanishing, seed):
         # also: without a rescale of the proposals (maximizers over the unit
@@ -543,6 +550,23 @@ class TestLockstepEquivalence:
         np.testing.assert_array_equal(couple.v.coords, ref_v)
         assert space.norm_batch(np.stack(kept)).max() <= 1.0 + 1e-13
         assert space.norm(couple.v) <= 1.0 + 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("space_id", ["cmax", "op:3"])
+    def test_gains_are_read_before_the_write_back(self, space_id, seed):
+        # while every restart runs and wins, a step is written back into vals itself; with stall_limit=1 a restart
+        # goes on only after a step gaining more than TOLERANCE, so gains read after the write-back end every
+        # restart after its first step
+        rng = np.random.default_rng(seed)
+        u4, space = gauss(rng, (3, 3, 3, 3)), space_from_id(space_id)
+        cfg = OptimizerConfig(restarts=2, iterations=40, stall_limit=1)
+        couple, value = optimize_couple(space, 3, u4, cfg, seed=seed)
+        _, one_step = optimize_couple(space, 3, u4, OptimizerConfig(restarts=2, iterations=1), seed=seed)
+        kept = []
+        ref_v, ref_value = reference_optimize(space, 3, u4, cfg, [], seed, kept)
+        assert len(kept) > 2 * cfg.restarts  # some restart moved more than once
+        assert value == ref_value > one_step
+        np.testing.assert_array_equal(couple.v.coords, ref_v)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sub_tolerance_gain_does_not_end_a_restart(self, seed):
