@@ -7,12 +7,9 @@ from .errors import (
     MatnormError,
 )
 from .linalg import (
-    assemble_blocks,
     dual_witness,
-    operator_norm,
     random_unitary,
     singular_values,
-    split_blocks,
     trace_norm,
 )
 from .spaces import (

@@ -1,6 +1,6 @@
 """Dense complex matrix kernels.
 
-Norms, SVD-based duality witnesses, block layout helpers and a seeded
+Norms, SVD-based duality witnesses, block-array coercion and a seeded
 Haar-random unitary. Everything operates on plain numpy complex arrays and is pure:
 no function mutates its inputs. Intended scale is small (matrices up to a
 few hundred rows), double precision throughout.
@@ -16,11 +16,8 @@ __all__ = [
     "as_matrix",
     "as_block_array",
     "singular_values",
-    "operator_norm",
     "trace_norm",
     "dual_witness",
-    "assemble_blocks",
-    "split_blocks",
     "canonical_identity",
     "random_unitary",
 ]
@@ -64,11 +61,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def operator_norm(a) -> float:
-    """Largest singular value."""
-    return float(singular_values(a)[0])
-
-
 def trace_norm(a) -> float:
     """Sum of singular values."""
     return float(singular_values(a).sum())
@@ -93,28 +85,6 @@ def dual_witnesses(stack: np.ndarray) -> np.ndarray:
     """:func:`dual_witness` of each matrix of a (..., k, k) stack, unchecked; a zero matrix gets some unitary."""
     u, _, vh = np.linalg.svd(stack)
     return vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
-
-
-def assemble_blocks(blocks) -> np.ndarray:
-    """Flatten an m x m array of n x n blocks into the mn x mn matrix.
-
-    Entry (k*n + i, l*n + j) of the result is entry (i, j) of block (k, l).
-    """
-    arr = as_block_array(blocks)
-    m, _, n, _ = arr.shape
-    return arr.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-
-
-def split_blocks(a, block_size: int) -> np.ndarray:
-    """Inverse of :func:`assemble_blocks`; exact relayout, no arithmetic."""
-    arr = as_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise InvalidInputError("block splitting requires a square matrix")
-    require_int("block size", block_size, 1)
-    if arr.shape[0] % block_size:
-        raise InvalidInputError(f"size {arr.shape[0]} is not a multiple of block size {block_size}")
-    m = arr.shape[0] // block_size
-    return arr.reshape(m, block_size, m, block_size).transpose(0, 2, 1, 3).copy()
 
 
 def canonical_identity(n: int) -> np.ndarray:

@@ -21,9 +21,11 @@ call over the states of the running restarts, then one amplification and
 one ``polar_state`` call over their proposals (points of the unit ball, so
 nothing is rescaled). ``polar_state`` values the proposals' images and keeps
 what their own proposals need from the same factorization, so a catalog
-step makes two SVD calls: the proposal's and the image's. Steps draw
-nothing; the drawn starts come first, in restart order, so any batching
-gives a sequential run's result.
+step makes two SVD calls: the proposal's and the image's. A restart keeps
+its point, its state and its value, not its image; the end values the
+images of the kept points in one ``norm_batch``. Steps draw nothing; the
+drawn starts come first, in restart order, so any batching gives a
+sequential run's result.
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
@@ -60,15 +62,15 @@ class OptimizerConfig:
             require_int(name, getattr(self, name), low)
 
 
-def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, images: np.ndarray, states: np.ndarray,
-            vals: np.ndarray, cfg: OptimizerConfig) -> None:
+def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, states: np.ndarray, vals: np.ndarray,
+            cfg: OptimizerConfig) -> None:
     """Run the restarts of a (R, n, n, dim) stack in lockstep, updating their rows in place.
 
-    ``coords``, ``images``, ``states`` and ``vals`` hold each restart's
-    point, its image, that image's ``polar_state`` row and its value. Per
-    restart, a step moves to its proposal, and keeps the image and the
-    state it was valued by, when the proposal's value beats the current one
-    (NaN never does); the restart ends when it does not.
+    ``coords``, ``states`` and ``vals`` hold each restart's point, the
+    ``polar_state`` row of its image and its value. Per restart, a step
+    moves to its proposal, and keeps the state it was valued by, when the
+    proposal's value beats the current one (NaN never does); the restart
+    ends when it does not.
     """
     active = np.arange(len(vals))
     stall = np.zeros(len(vals), dtype=int)
@@ -80,14 +82,12 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, images: n
         shape = (len(active), *coords.shape[1:])
         if proposals.shape != shape:
             raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {shape}")
-        proposal_images = amplified_images(proposals, u4)
-        values, proposal_states = space.polar_state(proposal_images)
+        values, proposal_states = space.polar_state(amplified_images(proposals, u4))
         current = vals if every else vals[active]
         better, gained = values > current, values > current + TOLERANCE  # before the write-back into vals
         # every restart won: write back by slice, with no mask copies
         won, pick = (slice(None), slice(None)) if every and better.all() else (active[better], better)
-        coords[won], images[won], states[won], vals[won] = (
-            proposals[pick], proposal_images[pick], proposal_states[pick], values[pick])
+        coords[won], states[won], vals[won] = proposals[pick], proposal_states[pick], values[pick]
         stall[active] = np.where(gained, 0, stall[active] + 1)
         active = active[better & (stall[active] < cfg.stall_limit)]
 
@@ -101,10 +101,10 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     proposal, a unit-ball point, with no line search (see the module
     docstring). Each start is valued on its own, and one ``polar_state`` call
     over the starts' images gives their states. The ``Couple`` checks the
-    returned element. The restarts end valued by one ``norm_batch`` of the
-    images they kept, so the reported value is the returned couple's
-    ``couple_value`` bit for bit; ties go to the first restart. Deterministic
-    per seed.
+    returned element. The kept points end valued by one ``norm_batch`` of
+    their images; ``amplified_images`` gives a row the same bits in any
+    batch, so the reported value is the returned couple's ``couple_value``
+    bit for bit. Ties go to the first restart. Deterministic per seed.
     """
     cfg = config or OptimizerConfig()
     require_int("block size", n, 1)
@@ -122,10 +122,10 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     space.unit_scaled_stack(coords)
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
     vals = np.array([space.norm(image) for image in start_images])
-    images = np.stack([image.coords for image in start_images])
-    _ascend(space, u4, coords, images, space.polar_state(images)[1], vals, cfg)
+    states = space.polar_state(np.stack([image.coords for image in start_images]))[1]
+    _ascend(space, u4, coords, states, vals, cfg)
 
-    vals = space.norm_batch(images)  # as couple_value values the returned couple
+    vals = space.norm_batch(amplified_images(coords, u4))  # as couple_value values the returned couple
     best = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))  # ties go to the first restart
     if np.isnan(vals[best]):
         raise InvalidInputError(f"{space.space_id}: the norm is NaN at every optimizer restart")

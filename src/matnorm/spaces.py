@@ -294,7 +294,7 @@ class OperatorSpace(MatricialSpace):
         pulls = np.empty((b, n, n, k, k), dtype=complex)
         for xr, yr, out in zip(xc, yc, pulls):
             np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr, out=out)
-        pulls = pulls.transpose(0, 1, 3, 2, 4).reshape(b, n * k, n * k)
+        pulls = self._assembled(pulls.reshape(b, n, n, k * k))
         w = linalg.dual_witnesses(pulls.swapaxes(1, 2)).reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
         return _zero_rows(w.reshape(b, n, n, k * k), ~pulls.any(axis=(1, 2)))
 
@@ -541,7 +541,8 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
     Each level draws its trials in turn (sample, padding, then the scalar
     factors) and then evaluates them as stacks: one ``norm_batch`` each for
     the samples, the padded samples of each padding and the two scalar
-    actions, and one SVD for the factors' operator norms.
+    actions (``S u`` and ``u T``, one stacked einsum each, summed as
+    :func:`scalar_action` sums), and one SVD for the factors' operator norms.
     """
     require_int("trials", trials, 1)
     require_int("max_level", max_level, 1)
@@ -580,11 +581,8 @@ def check_axioms(space: MatricialSpace, trials: int, seed=0, max_level: int = 4)
 
         s, tt = np.array(factors, dtype=complex).swapaxes(0, 1)
         ops = np.linalg.svd(np.concatenate([s, tt]), compute_uv=False)[:, 0]
-        elements = [LeveledElement(space.space_id, c) for c in us]
-        left = space.norm_batch(np.stack([scalar_action(a, u, eye).coords for a, u in zip(s, elements)]))
-        left = left - ops[:trials] * base
-        right = space.norm_batch(np.stack([scalar_action(eye, u, b).coords for b, u in zip(tt, elements)]))
-        right = right - base * ops[trials:]
+        left = space.norm_batch(np.einsum("tkp,tpqd,ql->tkld", s, us, eye)) - ops[:trials] * base
+        right = space.norm_batch(np.einsum("kp,tpqd,tql->tkld", eye, us, tt)) - base * ops[trials:]
         v2 = np.where(right > left, right, left)  # the order of Python's max(left, right), NaN included
         v2 = np.where(v2 > 0.0, v2, 0.0)
         top = _first_max(v2, a2_max)

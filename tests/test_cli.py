@@ -14,6 +14,9 @@ from matnorm.serialize import complex_to_pairs
 from matnorm.suites import run_suite
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def write_blocks(path, n, m, blocks):
     path.write_text(json.dumps({"n": n, "m": m, "blocks": complex_to_pairs(blocks)}))
     return str(path)
@@ -180,12 +183,43 @@ class TestCheckedInExample:
     @pytest.mark.parametrize("name", ["blocks_n2_m2", "blocks_n3_m2"])
     def test_hat_bounds_json_matches_expected_file(self, name, capsys):
         # the console-script step in CI diffs the same pairs of files
-        data = Path(__file__).parent / "data"
-        assert main(["hat-bounds", "--json", str(data / f"{name}.json")]) == 0
-        assert capsys.readouterr().out == (data / f"{name}.expected.json").read_text()
+        assert main(["hat-bounds", "--json", str(DATA / f"{name}.json")]) == 0
+        assert capsys.readouterr().out == (DATA / f"{name}.expected.json").read_text()
+
+
+class TestRejectedFiles:
+    """Each malformed file or option reaches its own check: exit 2, one error line, no traceback."""
+
+    @pytest.mark.parametrize("args,text,fragment", [
+        (["hat-bounds", "FILE"], "[1]", "expected a JSON object"),
+        (["hat-bounds", "FILE"], '{"n": 1, "m": 1}', "missing key 'blocks'"),
+        (["norm", "op:3", "2", "FILE"], None, "dim 1 does not match op:3"),
+        (["norm", "op:3", "1", "FILE"], '{"n": 2, "m": 1, "blocks": [[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]]}',
+         "2 x 2 blocks do not fit op:3"),
+        (["norm", "cmax", "1", "FILE"], '{"m": 1}', "expected key 'coords' or 'blocks'"),
+        (["norm", "cmax", "2", "FILE"], '{"m": 3, "coords": [[[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]}',
+         "declared level 3 does not match data (2)"),
+        (["hat-bounds", "FILE", "--opt-config", "[]"], '{"n": 1, "m": 1, "blocks": [[[[[1, 0]]]]]}',
+         "optimizer config must be a JSON object"),
+    ], ids=["not_an_object", "no_blocks", "dim_mismatch", "blocks_do_not_fit", "no_coords_or_blocks",
+            "declared_m_mismatch", "opt_config_not_an_object"])
+    def test_exit_2(self, tmp_path, capsys, args, text, fragment):
+        # text None reads the checked-in cmax element
+        path = DATA / "element_cmax_m2.json"
+        if text is not None:
+            path = tmp_path / "f.json"
+            path.write_text(text)
+        assert main([str(path) if a == "FILE" else a for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err and "Traceback" not in err
 
 
 class TestVerifyCommand:
+    def test_large_n_warns_and_runs(self, capsys):
+        assert main(["verify", "--suite", "prop14", "--n", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: n=5") and json.loads(captured.out)["suite"] == "prop14"
+
     def test_single_value_suite(self, capsys):
         assert main(["verify", "--suite", "prop14", "--n", "3", "--seed", "1"]) == 0
         report = json.loads(capsys.readouterr().out)

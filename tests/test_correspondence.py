@@ -12,7 +12,6 @@ from matnorm import (
     check_naturality,
     concrete_operator_space,
     l1_sum,
-    operator_norm,
     phi_apply,
     phi_of,
     random_element,
@@ -20,6 +19,13 @@ from matnorm import (
     trace_norm,
     space_from_id,
 )
+from matnorm.correspondence import amplified_images
+
+
+def assembled(blocks):
+    """The mk x mk matrix of an m x m array of k x k blocks; block (p, q) holds rows p*k.., columns q*k.."""
+    m, _, k, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(m * k, m * k)
 
 
 def flip_element(n):
@@ -96,6 +102,20 @@ class TestAmplification:
             rec = amplified_image(v, canonical_identity(n))
             np.testing.assert_array_equal(rec.coords, v.coords)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_rows_are_batch_invariant(self, m, n):
+        # the optimizer values its kept points in one stack, and couple_value the returned one alone
+        rng = np.random.default_rng([m, n])
+        for dim in (1, 4, 9, 16, 25):
+            coords = rng.standard_normal((5, n, n, dim)) + 1j * rng.standard_normal((5, n, n, dim))
+            u4 = rng.standard_normal((m, m, n, n)) + 1j * rng.standard_normal((m, m, n, n))
+            stack = amplified_images(coords, u4)
+            for b in range(len(coords)):
+                np.testing.assert_array_equal(amplified_images(coords[b:b + 1], u4)[0], stack[b])
+                pair = amplified_images(coords[[b, (b + 1) % len(coords)]], u4)
+                np.testing.assert_array_equal(pair[0], stack[b])
+
     def test_block_diagonal_through_trace_couple(self):
         # identity/n coordinates send a1 + a2 to diag(tr(a_k)/n)
         rng = np.random.default_rng(4)
@@ -127,10 +147,8 @@ class TestCanonicalIdentity:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_assembled_is_unitary_permutation(self, n):
-        from matnorm import assemble_blocks
-
-        a = assemble_blocks(canonical_identity(n))
-        assert operator_norm(a) == pytest.approx(1.0, abs=1e-12)
+        a = assembled(canonical_identity(n))
+        assert np.linalg.norm(a, 2) == pytest.approx(1.0, abs=1e-12)
         assert trace_norm(a) == pytest.approx(float(n * n), abs=1e-10)
         np.testing.assert_allclose(a.conj().T @ a, np.eye(n * n), atol=1e-12)
 

@@ -28,13 +28,11 @@ from matnorm import (
     hat_bounds,
     hat_upper_bound,
     l1_functional_check,
-    operator_norm,
     optimize_couple,
     random_couple,
     random_unitary,
     search_lower_bound,
     space_from_id,
-    split_blocks,
     structured_couples,
     trace_norm,
 )
@@ -48,6 +46,10 @@ def gauss(rng, shape):
 def single_block(a):
     a = np.asarray(a, dtype=complex)
     return a.reshape(1, 1, *a.shape)
+
+
+def op_norm(a):
+    return np.linalg.norm(a, 2)
 
 
 class TestCoupleValue:
@@ -113,15 +115,13 @@ class TestBlockSize:
         lambda: default_catalog(2.0),
         lambda: convexity_violation(2.0, 2),
         lambda: l1_functional_check(2.0),
-        lambda: split_blocks(np.eye(4), 2.0),
-        lambda: split_blocks(np.eye(4), True),
         lambda: canonical_identity(2.0),
         lambda: random_unitary(2.5, 0),
         lambda: concrete_operator_space(2.0),
         lambda: block_diag_lower(2.0, [np.eye(2)]),
     ], ids=["hat_bounds_none", "search_lower_bound_none", "hat_upper_bound_none", "optimize_couple_none",
             "structured_couples_none", "default_catalog_none", "default_catalog_float", "convexity_violation_float",
-            "l1_functional_check_float", "split_blocks_float", "split_blocks_bool", "canonical_identity_float",
+            "l1_functional_check_float", "canonical_identity_float",
             "random_unitary_float", "concrete_operator_space_float", "block_diag_lower_float"])
     def test_size_of_another_type_rejected(self, call):
         # each raised a TypeError deeper down, or (op:2.0) built a space with a float dim
@@ -215,6 +215,10 @@ class TestLowerBound:
         assert len(seen) == OptimizerConfig().restarts == 2
         assert seen[0][0, 0, 0] == 1 and seen[1][0, 0, 0] == pytest.approx(witnesses[0][0, 0], abs=1e-15)
 
+    def test_empty_catalog_rejected(self):
+        with pytest.raises(InvalidInputError, match="empty catalog"):
+            search_lower_bound(2, canonical_identity(2), catalog=[])
+
     def test_search_without_a_couple_rejected(self):
         # no structured couples and no budget: nothing is evaluated, so there
         # is no lower bound and no certificate to report
@@ -306,7 +310,7 @@ def plain_atoms_value(u):
     """Loop reference: the SVD atoms of the realignment, unrotated, each valued alone."""
     m, _, n, _ = u.shape
     x, s, yh = np.linalg.svd(realign(u))
-    return sum(s[t] * operator_norm(x[:, t].reshape(m, n)) * operator_norm(yh[t].reshape(n, m))
+    return sum(s[t] * op_norm(x[:, t].reshape(m, n)) * op_norm(yh[t].reshape(n, m))
                for t in range(len(s)))
 
 
@@ -543,7 +547,7 @@ def structured_input(kind, m, n, rng):
         a = random_unitary(size, rng)
     else:
         a = gauss(rng, (size, size))
-    return split_blocks(a, n)
+    return a.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
 
 class TestIntervalProperty:
@@ -605,6 +609,12 @@ class TestBlockDiagLower:
         u[0, 0], u[1, 1] = blocks
         value = search_lower_bound(n, u, budget=24, seed=21).value
         assert block_diag_lower(n, blocks) <= value + 1e-9
+
+    @pytest.mark.parametrize("blocks,fragment", [([], "no blocks"), ([np.eye(3)], "expected 2 x 2 blocks")],
+                             ids=["none", "wrong_shape"])
+    def test_bad_blocks_rejected(self, blocks, fragment):
+        with pytest.raises(InvalidInputError, match=fragment):
+            block_diag_lower(2, blocks)
 
 
 class TestConvexityWitness:

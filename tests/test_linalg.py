@@ -1,4 +1,4 @@
-"""Kernel tests: norms against independent eigen-oracles, duality, block layout."""
+"""Kernel tests: norms against independent eigen-oracles, duality, op:k's block layout."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from matnorm import (
     DegenerateInputError,
     InvalidInputError,
-    assemble_blocks,
+    concrete_operator_space,
     dual_witness,
     hat_bounds,
-    operator_norm,
     random_unitary,
-    split_blocks,
     trace_norm,
 )
-from matnorm.linalg import as_block_array
+from matnorm.linalg import as_block_array, as_matrix
+from matnorm.serialize import pairs_to_complex
 
 
 def eig_singular_values(a):
@@ -29,23 +28,38 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def op_norm(a):
+    return np.linalg.norm(a, 2)
+
+
+def level_one_op_norm(a):
+    """The op:k norm of a k x k matrix as a level-1 element: its operator norm."""
+    return concrete_operator_space(len(a)).norm(np.asarray(a).reshape(-1))
+
+
+def assembled(blocks):
+    """op:k's mk x mk matrix of an m x m array of k x k blocks."""
+    m, _, k, _ = blocks.shape
+    return concrete_operator_space(k)._assembled(np.asarray(blocks, dtype=complex).reshape(m, m, k * k))
+
+
 class TestOperatorNorm:
     def test_identity(self):
-        assert operator_norm(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
+        assert level_one_op_norm(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
-        assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-12)
+        assert level_one_op_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_eigen_oracle(self):
         rng = np.random.default_rng(7)
         a = random_complex(rng, (5, 5))
-        assert operator_norm(a) == pytest.approx(eig_singular_values(a).max(), abs=1e-9)
+        assert level_one_op_norm(a) == pytest.approx(eig_singular_values(a).max(), abs=1e-9)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
-            operator_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
+            level_one_op_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(InvalidInputError):
-            operator_norm(np.array([[np.inf]]))
+            level_one_op_norm(np.array([[np.inf]]))
 
 
 class TestTraceNorm:
@@ -78,7 +92,7 @@ class TestDualWitness:
         rng = np.random.default_rng(3)
         a = random_complex(rng, (3, 3))
         w = dual_witness(a)
-        assert operator_norm(w) == pytest.approx(1.0, abs=1e-10)
+        assert op_norm(w) == pytest.approx(1.0, abs=1e-10)
         assert np.trace(a @ w) == pytest.approx(trace_norm(a), abs=1e-9)
 
     def test_rank_deficient_witness_is_unitary(self):
@@ -98,15 +112,17 @@ class TestDualWitness:
 
 
 class TestBlockLayout:
+    """op:k's assembled matrix: block (p, q) fills rows p*k.. and columns q*k.."""
+
     def test_single_block_unchanged(self):
         a = np.arange(4.0).reshape(2, 2)
-        np.testing.assert_array_equal(assemble_blocks(a.reshape(1, 1, 2, 2)), a)
+        np.testing.assert_array_equal(assembled(a.reshape(1, 1, 2, 2)), a)
 
     def test_diagonal_identity_blocks(self):
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)
         blocks[0, 0] = np.eye(2)
         blocks[1, 1] = np.eye(2)
-        np.testing.assert_array_equal(assemble_blocks(blocks), np.eye(4))
+        np.testing.assert_array_equal(assembled(blocks), np.eye(4))
 
     def test_flip_layout_is_expected_permutation(self):
         # block (p, q) holds e_qp; assembled rows are e1, e3, e2, e4
@@ -115,16 +131,11 @@ class TestBlockLayout:
             for q in range(2):
                 blocks[p, q, q, p] = 1.0
         expected = np.eye(4)[[0, 2, 1, 3]]
-        np.testing.assert_array_equal(assemble_blocks(blocks), expected)
-
-    def test_split_assemble_roundtrip_exact(self):
-        rng = np.random.default_rng(5)
-        blocks = random_complex(rng, (3, 3, 2, 2))
-        np.testing.assert_array_equal(split_blocks(assemble_blocks(blocks), 2), blocks)
+        np.testing.assert_array_equal(assembled(blocks), expected)
 
     def test_ragged_rejected(self):
         with pytest.raises(InvalidInputError):
-            assemble_blocks([[np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)]])
+            as_block_array([[np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)]])
 
     @pytest.mark.parametrize("shape", [(0, 0, 2, 2), (2, 2, 0, 0), (0, 0, 0, 0)])
     def test_empty_rejected(self, shape):
@@ -135,10 +146,25 @@ class TestBlockLayout:
             hat_bounds(2, np.zeros(shape))
 
 
+class TestCoercion:
+    @pytest.mark.parametrize("call,fragment", [
+        (lambda: pairs_to_complex([[1.0, 0.0], [1.0]]), "malformed"),
+        (lambda: pairs_to_complex(3.0), "pairs"),
+        (lambda: pairs_to_complex([[np.inf, 0.0]]), "finite"),
+        (lambda: as_matrix([["a", "b"]]), "not a complex matrix"),
+        (lambda: as_matrix([1.0, 2.0]), "2-D"),
+        (lambda: as_block_array(np.ones((2, 2, 2))), "m x m array"),
+    ], ids=["pairs_ragged", "pairs_no_pair_axis", "pairs_nonfinite", "matrix_non_numeric", "matrix_1d",
+            "block_array_3d"])
+    def test_malformed_rejected(self, call, fragment):
+        with pytest.raises(InvalidInputError, match=fragment):
+            call()
+
+
 class TestRandomGenerators:
     def test_unitary_property(self):
         u = random_unitary(3, seed=12)
-        assert operator_norm(u.conj().T @ u - np.eye(3)) <= 1e-10
+        assert op_norm(u.conj().T @ u - np.eye(3)) <= 1e-10
 
     def test_determinism(self):
         np.testing.assert_array_equal(random_unitary(4, seed=99), random_unitary(4, seed=99))
@@ -163,7 +189,7 @@ class TestNormInequalities:
     def test_operator_trace_rank_sandwich(self, k, seed):
         rng = np.random.default_rng(seed)
         a = random_complex(rng, (k, k))
-        op = operator_norm(a)
+        op = op_norm(a)
         tr = trace_norm(a)
         assert op <= tr + 1e-9
         assert tr <= k * op + 1e-9
@@ -174,5 +200,5 @@ class TestNormInequalities:
         rng = np.random.default_rng(seed)
         a = random_complex(rng, (k, k))
         b = random_complex(rng, (k, k))
-        assert operator_norm(a + b) <= operator_norm(a) + operator_norm(b) + 1e-9
+        assert op_norm(a + b) <= op_norm(a) + op_norm(b) + 1e-9
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matnorm import (
+    Couple,
     InvalidInputError,
     LeveledElement,
     MatricialSpace,
@@ -16,11 +17,11 @@ from matnorm import (
     c_min,
     check_axioms,
     concrete_operator_space,
+    coproduct_apply,
     default_catalog,
     l1_component,
     l1_embed,
     l1_sum,
-    operator_norm,
     pad,
     planted_fault_space,
     random_element,
@@ -35,6 +36,10 @@ from matnorm.spaces import AxiomReport, check_unit_ball
 
 def gauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def op_norm(a):
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 BATCH_SPACE_IDS = ["cmin", "cmax", "op:1", "op:2", "op:3", "op:4", "op:5",
@@ -138,7 +143,7 @@ class TestOperatorSpace:
         u = random_element(sp, 2, rng)
         blocks = u.coords.reshape(2, 2, k, k)
         assembled = np.block([[blocks[0, 0], blocks[0, 1]], [blocks[1, 0], blocks[1, 1]]])
-        assert sp.norm(u) == pytest.approx(operator_norm(assembled), abs=1e-9)
+        assert sp.norm(u) == pytest.approx(op_norm(assembled), abs=1e-9)
 
 
 class TestL1Sum:
@@ -316,6 +321,20 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             sp.element(np.full((1, 1, 4), np.nan))
 
+    @pytest.mark.parametrize("call,fragment", [
+        (lambda sp: coproduct_apply(sp, [np.eye(1)], sp.element(np.ones(2))), "1 maps for 2 summands"),
+        (lambda sp: coproduct_apply(sp, [np.eye(1), np.ones((2, 1))], sp.element(np.ones(2))),
+         "map of shape"),
+        (lambda sp: coproduct_apply(sp, [np.eye(1), np.eye(1)], c_min().element([1.0])), "element of cmin"),
+        (lambda sp: l1_embed(sp, c_min().element([1.0]), 1), "cannot embed cmin"),
+        (lambda sp: Couple(c_min(), c_max().element([0.5])), "couple mixes"),
+        (lambda sp: scalar_action(np.eye(2), c_min().element([1.0]), np.eye(1)), "scalar factors"),
+    ], ids=["coproduct_map_count", "coproduct_map_shape", "coproduct_other_space", "l1_embed_other_space",
+            "couple_of_two_spaces", "scalar_action_factor_shape"])
+    def test_mismatched_input_rejected(self, call, fragment):
+        with pytest.raises(InvalidInputError, match=fragment):
+            call(l1_sum([c_min(), c_max()]))
+
     def test_cross_space_norm_rejected(self):
         u = c_min().element([1.0])
         with pytest.raises(InvalidInputError):
@@ -378,8 +397,8 @@ def reference_check_axioms(space, trials, seed, max_level):
             else:
                 s = rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
                 tt = rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
-            v2 = space.norm(scalar_action(s, u, eye)) - operator_norm(s) * base
-            v2 = max(v2, space.norm(scalar_action(eye, u, tt)) - base * operator_norm(tt))
+            v2 = space.norm(scalar_action(s, u, eye)) - op_norm(s) * base
+            v2 = max(v2, space.norm(scalar_action(eye, u, tt)) - base * op_norm(tt))
             v2 = max(0.0, v2)
             if v2 > a2_max:
                 a2_max = v2
