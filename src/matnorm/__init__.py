@@ -9,7 +9,6 @@ from .errors import (
 from .linalg import (
     dual_witness,
     random_unitary,
-    singular_values,
     trace_norm,
 )
 from .spaces import (

@@ -84,12 +84,12 @@ def amplified_images(coords: np.ndarray, u4: np.ndarray) -> np.ndarray:
     return np.einsum("bdx,klx->bkld", phis, u4.reshape(m, m, n * n))
 
 
-def check_naturality(psi, v: LeveledElement, extra_matrices=()) -> float:
+def check_naturality(psi, v: LeveledElement) -> float:
     """Largest deviation between mapping-then-representing and representing-then-mapping.
 
     ``psi`` is a coordinate matrix from the space of ``v`` into another
     space. Both composition orders are evaluated on the full elementary
-    basis (plus any ``extra_matrices``) and compared coordinatewise.
+    basis, which spans the n x n matrices, and compared coordinatewise.
     """
     psi_m = np.asarray(psi, dtype=complex)
     if psi_m.ndim != 2 or psi_m.shape[1] != v.dim:
@@ -101,11 +101,8 @@ def check_naturality(psi, v: LeveledElement, extra_matrices=()) -> float:
     mapped = LeveledElement("mapped", np.einsum("fd,kld->klf", psi_m, v.coords))
     phi_w = phi_of(mapped)
 
-    tests = list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
-    tests.extend(linalg.as_matrix(a) for a in extra_matrices)
-
     worst = 0.0
-    for a in tests:
+    for a in np.eye(n * n, dtype=complex).reshape(n * n, n, n):
         via_map = phi_apply(phi_w, a).coords[0, 0]
         via_space = psi_m @ phi_apply(phi_v, a).coords[0, 0]
         worst = max(worst, float(np.abs(via_map - via_space).max()))

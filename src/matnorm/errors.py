@@ -19,15 +19,16 @@ class InconsistencyError(MatnormError):
     """A certified lower bound exceeded an upper bound.
 
     Either a genuine bug or an infeasible catalog couple; both certificates
-    are attached so the failure can be reproduced.
+    are attached so the failure can be reproduced: ``couple`` is worth
+    ``lower`` and ``upper_certificate`` is worth ``upper``.
     """
 
-    def __init__(self, message, *, lower=None, upper=None, rule=None, couple=None):
+    def __init__(self, message, *, lower=None, upper=None, couple=None, upper_certificate=None):
         super().__init__(message)
         self.lower = lower
         self.upper = upper
-        self.rule = rule
         self.couple = couple
+        self.upper_certificate = upper_certificate
 
 
 def require_int(name: str, value, low: int) -> None:

@@ -83,7 +83,8 @@ __all__ = [
 
 # Lower and upper bounds reach the same quantity along different rounding
 # paths (at m = 1 both are the block's trace norm), so they may disagree by a
-# few ulps of the upper bound; the tolerance scales with it above 1.
+# few ulps of the upper bound: a relative tolerance, down to the smallest
+# normal double, below which rounding is absolute and no bound is certified.
 CONSISTENCY_TOL = 1e-9
 
 DEFAULT_BUDGET = 64
@@ -238,9 +239,6 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     budget = DEFAULT_BUDGET if budget is None else budget
     require_int("budget", budget, 0)
 
-    if not u4.any():
-        return SearchResult(0.0, _trace_identity_couple(n), 1)
-
     cfg = optimizer_config or OptimizerConfig()
     children = np.random.SeedSequence(seed).spawn(len(catalog))
     best_val = -np.inf
@@ -359,7 +357,8 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
                optimizer_config: OptimizerConfig | None = None) -> NormBounds:
     """Certified interval with certificates; raises on lower > upper.
 
-    The zero matrix short-circuits to [0, 0] without touching the optimizer.
+    ``InconsistencyError`` carries both bounds and both certificates. The
+    zero matrix takes the general search, whose couples are all worth 0.
     """
     require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
@@ -368,11 +367,11 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
     upper = cert.value
     result = search_lower_bound(n, u4, catalog=catalog, budget=budget, seed=seed,
                                 optimizer_config=optimizer_config)
-    if result.value > upper + CONSISTENCY_TOL * max(1.0, upper):
+    if result.value > upper * (1.0 + CONSISTENCY_TOL) + np.finfo(float).tiny:
         raise InconsistencyError(
             f"lower bound {result.value:.12g} via {result.couple.space.space_id} exceeds "
             f"upper bound {upper:.12g} from rule {UPPER_RULE}",
-            lower=result.value, upper=upper, rule=UPPER_RULE, couple=result.couple,
+            lower=result.value, upper=upper, couple=result.couple, upper_certificate=cert,
         )
     return NormBounds(n, m, result.value, upper, UPPER_RULE, result.couple, cert)
 
@@ -395,7 +394,7 @@ def block_diag_lower(n: int, blocks) -> float:
     m = len(mats)
     rotated = np.zeros((m, m, n, n), dtype=complex)
     for k, b in enumerate(mats):
-        rotated[k, k] = np.diag(linalg.singular_values(b))
+        rotated[k, k] = np.diag(np.linalg.svd(b, compute_uv=False))
     return couple_value(_trace_identity_couple(n), rotated)
 
 

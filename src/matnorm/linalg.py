@@ -15,7 +15,6 @@ from .errors import DegenerateInputError, InvalidInputError, require_int
 __all__ = [
     "as_matrix",
     "as_block_array",
-    "singular_values",
     "trace_norm",
     "dual_witness",
     "canonical_identity",
@@ -56,14 +55,9 @@ def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
     return arr
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values of ``a`` in nonincreasing order."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
 def trace_norm(a) -> float:
     """Sum of singular values."""
-    return float(singular_values(a).sum())
+    return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
 
 
 def dual_witness(a) -> np.ndarray:

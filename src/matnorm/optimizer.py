@@ -29,8 +29,9 @@ sequential run's result.
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
-``TOLERANCE``). The seed is an argument of ``optimize_couple``, not a
-setting.
+``TOLERANCE`` times the current value; a relative gain, so scaling u scales
+every value and leaves every step as it was). The seed is an argument of
+``optimize_couple``, not a setting.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, states: n
             raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {shape}")
         values, proposal_states = space.polar_state(amplified_images(proposals, u4))
         current = vals if every else vals[active]
-        better, gained = values > current, values > current + TOLERANCE  # before the write-back into vals
+        better, gained = values > current, values > current + TOLERANCE * np.abs(current)  # before writing vals
         # every restart won: write back by slice, with no mask copies
         won, pick = (slice(None), slice(None)) if every and better.all() else (active[better], better)
         coords[won], states[won], vals[won] = proposals[pick], proposal_states[pick], values[pick]

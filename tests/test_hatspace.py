@@ -165,6 +165,13 @@ class TestLowerBound:
         value = search_lower_bound(2, np.zeros((2, 2, 2, 2)), budget=10, seed=1).value
         assert value == 0.0
 
+    def test_zero_input_certificate_comes_from_the_catalog(self):
+        # the zero input takes the general search, so its certificate is a
+        # couple of the caller's catalog
+        result = search_lower_bound(2, np.zeros((2, 2, 2, 2)), catalog=[c_min()], budget=8)
+        assert result.value == 0.0
+        assert result.couple.space.space_id == "cmin"
+
     def test_single_entry_block(self):
         rng = np.random.default_rng(2)
         a = gauss(rng, (2, 2))
@@ -470,6 +477,15 @@ class TestBounds:
         assert b.lower <= 1.0 + 1e-12 and b.lower < b.upper <= 1.0 + 2 * UPPER_MARGIN * n * n
 
     def test_lying_space_raises_inconsistency(self):
+        self.check_lying_space_raises(1.0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-300])
+    def test_lying_space_raises_inconsistency_below_scale_one(self, scale):
+        # the check is relative, so a tenfold overstatement raises at every normal scale
+        self.check_lying_space_raises(scale)
+
+    @staticmethod
+    def check_lying_space_raises(scale):
         # understates feasibility norms, inflates image norms
         base = c_max()
         liar = MatricialSpace(
@@ -477,10 +493,14 @@ class TestBounds:
             lambda c: base.norm_batch(c) * (10.0 if c.shape[0] == 1 else 0.1),
         )
         rng = np.random.default_rng(13)
-        a = gauss(rng, (2, 2))
+        u = single_block(scale * gauss(rng, (2, 2)))
         with pytest.raises(InconsistencyError) as err:
-            hat_bounds(2, single_block(a), catalog=[liar], budget=16, seed=14)
+            hat_bounds(2, u, catalog=[liar], budget=16, seed=14)
         assert err.value.lower > err.value.upper
+        # both certificates come with the error and reproduce its bounds
+        assert couple_value(err.value.couple, u) == err.value.lower
+        assert check_upper_certificate(err.value.upper_certificate, u)
+        assert err.value.upper_certificate.value == err.value.upper
 
     def test_no_spurious_inconsistency_at_any_scale(self):
         # at one block lower and upper are the same trace norm along two
@@ -494,6 +514,12 @@ class TestBounds:
                                optimizer_config=fast)
                 assert b.lower == pytest.approx(trace_norm(a), rel=1e-9)
                 assert b.upper == pytest.approx(trace_norm(a), rel=1e-9)
+        # below the smallest normal double rounding is absolute and the bounds
+        # are not certified, but the consistency check must still not raise
+        for scale in (1e-315, 1e-320):
+            for n in (1, 2, 3, 4):
+                hat_bounds(n, single_block(scale * gauss(rng, (n, n))), budget=8,
+                           seed=int(rng.integers(2**32)), optimizer_config=fast)
 
     def test_json_schema(self):
         b = hat_bounds(2, canonical_identity(2), budget=10, seed=15)
@@ -570,6 +596,18 @@ class TestIntervalProperty:
         assert realigned <= entry_trace_sum(u) * (1 + 1e-12)
         assert b.upper_rule == "realignment"
         assert check_upper_certificate(b.upper_certificate, u)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+    def test_power_of_two_scale_scales_the_search_exactly(self, m, n):
+        # scaling u by 2^e scales every value exactly, and the stall rule is
+        # relative, so the default search takes the same steps at every scale
+        u = gauss(np.random.default_rng(60 + 10 * m + n), (m, m, n, n))
+        ref = hat_bounds(n, u)
+        for e in (-200, -50, 50, 200):
+            b = hat_bounds(n, u * 2.0 ** e)
+            assert b.lower * 2.0 ** -e == ref.lower
+            assert b.certificate.space.space_id == ref.certificate.space.space_id
+            np.testing.assert_array_equal(b.certificate.v.coords, ref.certificate.v.coords)
 
 
 class TestBlockDiagLower:

@@ -30,7 +30,6 @@ from matnorm import (
     space_from_id,
 )
 from matnorm.correspondence import amplified_images
-from matnorm.serialize import complex_to_pairs
 from matnorm.spaces import AxiomReport, check_unit_ball
 
 
@@ -293,7 +292,7 @@ class TestAxiomChecker:
     @pytest.mark.parametrize("space", [*default_catalog(3), l1_sum([c_min(), c_max()]), planted_fault_space()],
                              ids=lambda sp: sp.space_id)
     def test_report_matches_the_trial_loop_bitwise(self, space, seed):
-        # the stacked evaluation reports the per-trial loop's violations and worst cases, bit for bit
+        # the stacked evaluation reports the per-trial loop's largest violations, bit for bit
         ours = check_axioms(space, trials=25, seed=seed, max_level=4)
         ref = reference_check_axioms(space, trials=25, seed=seed, max_level=4)
         assert json.dumps(asdict(ours)) == json.dumps(asdict(ref))
@@ -308,7 +307,6 @@ class TestAxiomChecker:
     def test_planted_fault_detected(self):
         rep = check_axioms(planted_fault_space(), trials=100, seed=8, max_level=2)
         assert rep.axiom1_max_violation >= 0.09
-        assert rep.worst_case_inputs["axiom1"] is not None
 
 
 class TestValidation:
@@ -379,7 +377,6 @@ def reference_sample(space, level, rng, variant):
 def reference_check_axioms(space, trials, seed, max_level):
     rng = np.random.default_rng(seed)
     a1_max = a2_max = 0.0
-    worst = {"axiom1": None, "axiom2": None}
     for level in range(1, max_level + 1):
         eye = np.eye(level)
         for t in range(trials):
@@ -389,8 +386,6 @@ def reference_check_axioms(space, trials, seed, max_level):
             v1 = abs(space.norm(pad(u, extra)) - base)
             if v1 > a1_max:
                 a1_max = v1
-                worst["axiom1"] = {"level": level, "extra": extra, "violation": v1,
-                                   "coords": complex_to_pairs(u.coords)}
             if t % 2:
                 s = random_unitary(level, rng)
                 tt = random_unitary(level, rng)
@@ -402,5 +397,4 @@ def reference_check_axioms(space, trials, seed, max_level):
             v2 = max(0.0, v2)
             if v2 > a2_max:
                 a2_max = v2
-                worst["axiom2"] = {"level": level, "violation": v2, "coords": complex_to_pairs(u.coords)}
-    return AxiomReport(a1_max, a2_max, worst)
+    return AxiomReport(a1_max, a2_max)
