@@ -41,19 +41,14 @@ from .correspondence import (
 )
 from .optimizer import OptimizerConfig, optimize_couple
 from .hatspace import (
-    ConvexityReport,
     NormBounds,
     SearchResult,
-    TraceFunctionalReport,
     UpperCertificate,
-    block_diag_lower,
     check_upper_certificate,
-    convexity_violation,
     couple_value,
     default_catalog,
     hat_bounds,
     hat_upper_bound,
-    l1_functional_check,
     random_couple,
     search_lower_bound,
     structured_couples,

@@ -138,13 +138,15 @@ def cmd_verify(args) -> int:
     if args.n is not None and args.n > 4:
         print(f"warning: n={args.n} grows the assembled matrices quickly; expect long runtimes",
               file=sys.stderr)
-    try:  # opened before the suite, which can take minutes
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    try:  # opened before the suite, which can take minutes, and emptied only once the report exists
+        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise InvalidInputError(f"cannot write the report to {args.out}: {exc}") from exc
     with out as fh:
         report = run_suite(args.suite, seed=args.seed, trials=args.trials, n=args.n,
                            m_max=args.m, p=args.p, budget=args.budget)
+        if args.out:
+            fh.truncate(0)
         print(json.dumps(report, indent=2), file=fh)
     failed = [c for c in report["checks"] if c["status"] != "pass"]
     return 1 if failed else 0

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correspondence import amplified_image, amplified_images, canonical_identity
+from .correspondence import amplified_image, amplified_images
 from .errors import InconsistencyError, InvalidInputError, require_int
 from .optimizer import OptimizerConfig, optimize_couple
 from .serialize import complex_to_pairs
@@ -74,11 +74,6 @@ __all__ = [
     "hat_upper_bound",
     "check_upper_certificate",
     "hat_bounds",
-    "block_diag_lower",
-    "ConvexityReport",
-    "convexity_violation",
-    "TraceFunctionalReport",
-    "l1_functional_check",
 ]
 
 # Lower and upper bounds reach the same quantity along different rounding
@@ -172,21 +167,15 @@ def couple_value(couple: Couple, u) -> float:
     return couple.space.norm(amplified_image(couple.v, u))
 
 
-def _trace_identity_couple(n: int) -> Couple:
-    """The couple (trace-norm scalars, identity/n)."""
-    space = c_max()
-    return Couple(space, LeveledElement(space.space_id, structured_couples(space, n)[0]))
-
-
-def structured_couples(space: MatricialSpace, n: int, u=None) -> np.ndarray:
-    """Elements of hand-picked couples known to achieve the engine's benchmark values.
+def structured_couples(space: MatricialSpace, n: int, u) -> np.ndarray:
+    """Elements of hand-picked couples for u, known to achieve the engine's benchmark values.
 
     Each space kind supplies its own (``MatricialSpace.structured_couples``);
     a custom evaluator has none. Returns them rescaled into the unit ball and
     checked feasible, as an (S, n, n, dim) stack.
     """
     require_int("block size", n, 1)
-    u4 = None if u is None else linalg.as_block_array(u, block_size=n)
+    u4 = linalg.as_block_array(u, block_size=n)
     coords = space.unit_scaled_stack(space.structured_couples(n, u4))
     check_unit_ball(space, coords)
     return coords
@@ -374,76 +363,3 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
             lower=result.value, upper=upper, couple=result.couple, upper_certificate=cert,
         )
     return NormBounds(n, m, result.value, upper, UPPER_RULE, result.couple, cert)
-
-
-def block_diag_lower(n: int, blocks) -> float:
-    """Lower bound (1/n) * sum of trace norms for a block-diagonal matrix.
-
-    Follows the proof shape: each block is rotated to a positive diagonal by
-    the unitary factors of its SVD (a norm-preserving move), after which the
-    single couple (trace-norm scalars, identity/n) evaluates the rotated
-    block-diagonal element to the closed form.
-    """
-    require_int("block size", n, 1)
-    mats = [linalg.as_matrix(b) for b in blocks]
-    if not mats:
-        raise InvalidInputError("no blocks given")
-    for b in mats:
-        if b.shape != (n, n):
-            raise InvalidInputError(f"expected {n} x {n} blocks, got shape {b.shape}")
-    m = len(mats)
-    rotated = np.zeros((m, m, n, n), dtype=complex)
-    for k, b in enumerate(mats):
-        rotated[k, k] = np.diag(np.linalg.svd(b, compute_uv=False))
-    return couple_value(_trace_identity_couple(n), rotated)
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    n: int
-    p: float
-    lower_on_sum: float
-    upper_on_sum: float
-    bound_if_convex: float
-    violated: bool
-
-
-def convexity_violation(n: int, p: float) -> ConvexityReport:
-    """Explicit witness that the norm is not p-convex for p > 1.
-
-    The flip element has norm exactly 1, so p-convexity would cap its
-    doubled block-diagonal at 2^(1/p). The couple (trace-norm scalars,
-    identity/n) already pushes the doubled element to 2: its amplified image
-    is the couple element repeated twice on the diagonal, of trace norm 2,
-    and the realignment rule bounds it by 2, one flip atom per copy.
-    """
-    require_int("block size", n, 1)
-    if not p > 1:  # also rejects nan
-        raise InvalidInputError(f"exponent must exceed 1, got {p}")
-    flip = canonical_identity(n)
-    doubled = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
-    doubled[:n, :n] = flip
-    doubled[n:, n:] = flip
-    lower_on_sum = couple_value(_trace_identity_couple(n), doubled)
-    bound_if_convex = float(2.0 ** (1.0 / p))
-    return ConvexityReport(n, p, lower_on_sum, hat_upper_bound(n, doubled).value, bound_if_convex,
-                           lower_on_sum > bound_if_convex + 1e-6)
-
-
-@dataclass(frozen=True, eq=False)
-class TraceFunctionalReport:
-    n: int
-    image: np.ndarray
-    trace_norm_of_image: float
-
-
-def l1_functional_check(n: int) -> TraceFunctionalReport:
-    """Entrywise trace of the flip element: exactly the identity, trace norm n.
-
-    The contrast with the flip element's own unit norm rules out an additive
-    block-diagonal structure for the supremum norm.
-    """
-    require_int("block size", n, 1)
-    flip = canonical_identity(n)
-    image = np.einsum("klaa->kl", flip)
-    return TraceFunctionalReport(n, image, linalg.trace_norm(image))

@@ -104,9 +104,9 @@ class MatricialSpace:
             arr = arr.reshape(1, 1, self.dim)
         elif arr.ndim == 2 and self.dim == 1 and arr.shape[0] == arr.shape[1]:
             arr = arr.reshape(arr.shape[0], arr.shape[1], 1)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != self.dim:
+        if arr.ndim != 3 or not arr.shape[0] or arr.shape[0] != arr.shape[1] or arr.shape[2] != self.dim:
             raise InvalidInputError(
-                f"{self.space_id}: expected (m, m, {self.dim}) coordinates, got shape {arr.shape}"
+                f"{self.space_id}: expected (m, m, {self.dim}) coordinates, m positive, got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
             raise InvalidInputError("coordinates must be finite")
@@ -137,8 +137,8 @@ class MatricialSpace:
         scaled = nrm > np.where(sphere, 0.0, 1.0)
         return np.divide(stack, nrm[:, None, None, None], out=stack, where=scaled[:, None, None, None])
 
-    def structured_couples(self, n: int, u4: np.ndarray | None) -> np.ndarray:
-        """Hand-picked level-n elements as an (S, n, n, dim) stack; ``u4`` is the validated input, if any.
+    def structured_couples(self, n: int, u4: np.ndarray) -> np.ndarray:
+        """Hand-picked level-n elements for the validated (m, m, n, n) input ``u4``, as an (S, n, n, dim) stack.
 
         The search rescales them into the unit ball.
         """
@@ -217,14 +217,12 @@ class TraceScalars(MatricialSpace):
         return np.linalg.svd(coords[..., 0], compute_uv=False).sum(axis=-1)
 
     def structured_couples(self, n, u4):
-        """The identity and, when u4 is given, the dual witnesses of its nonzero blocks, each divided by n.
+        """The identity and the dual witnesses of u4's nonzero blocks, each divided by n.
 
         A dual witness achieves the trace norm of its block at level 1.
         """
-        coords = [np.eye(n, dtype=complex)]
-        if u4 is not None:
-            blocks = u4.reshape(-1, n, n)
-            coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))]))
+        blocks = u4.reshape(-1, n, n)
+        coords = [np.eye(n, dtype=complex), *linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))])]
         return np.stack(coords)[..., None] / n
 
     def polar_state(self, images):
@@ -262,14 +260,14 @@ class OperatorSpace(MatricialSpace):
     def structured_couples(self, n, u4):
         """The assembled identity; when k = n > 1 also the flip element (at n = 1 it is the identity).
 
-        When k = 1 and u4 is given, also the dual witnesses of its nonzero
-        blocks; a dual witness achieves the trace norm of its block at level 1.
+        When k = 1, also the dual witnesses of u4's nonzero blocks; a dual
+        witness achieves the trace norm of its block at level 1.
         """
         k = self.k
         coords = [np.einsum("pq,x->pqx", np.eye(n), np.eye(k).reshape(-1)).astype(complex)]
         if k == n > 1:
             coords.append(linalg.canonical_identity(n).reshape(n, n, n * n))
-        if k == 1 and u4 is not None:
+        if k == 1:
             blocks = u4.reshape(-1, n, n)
             coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))])[..., None])
         return np.stack(coords)

@@ -270,15 +270,17 @@ def _suite_prop7(seed, trials, n_values, budget, **_):
     return checks
 
 
-def _suite_prop13(seed, trials, **_):
+def _suite_prop13(seed, trials, n_values, budget, **_):
     trials = trials or 100
+    n_values = n_values or (2, 3)
+    budget = 16 if budget is None else budget
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cmax = spaces.c_max()
     worst_closed = 0.0
     worst_closed_rotated = 0.0
     worst_vs_search = -np.inf
     for t in range(trials):
-        n = (2, 3)[t % 2]
+        n = n_values[t % len(n_values)]
         count = (2, 3)[(t // 2) % 2]
         blocks = []
         for _ in range(count):
@@ -288,13 +290,15 @@ def _suite_prop13(seed, trials, **_):
             blocks.append(b)
         closed = sum(linalg.trace_norm(b) for b in blocks) / n
         u = np.zeros((count, count, n, n), dtype=complex)
+        rotated = np.zeros_like(u)  # each block turned to diag(s) by its SVD's unitaries, a norm-preserving move
         for k, b in enumerate(blocks):
             u[k, k] = b
+            rotated[k, k] = np.diag(np.linalg.svd(b, compute_uv=False))
         couple = Couple(cmax, cmax.element((np.eye(n) / n).reshape(n, n, 1)))
         value = hatspace.couple_value(couple, u)
         worst_closed = max(worst_closed, abs(value - closed))
-        worst_closed_rotated = max(worst_closed_rotated, abs(hatspace.block_diag_lower(n, blocks) - closed))
-        result = hatspace.search_lower_bound(n, u, budget=16, seed=int(rng.integers(2**32)),
+        worst_closed_rotated = max(worst_closed_rotated, abs(hatspace.couple_value(couple, rotated) - closed))
+        result = hatspace.search_lower_bound(n, u, budget=budget, seed=int(rng.integers(2**32)),
                                              optimizer_config=_FAST_OPT)
         worst_vs_search = max(worst_vs_search, value - result.value)
     return [
@@ -320,8 +324,8 @@ def _suite_prop14(n_values, **_):
     n_values = n_values or (2, 3, 4, 5, 6)
     checks = []
     for n in n_values:
-        rep = hatspace.l1_functional_check(n)
-        image_dev = float(np.abs(rep.image - np.eye(n)).max())
+        image = np.einsum("klaa->kl", canonical_identity(n))
+        image_dev = float(np.abs(image - np.eye(n)).max())
         checks.append(_check(
             f"prop14.image.n{n}", f"entrywise trace of the flip element is the identity (n={n})",
             "applying the trace entrywise to the flip element yields exactly the identity matrix",
@@ -330,7 +334,7 @@ def _suite_prop14(n_values, **_):
         checks.append(_check(
             f"prop14.trace_norm.n{n}", f"image trace norm is exactly n (n={n})",
             "the image has trace norm n, exceeding the flip element's own unit norm",
-            "abs", rep.trace_norm_of_image, float(n), 0.0,
+            "abs", linalg.trace_norm(image), float(n), 0.0,
         ))
     return checks
 
@@ -339,18 +343,26 @@ def _suite_convexity(n_values, p_values, **_):
     witness_n = [n for n in (n_values or range(2, 7)) if n > 1]
     n_values = n_values or DEFAULT_N_VALUES
     p_values = p_values or (1.01, 1.5, 2.0, 10.0, math.inf)
+    for p in p_values:
+        if not p > 1:  # also rejects nan
+            raise InvalidInputError(f"exponent must exceed 1, got {p}")
+    cmax = spaces.c_max()
     checks = []
     min_lower = np.inf
     off_two = {}
     for n in n_values:
+        # The flip element has norm 1, so p-convexity would cap its doubled block-diagonal at 2^(1/p). The
+        # identity/n couple's image of it is that element twice, of trace norm 2; the realignment rule gives 2.
+        doubled = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
+        doubled[:n, :n] = doubled[n:, n:] = canonical_identity(n)
+        lower = hatspace.couple_value(Couple(cmax, cmax.element((np.eye(n) / n).reshape(n, n, 1))), doubled)
+        min_lower = min(min_lower, lower)
+        off_two[n] = max(abs(lower - 2.0), abs(hatspace.hat_upper_bound(n, doubled).value - 2.0))
         for p in p_values:
-            rep = hatspace.convexity_violation(n, p)
-            min_lower = min(min_lower, rep.lower_on_sum)
-            off_two[n] = max(abs(rep.lower_on_sum - 2.0), abs(rep.upper_on_sum - 2.0))
             checks.append(_check(
                 f"convexity.violated.n{n}.p{p:g}", f"block-doubling beats the l_{p:g} bound (n={n})",
                 f"the doubled flip element reaches 2 while p-convexity would cap it at 2^(1/{p:g})",
-                "bool", rep.violated, True, 0.0,
+                "bool", lower > 2.0 ** (1.0 / p) + 1e-6, True, 0.0,
             ))
     checks.append(_check(
         "convexity.lower_on_sum", "doubled flip element always reaches 2",

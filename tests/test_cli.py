@@ -269,6 +269,31 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "prop14", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_failed_run_keeps_an_existing_out_file(self, tmp_path, capsys):
+        # the report file is emptied only once the suite has produced a report
+        out = tmp_path / "old.json"
+        out.write_text('{"suite": "earlier"}\n')
+        assert main(["verify", "--suite", "convexity", "--p", "0.5", "--out", str(out)]) == 2
+        assert "exponent must exceed 1" in capsys.readouterr().err
+        assert out.read_text() == '{"suite": "earlier"}\n'
+        assert main(["verify", "--suite", "prop14", "--n", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["suite"] == "prop14"
+
+    def test_prop13_searches_the_given_size_and_budget(self, monkeypatch):
+        import matnorm.hatspace as hatspace
+
+        seen = []
+        search = hatspace.search_lower_bound
+
+        def recording(n, u, budget=None, **kwargs):
+            seen.append((n, budget))
+            return search(n, u, budget=budget, **kwargs)
+
+        monkeypatch.setattr(hatspace, "search_lower_bound", recording)
+        report = run_suite("prop13", trials=4, n=4, budget=5)
+        assert seen == [(4, 5)] * 4
+        assert all(c["status"] == "pass" for c in report["checks"])
+
     def test_env_seed_default(self, monkeypatch, capsys):
         # the parser reads MATNORM_SEED when the command runs
         monkeypatch.setenv("MATNORM_SEED", "77")
@@ -307,6 +332,12 @@ class TestArgumentValidation:
     def test_non_integer_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("MATNORM_SEED", "abc")
         self.expect_usage_error(["verify", "--suite", "prop14", "--n", "2"], capsys, "'abc'")
+
+    def test_rejects_bad_exponent(self):
+        # the witnesses are claimed only for p > 1; NaN compares false with everything
+        for p in (1.0, float("nan")):
+            with pytest.raises(InvalidInputError, match="exponent must exceed 1"):
+                run_suite("convexity", p=p)
 
     def test_run_without_checks_is_an_error(self):
         # prop7 skips block sizes below 1, so n = 0 would pass with no checks

@@ -1,4 +1,4 @@
-"""Bound engine: lower/upper rules, certificates, and the quantitative checks."""
+"""Bound engine: lower/upper rules and certificates."""
 
 import json
 from dataclasses import replace
@@ -15,19 +15,16 @@ from matnorm import (
     MatricialSpace,
     OptimizerConfig,
     amplified_image,
-    block_diag_lower,
     c_max,
     c_min,
     canonical_identity,
     check_upper_certificate,
     concrete_operator_space,
-    convexity_violation,
     couple_value,
     default_catalog,
     dual_witness,
     hat_bounds,
     hat_upper_bound,
-    l1_functional_check,
     optimize_couple,
     random_couple,
     random_unitary,
@@ -110,19 +107,15 @@ class TestBlockSize:
         lambda: search_lower_bound(None, np.ones((2, 2, 2, 2))),
         lambda: hat_upper_bound(None, np.ones((2, 2, 2, 2))),
         lambda: optimize_couple(c_min(), None, np.ones((2, 2, 2, 2))),
-        lambda: structured_couples(c_min(), None),
+        lambda: structured_couples(c_min(), None, np.ones((2, 2, 2, 2))),
         lambda: default_catalog(None),
         lambda: default_catalog(2.0),
-        lambda: convexity_violation(2.0, 2),
-        lambda: l1_functional_check(2.0),
         lambda: canonical_identity(2.0),
         lambda: random_unitary(2.5, 0),
         lambda: concrete_operator_space(2.0),
-        lambda: block_diag_lower(2.0, [np.eye(2)]),
     ], ids=["hat_bounds_none", "search_lower_bound_none", "hat_upper_bound_none", "optimize_couple_none",
-            "structured_couples_none", "default_catalog_none", "default_catalog_float", "convexity_violation_float",
-            "l1_functional_check_float", "canonical_identity_float",
-            "random_unitary_float", "concrete_operator_space_float", "block_diag_lower_float"])
+            "structured_couples_none", "default_catalog_none", "default_catalog_float", "canonical_identity_float",
+            "random_unitary_float", "concrete_operator_space_float"])
     def test_size_of_another_type_rejected(self, call):
         # each raised a TypeError deeper down, or (op:2.0) built a space with a float dim
         with pytest.raises(InvalidInputError, match="size must be an integer"):
@@ -608,76 +601,3 @@ class TestIntervalProperty:
             assert b.lower * 2.0 ** -e == ref.lower
             assert b.certificate.space.space_id == ref.certificate.space.space_id
             np.testing.assert_array_equal(b.certificate.v.coords, ref.certificate.v.coords)
-
-
-class TestBlockDiagLower:
-    def test_identity_blocks(self):
-        assert block_diag_lower(2, [np.eye(2), np.eye(2)]) == pytest.approx(2.0, abs=1e-12)
-        assert block_diag_lower(3, [np.eye(3)]) == pytest.approx(1.0, abs=1e-12)
-        assert block_diag_lower(2, [np.diag([1.0, 0.0])]) == pytest.approx(0.5, abs=1e-12)
-
-    def test_closed_form_on_arbitrary_blocks(self):
-        rng = np.random.default_rng(18)
-        blocks = [gauss(rng, (2, 2)) for _ in range(3)]
-        expected = sum(trace_norm(b) for b in blocks) / 2
-        assert block_diag_lower(2, blocks) == pytest.approx(expected, abs=1e-9)
-
-    def test_psd_blocks_match_direct_couple(self):
-        rng = np.random.default_rng(19)
-        n = 2
-        blocks = []
-        for _ in range(2):
-            g = gauss(rng, (n, n))
-            blocks.append(g @ g.conj().T)
-        u = np.zeros((2, 2, n, n), dtype=complex)
-        u[0, 0], u[1, 1] = blocks
-        sp = c_max()
-        couple = Couple(sp, sp.element((np.eye(n) / n).reshape(n, n, 1)))
-        assert couple_value(couple, u) == pytest.approx(block_diag_lower(n, blocks), abs=1e-9)
-
-    def test_stays_below_full_search(self):
-        rng = np.random.default_rng(20)
-        n = 2
-        blocks = []
-        for _ in range(2):
-            g = gauss(rng, (n, n))
-            b = g @ g.conj().T
-            blocks.append(b / trace_norm(b))
-        u = np.zeros((2, 2, n, n), dtype=complex)
-        u[0, 0], u[1, 1] = blocks
-        value = search_lower_bound(n, u, budget=24, seed=21).value
-        assert block_diag_lower(n, blocks) <= value + 1e-9
-
-    @pytest.mark.parametrize("blocks,fragment", [([], "no blocks"), ([np.eye(3)], "expected 2 x 2 blocks")],
-                             ids=["none", "wrong_shape"])
-    def test_bad_blocks_rejected(self, blocks, fragment):
-        with pytest.raises(InvalidInputError, match=fragment):
-            block_diag_lower(2, blocks)
-
-
-class TestConvexityWitness:
-    def test_violations(self):
-        rep = convexity_violation(2, 2.0)
-        assert rep.violated and rep.lower_on_sum >= 2.0 - 1e-9
-        assert rep.bound_if_convex == pytest.approx(np.sqrt(2.0))
-
-        rep = convexity_violation(2, 1.01)
-        assert rep.bound_if_convex == pytest.approx(2.0 ** (1 / 1.01))
-        assert rep.bound_if_convex < 2.0 and rep.violated
-
-        rep = convexity_violation(1, 2.0)
-        assert rep.violated and rep.lower_on_sum == pytest.approx(2.0, abs=1e-12)
-
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(InvalidInputError):
-            convexity_violation(2, 1.0)
-        with pytest.raises(InvalidInputError):
-            convexity_violation(2, float("nan"))
-
-
-class TestTraceFunctional:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_image_and_norm(self, n):
-        rep = l1_functional_check(n)
-        np.testing.assert_array_equal(rep.image, np.eye(n))
-        assert rep.trace_norm_of_image == float(n)

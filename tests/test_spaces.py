@@ -319,6 +319,17 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             sp.element(np.full((1, 1, 4), np.nan))
 
+    @pytest.mark.parametrize("space_id", ["cmax", "cmin", "op:2", "l1:[cmin,cmax]"])
+    def test_empty_level_rejected(self, space_id):
+        # norm gave 0.0 on cmax and raised IndexError on op:2 and the l1 sum
+        space = space_from_id(space_id)
+        empties = [np.zeros((0, 0, space.dim))] + ([np.zeros((0, 0))] if space.dim == 1 else [])
+        for coords in empties:
+            with pytest.raises(InvalidInputError, match="m positive"):
+                space.element(coords)
+            with pytest.raises(InvalidInputError, match="m positive"):
+                space.norm(coords)
+
     @pytest.mark.parametrize("call,fragment", [
         (lambda sp: coproduct_apply(sp, [np.eye(1)], sp.element(np.ones(2))), "1 maps for 2 summands"),
         (lambda sp: coproduct_apply(sp, [np.eye(1), np.ones((2, 1))], sp.element(np.ones(2))),
