@@ -171,8 +171,8 @@ def structured_couples(space: MatricialSpace, n: int, u) -> np.ndarray:
     """Elements of hand-picked couples for u, known to achieve the engine's benchmark values.
 
     Each space kind supplies its own (``MatricialSpace.structured_couples``);
-    a custom evaluator has none. Returns them rescaled into the unit ball and
-    checked feasible, as an (S, n, n, dim) stack.
+    a space with only a ``norm_batch`` has none. Returns them rescaled into
+    the unit ball and checked feasible, as an (S, n, n, dim) stack.
     """
     require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
@@ -211,14 +211,15 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     """Maximize couple values over the catalog; sequential and deterministic.
 
     Per space: structured couples, ``budget`` random couples, then an
-    optimizer run from the first of them (skipped when budget is 0; it
-    takes no step on a space without a polar proposal). The structured
-    couples and the first ``RANDOM_CHUNK`` random ones are one stack, and
-    the rest come in chunks of ``RANDOM_CHUNK``; each stack takes one
-    amplification and one batched norm, and only a winner becomes a
-    ``Couple``. Ties go to the earliest couple in evaluation order. Raises
-    ``InvalidInputError`` when no couple has a value (no structured couples
-    and budget 0, or NaN everywhere).
+    optimizer run from the first of them (skipped when budget is 0; it takes
+    no step on a space without a polar proposal). The structured couples and
+    the first ``RANDOM_CHUNK`` random ones are one stack, and the rest come in
+    chunks of ``RANDOM_CHUNK``; each stack takes one amplification and one
+    batched norm. Only the reported winner becomes a ``Couple``; an optimizer
+    run returns its own. Ties go to the earliest couple in evaluation order.
+    ``seed`` is a nonnegative integer. Raises ``InvalidInputError`` when no
+    couple has a value (no structured couples and budget 0, or NaN
+    everywhere).
     """
     require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
@@ -227,11 +228,12 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
         raise InvalidInputError("empty catalog")
     budget = DEFAULT_BUDGET if budget is None else budget
     require_int("budget", budget, 0)
+    require_int("seed", seed, 0)
 
     cfg = optimizer_config or OptimizerConfig()
     children = np.random.SeedSequence(seed).spawn(len(catalog))
     best_val = -np.inf
-    best_couple = None
+    best = None  # (space, element) of the best stack row, or the optimizer's couple once it wins
     evaluated = 0
     for space, child in zip(catalog, children):
         rng = np.random.default_rng(child)
@@ -244,21 +246,21 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
                 continue
             values = space.norm_batch(amplified_images(coords, u4))
             evaluated += len(values)
-            best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
-            if values[best] > best_val:
-                best_val = float(values[best])
-                best_couple = Couple(space, LeveledElement(space.space_id, coords[best]))
+            top = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
+            if values[top] > best_val:
+                best_val, best = float(values[top]), (space, LeveledElement(space.space_id, coords[top]))
             starts.extend(LeveledElement(space.space_id, c) for c in coords[: cfg.restarts - len(starts)])
         if budget > 0:
             couple, val = optimize_couple(space, n, u4, cfg, starts=starts,
                                           seed=int(child.generate_state(1)[0]))
             evaluated += 1
             if val > best_val:
-                best_val, best_couple = val, couple
-    if best_couple is None:
+                best_val, best = val, couple
+    if best is None:
         raise InvalidInputError("no couple of the catalog has a value: no structured couples "
                                 "and budget 0, or every value is NaN")
-    return SearchResult(float(best_val), best_couple, evaluated)
+    couple = best if isinstance(best, Couple) else Couple(*best)  # a stack row was checked with its stack
+    return SearchResult(float(best_val), couple, evaluated)
 
 
 def _realign(u4: np.ndarray) -> np.ndarray:

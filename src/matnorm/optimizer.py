@@ -43,7 +43,7 @@ import numpy as np
 from . import linalg
 from .correspondence import amplified_image, amplified_images
 from .errors import InvalidInputError, require_int
-from .spaces import Couple, LeveledElement, MatricialSpace, random_element
+from .spaces import Couple, LeveledElement, MatricialSpace
 
 __all__ = ["OptimizerConfig", "optimize_couple"]
 
@@ -97,15 +97,15 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
                     starts=None, seed=0):
     """Best couple found by multi-restart ascent; returns (couple, value).
 
-    Restarts beyond the given ``starts`` start from Gaussian draws, and only
-    the starts are rescaled into the ball: a step moves straight to its polar
-    proposal, a unit-ball point, with no line search (see the module
+    Restarts beyond the given ``starts`` start from Gaussian draws (one stack),
+    and only the starts are rescaled into the ball: a step moves straight to
+    its polar proposal, a unit-ball point, with no line search (see the module
     docstring). Each start is valued on its own, and one ``polar_state`` call
     over the starts' images gives their states. The ``Couple`` checks the
-    returned element. The kept points end valued by one ``norm_batch`` of
-    their images; ``amplified_images`` gives a row the same bits in any
-    batch, so the reported value is the returned couple's ``couple_value``
-    bit for bit. Ties go to the first restart. Deterministic per seed.
+    returned element. The kept points end valued by one ``norm_batch`` of their
+    images; ``amplified_images`` gives a row the same bits in any batch, so the
+    reported value is the returned couple's ``couple_value`` bit for bit. Ties
+    go to the first restart. Deterministic per seed.
     """
     cfg = config or OptimizerConfig()
     require_int("block size", n, 1)
@@ -118,8 +118,11 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
             raise InvalidInputError(f"start of {start.space_id} with coordinates {start.coords.shape} is not "
                                     f"a finite level-{n} element of {space.space_id} (dim {space.dim})")
     coords = np.empty((cfg.restarts, n, n, space.dim), dtype=complex)
-    for r in range(cfg.restarts):
-        coords[r] = starts[r].coords if r < len(starts) else random_element(space, n, rng).coords
+    for r, start in enumerate(starts[: cfg.restarts]):
+        coords[r] = start.coords
+    if len(starts) < cfg.restarts:  # random_element's stream, restart by restart: real part, then imaginary
+        draws = rng.standard_normal((cfg.restarts - len(starts), 2, n, n, space.dim))
+        coords[len(starts):] = draws[:, 0] + 1j * draws[:, 1]
     space.unit_scaled_stack(coords)
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
     vals = np.array([space.norm(image) for image in start_images])

@@ -1,7 +1,7 @@
 """Concrete catalog of matrix-normed coordinate spaces and the randomized axiom checker.
 
-A space is a coordinate dimension together with a norm evaluator accepting
-the (m, m, dim) coordinate array of a level-m element. The catalog:
+A space is a coordinate dimension together with a norm evaluator over
+stacks of (m, m, dim) coordinate arrays, one per level-m element. The catalog:
 
 * ``cmax``    scalars; level-m norm is the trace norm of the m x m matrix
 * ``op:k``    k x k matrices; level-m norm is the operator norm of the
@@ -20,7 +20,6 @@ structured samples:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,24 +70,21 @@ class LeveledElement:
 class MatricialSpace:
     """Descriptor of a space: coordinate dimension plus levelwise norm.
 
-    ``norm_batch`` is the one evaluator. A bare instance (a custom evaluator)
-    gives ``norm_fn``, which receives one raw (m, m, dim) coordinate array
-    and which the default ``norm_batch`` loops over. The catalog kinds pass
-    ``norm_fn=None`` and subclass this with a ``norm_batch`` kernel over any
-    leading axes, structured couples and the optimizer's two polar hooks:
-    ``polar_state`` values a stack of images and keeps, per row, what
-    ``polar_proposal`` needs, both from one full SVD of the stack. Neither
-    hook may write into the arrays it receives: the optimizer passes its own
-    state rows, uncopied, and keeps what the hooks return.
+    A space is a subclass with a ``norm_batch`` kernel over any leading axes;
+    construction rejects a class without one. A kind may also supply
+    structured couples and the optimizer's two polar hooks: ``polar_state``
+    values a stack of images and keeps, per row, what ``polar_proposal``
+    needs, both from one full SVD of the stack. Neither hook may write into
+    the arrays it receives: the optimizer passes its own state rows,
+    uncopied, and keeps what the hooks return.
     """
 
     space_id: str
     dim: int
-    norm_fn: Callable[[np.ndarray], float] | None
 
     def __post_init__(self):
-        if self.norm_fn is None and type(self).norm_batch is MatricialSpace.norm_batch:
-            raise InvalidInputError(f"{self.space_id}: a space needs a norm_fn or a norm_batch")
+        if type(self).norm_batch is MatricialSpace.norm_batch:
+            raise InvalidInputError(f"{self.space_id}: a space needs a norm_batch")
 
     def element(self, coords) -> LeveledElement:
         """Wrap coordinates as an element of this space, validating shape.
@@ -123,9 +119,8 @@ class MatricialSpace:
         return float(self.norm_batch(coords))
 
     def norm_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Norms of a (..., m, m, dim) stack of coordinate arrays, shape (...); by default ``norm_fn`` on each."""
-        flat = coords.reshape(-1, *coords.shape[-3:])
-        return np.fromiter(map(self.norm_fn, flat), dtype=float, count=len(flat)).reshape(coords.shape[:-3])
+        """Norms of a (..., m, m, dim) stack of coordinate arrays, shape (...); each subclass supplies it."""
+        raise NotImplementedError
 
     def unit_scaled_stack(self, stack: np.ndarray, sphere=False) -> np.ndarray:
         """Divide, in place, each element of a (B, m, m, dim) stack whose norm exceeds 1 by that norm.
@@ -313,12 +308,12 @@ class L1Sum(MatricialSpace):
 
 def c_min() -> MatricialSpace:
     """Scalars with the operator norm at every level: the 1 x 1 matrices ``op:1`` under their own id."""
-    return OperatorSpace("cmin", 1, None, 1)
+    return OperatorSpace("cmin", 1, 1)
 
 
 def c_max() -> MatricialSpace:
     """Scalars with the trace norm at every level."""
-    return TraceScalars("cmax", 1, None)
+    return TraceScalars("cmax", 1)
 
 
 def concrete_operator_space(k: int) -> MatricialSpace:
@@ -329,7 +324,7 @@ def concrete_operator_space(k: int) -> MatricialSpace:
     flattened.
     """
     require_int("size", k, 1)
-    return OperatorSpace(f"op:{k}", k * k, None, k)
+    return OperatorSpace(f"op:{k}", k * k, k)
 
 
 def l1_sum(parts) -> MatricialSpace:
@@ -339,7 +334,7 @@ def l1_sum(parts) -> MatricialSpace:
         raise InvalidInputError("l1 sum of an empty family")
     offsets = (0, *np.cumsum([p.dim for p in parts]).tolist())
     space_id = "l1:[" + ",".join(p.space_id for p in parts) + "]"
-    return L1Sum(space_id, offsets[-1], None, parts, offsets)
+    return L1Sum(space_id, offsets[-1], parts, offsets)
 
 
 def _as_l1(space: MatricialSpace) -> L1Sum:
@@ -439,18 +434,15 @@ def space_from_id(space_id: str) -> MatricialSpace:
     raise InvalidInputError(f"unknown space id: {space_id!r}")
 
 
+class _FaultyScalars(MatricialSpace):
+    def norm_batch(self, coords):  # no polar hooks: cmin's would value images without the fault
+        norms = c_min().norm_batch(coords)
+        return norms + 0.1 if coords.shape[-3] == 2 else norms
+
+
 def planted_fault_space() -> MatricialSpace:
-    """Deliberately corrupted ``cmin`` evaluator (norm + 0.1 at level 2 only).
-
-    Violates the padding axiom; used to confirm the checker catches faults.
-    """
-    base = c_min()
-
-    def norm_fn(coords):
-        value = base.norm_batch(coords)
-        return value + 0.1 if coords.shape[0] == 2 else value
-
-    return MatricialSpace("fault:cmin", base.dim, norm_fn)
+    """``fault:cmin``, ``cmin`` with norm + 0.1 at level 2 only: a padding violation the axiom checker must catch."""
+    return _FaultyScalars("fault:cmin", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ elapsed_ms field varies between runs).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -18,11 +19,10 @@ from .correspondence import (
     amplified_image,
     canonical_identity,
     check_naturality,
-    phi_apply,
     phi_of,
     reconstruct,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .optimizer import OptimizerConfig
 from .spaces import Couple
 
@@ -113,18 +113,11 @@ def _suite_correspondence(seed, trials, n_values, **_):
     root = np.random.SeedSequence(seed)
     checks = []
 
-    # the flip element represents the identity map: exact on the full basis
+    # the flip element represents the identity map, exactly: column p*n + q of its matrix is the image of e_pq
     worst = 0.0
     for n in range(1, 7):
-        space = spaces.concrete_operator_space(n)
-        flip = space.element(canonical_identity(n).reshape(n, n, n * n))
-        phi = phi_of(flip)
-        for p in range(n):
-            for q in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[p, q] = 1.0
-                image = phi_apply(phi, e).coords[0, 0].reshape(n, n)
-                worst = max(worst, float(np.abs(image - e).max()))
+        flip = spaces.concrete_operator_space(n).element(canonical_identity(n).reshape(n, n, n * n))
+        worst = max(worst, float(np.abs(phi_of(flip).matrix - np.eye(n * n)).max()))
     checks.append(_check(
         "correspondence.identity_action", "flip element acts as the identity map (n up to 6)",
         "the map attached to the flip element fixes every elementary matrix",
@@ -247,7 +240,7 @@ def _suite_thm6(seed, trials, n_values, budget, **_):
 
 def _suite_prop7(seed, trials, n_values, budget, **_):
     trials = trials or 10500
-    n_values = tuple(n for n in (n_values or (2, 3, 4)) if n >= 1)
+    n_values = n_values or (2, 3, 4)
     checks = []
     children = np.random.SeedSequence(seed).spawn(len(n_values))
     for n, child in zip(n_values, children):
@@ -343,9 +336,6 @@ def _suite_convexity(n_values, p_values, **_):
     witness_n = [n for n in (n_values or range(2, 7)) if n > 1]
     n_values = n_values or DEFAULT_N_VALUES
     p_values = p_values or (1.01, 1.5, 2.0, 10.0, math.inf)
-    for p in p_values:
-        if not p > 1:  # also rejects nan
-            raise InvalidInputError(f"exponent must exceed 1, got {p}")
     cmax = spaces.c_max()
     checks = []
     min_lower = np.inf
@@ -451,9 +441,18 @@ SUITE_NAMES = tuple(_SUITES)  # the CLI's choices and the order of "all"
 def run_suite(name: str, *, seed: int = 0, trials: int | None = None, n: int | None = None,
               m_max: int | None = None, p: float | None = None,
               budget: int | None = None) -> dict:
-    """Run one named suite (or "all") and assemble the report."""
-    if name != "all" and name not in _SUITES:
+    """Run one named suite (or "all") and assemble the report.
+
+    Every parameter is checked before any suite runs, whichever suites read it.
+    """
+    if name not in (*SUITE_NAMES, "all"):  # compared, not hashed: a list is no suite either
         raise InvalidInputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
+    require_int("seed", seed, 0)
+    for key, value, low in (("trials", trials, 1), ("m_max", m_max, 1), ("n", n, 1), ("budget", budget, 0)):
+        if value is not None:
+            require_int(key, value, low)
+    if p is not None and not (isinstance(p, numbers.Real) and p > 1):  # also rejects nan
+        raise InvalidInputError(f"exponent must exceed 1, got {p!r}")
     names = SUITE_NAMES if name == "all" else (name,)
     kwargs = {
         "seed": seed,

@@ -340,6 +340,34 @@ class TestArgumentValidation:
                 run_suite("convexity", p=p)
 
     def test_run_without_checks_is_an_error(self):
-        # prop7 skips block sizes below 1, so n = 0 would pass with no checks
+        # n = 0 would leave prop7 no block size, so it would pass with no checks
         with pytest.raises(InvalidInputError):
             run_suite("prop7", n=0)
+
+    @pytest.mark.parametrize("name", ["all", "prop13"])
+    @pytest.mark.parametrize("kwargs", [
+        {"p": 0.5}, {"p": 1.0}, {"p": float("nan")}, {"p": "2"},
+        {"trials": 0}, {"trials": -5}, {"trials": 2.5}, {"trials": True},
+        {"m_max": 0}, {"n": 0}, {"n": 1.5}, {"budget": -1}, {"budget": 0.5},
+        {"seed": -1}, {"seed": 1.5}, {"seed": None},
+    ], ids=lambda kwargs: ",".join(f"{key}={value!r}" for key, value in kwargs.items()))
+    def test_library_rejects_each_bad_parameter_before_any_suite(self, monkeypatch, name, kwargs):
+        # trials=-5 passed coproduct having sampled nothing, trials=0 ran the default count, p=0.5 ran prop13,
+        # and "all" ran six suites before convexity rejected its p
+        import matnorm.suites as suites
+
+        def never(**_):
+            raise AssertionError("a suite ran before its parameters were checked")
+
+        monkeypatch.setattr(suites, "_SUITES", dict.fromkeys(suites._SUITES, never))
+        with pytest.raises(InvalidInputError):
+            run_suite(name, **kwargs)
+
+    def test_library_rejects_a_suite_name_of_another_type(self):
+        # a list name raised TypeError ("unhashable type") from the suite lookup
+        with pytest.raises(InvalidInputError, match="unknown suite"):
+            run_suite(["prop13"])
+
+    def test_cli_rejects_an_exponent_the_suite_ignores(self, capsys):
+        assert main(["verify", "--suite", "prop13", "--p", "0.5"]) == 2
+        assert "exponent must exceed 1" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Bound engine: lower/upper rules and certificates."""
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -47,6 +47,31 @@ def single_block(a):
 
 def op_norm(a):
     return np.linalg.norm(a, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class Bare(MatricialSpace):
+    """A space with ``base``'s norm kernel and nothing else: no structured couples and no polar step."""
+
+    base: MatricialSpace
+
+    def norm_batch(self, coords):
+        return self.base.norm_batch(coords)
+
+
+class NanOnLevelOne(MatricialSpace):
+    """cmax, but NaN on the level-1 elements whose coordinate has a negative real part."""
+
+    def norm_batch(self, coords):
+        norms = c_max().norm_batch(coords)
+        return np.where(coords[..., 0, 0, 0].real < 0, np.nan, norms) if coords.shape[-3] == 1 else norms
+
+
+class Liar(MatricialSpace):
+    """cmax's norm, inflated tenfold at level 1 and understated tenfold above it."""
+
+    def norm_batch(self, coords):
+        return c_max().norm_batch(coords) * (10.0 if coords.shape[-3] == 1 else 0.1)
 
 
 class TestCoupleValue:
@@ -123,7 +148,7 @@ class TestBlockSize:
 
     def test_numpy_integer_size_accepted(self):
         # the bare space draws an optimizer start at level n, so n reaches random_element too
-        space = MatricialSpace("bare", 1, c_min().norm_batch)
+        space = Bare("bare", 1, c_min())
         u = gauss(np.random.default_rng(3), (2, 2, 2, 2))
         ours = hat_bounds(np.int64(2), u, catalog=[space], budget=1, seed=4)
         ref = hat_bounds(2, u, catalog=[space], budget=1, seed=4)
@@ -176,9 +201,7 @@ class TestLowerBound:
     def test_nan_value_hides_no_larger_couple(self):
         # a custom evaluator with NaN on some level-1 images: the search skips
         # only those couples, as a couple-by-couple loop does
-        base = c_max()
-        space = MatricialSpace("nan", 1,
-                               lambda c: np.nan if c.shape[0] == 1 and c[0, 0, 0].real < 0 else base.norm_batch(c))
+        space = NanOnLevelOne("nan", 1)
         u = single_block(gauss(np.random.default_rng(30), (2, 2)))
         cfg = OptimizerConfig(restarts=1, iterations=0)
         result = search_lower_bound(2, u, catalog=[space], budget=16, seed=0, optimizer_config=cfg)
@@ -222,7 +245,7 @@ class TestLowerBound:
     def test_search_without_a_couple_rejected(self):
         # no structured couples and no budget: nothing is evaluated, so there
         # is no lower bound and no certificate to report
-        bare = MatricialSpace("bare", 1, c_min().norm_batch)
+        bare = Bare("bare", 1, c_min())
         with pytest.raises(InvalidInputError, match="no couple"):
             hat_bounds(2, np.ones((1, 1, 2, 2)), catalog=[bare], budget=0)
 
@@ -231,6 +254,60 @@ class TestLowerBound:
     def test_non_integer_budget_rejected(self, entry, budget):
         with pytest.raises(InvalidInputError, match="budget"):
             entry(2, canonical_identity(2), budget=budget)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
+    @pytest.mark.parametrize("entry", [hat_bounds, search_lower_bound])
+    def test_seed_must_be_a_nonnegative_integer(self, entry, seed):
+        # None drew from fresh OS entropy, so two runs differed; -1, 1.5 and "x" raised numpy's errors
+        with pytest.raises(InvalidInputError, match="seed"):
+            entry(1, np.ones((1, 1, 1, 1)), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        u = gauss(np.random.default_rng(5), (2, 2, 2, 2))
+        ours, ref = search_lower_bound(2, u, budget=4, seed=np.uint32(3)), search_lower_bound(2, u, budget=4, seed=3)
+        assert ours.value == ref.value
+        np.testing.assert_array_equal(ours.couple.v.coords, ref.couple.v.coords)
+
+    @pytest.mark.parametrize("n,u", [
+        (3, single_block(gauss(np.random.default_rng(60), (3, 3)))),
+        (2, gauss(np.random.default_rng(61), (2, 2, 2, 2))),
+        (2, canonical_identity(2)),
+    ], ids=["single_block", "gaussian", "flip"])
+    def test_only_the_reported_winner_becomes_a_couple(self, monkeypatch, n, u):
+        # every stack is checked feasible as a stack, so a stack's winner becomes a Couple only once it is the
+        # reported one; each optimizer run returns its own
+        built, returned = [], []
+        post_init = Couple.__post_init__
+
+        def counting(couple):
+            built.append(couple)
+            post_init(couple)
+
+        def spy(*args, **kwargs):
+            couple, value = optimize_couple(*args, **kwargs)
+            returned.append(couple)
+            return couple, value
+
+        monkeypatch.setattr(Couple, "__post_init__", counting)
+        monkeypatch.setattr("matnorm.hatspace.optimize_couple", spy)
+        result = search_lower_bound(n, u, budget=8, seed=1)
+        assert len(returned) == len(default_catalog(n))
+        assert len(built) <= len(returned) + 1
+        assert any(result.couple is couple for couple in built)
+
+    def test_an_optimizer_win_reports_the_couple_it_returned(self, monkeypatch):
+        # the benchmark tracer attributes a win to the optimizer by the identity of the couple it returned
+        returned = []
+
+        def spy(*args, **kwargs):
+            couple, value = optimize_couple(*args, **kwargs)
+            returned.append((couple, value))
+            return couple, value
+
+        monkeypatch.setattr("matnorm.hatspace.optimize_couple", spy)
+        result = search_lower_bound(2, gauss(np.random.default_rng(0), (2, 2, 2, 2)), seed=0)
+        assert [couple for couple, value in returned if couple is result.couple]
+        assert result.value == max(value for _, value in returned)
 
     def test_search_counts_couples(self):
         result = search_lower_bound(2, canonical_identity(2), budget=5, seed=4)
@@ -480,11 +557,7 @@ class TestBounds:
     @staticmethod
     def check_lying_space_raises(scale):
         # understates feasibility norms, inflates image norms
-        base = c_max()
-        liar = MatricialSpace(
-            "cmax", 1,
-            lambda c: base.norm_batch(c) * (10.0 if c.shape[0] == 1 else 0.1),
-        )
+        liar = Liar("cmax", 1)
         rng = np.random.default_rng(13)
         u = single_block(scale * gauss(rng, (2, 2)))
         with pytest.raises(InconsistencyError) as err:

@@ -53,6 +53,16 @@ def single_block(a):
     return a.reshape(1, 1, *a.shape)
 
 
+@dataclass(frozen=True, eq=False)
+class Bare(MatricialSpace):
+    """A space with ``base``'s norm kernel and nothing else: no structured couples and no polar step."""
+
+    base: MatricialSpace
+
+    def norm_batch(self, coords):
+        return self.base.norm_batch(coords)
+
+
 def propose(space, coords, u4):
     """Polar proposals for a (B, n, n, dim) stack of elements, from the polar states of their images."""
     return space.polar_proposal(space.polar_state(amplified_images(coords, u4))[1], u4)
@@ -166,7 +176,7 @@ class TestPolarStep:
         v = 0.1 * gauss(rng, (1, 2, 2, 1))
         proposal = propose(c_max(), v, u)
         start, jump = c_max().norm_batch(amplified_images(np.concatenate([v, proposal]), u))
-        space = NanAbove("nan", 1, None, (start + jump) / 2)
+        space = NanAbove("nan", 1, (start + jump) / 2)
         couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=5),
                                         starts=[space.element(v[0])])
         assert start < jump and c_max().norm_batch(v)[0] < 1
@@ -177,9 +187,8 @@ class TestPolarStep:
 
     def test_every_restart_nan_rejected(self):
         # NaN on every level-1 image: no restart has a value to compare
-        base = c_max()
-        space = MatricialSpace("nan", 1, lambda c: np.nan if c.shape[0] == 1 else base.norm_batch(c))
-        with pytest.raises(InvalidInputError, match="nan"):
+        space = NanAbove("nan", 1, -np.inf)
+        with pytest.raises(InvalidInputError, match="NaN at every optimizer restart"):
             optimize_couple(space, 2, np.ones((1, 1, 2, 2)), OptimizerConfig(restarts=2, iterations=3))
 
     @pytest.mark.parametrize("start", [LeveledElement("cmax", np.ones((2, 2, 1), dtype=complex)),
@@ -192,7 +201,7 @@ class TestPolarStep:
         with pytest.raises(InvalidInputError, match="start"):
             optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts=[start])
 
-    @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), MatricialSpace("bare", 1, c_min().norm_batch)],
+    @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), Bare("bare", 1, c_min())],
                              ids=["l1", "bare"])
     def test_space_without_proposal_keeps_best_start(self, space):
         # no polar step: the run returns its best start, rescaled into the ball, and that start's value
@@ -206,7 +215,7 @@ class TestPolarStep:
         assert value == values[best]
         np.testing.assert_array_equal(couple.v.coords, rescaled[best])
 
-    @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), MatricialSpace("bare", 1, c_min().norm_batch)],
+    @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), Bare("bare", 1, c_min())],
                              ids=["l1", "bare"])
     def test_hat_bounds_without_proposals_at_m_other_than_n(self, space):
         # the zero proposal has the (B, n, n, dim) shape of the elements, not
@@ -296,7 +305,7 @@ def test_each_step_values_one_candidate_per_running_restart(seed):
     # so the log holds the starts' values, their states, each step's calls
     # and the kept images' valuation, not the couple check
     restarts = 4
-    space = CountedScalars("count", 1, None, 3)
+    space = CountedScalars("count", 1, 3)
     u4 = gauss(np.random.default_rng(seed), (3, 3, 2, 2))
     optimize_couple(space, 2, u4, OptimizerConfig(restarts=restarts, iterations=40), seed=seed)
     # the starts, one restart at a time, then their states in one call
@@ -538,9 +547,9 @@ class TestLockstepEquivalence:
         # also: without a rescale of the proposals (maximizers over the unit
         # ball), every point a restart keeps stays in the ball up to rounding
         if space_id == "bare":
-            space = MatricialSpace("bare", 1, c_min().norm_batch)
+            space = Bare("bare", 1, c_min())
         elif space_id == "flaky":
-            space = FlakyScalars("flaky", 1, None, 1)
+            space = FlakyScalars("flaky", 1, 1)
         else:
             space = space_from_id(space_id)
         rng = np.random.default_rng(seed)
@@ -590,7 +599,7 @@ class TestLockstepEquivalence:
         coords = gauss(rng, (n, n, 1))
         one_step = OptimizerConfig(restarts=1, iterations=1)
         _, floor = optimize_couple(c_max(), n, u4, one_step, starts=[c_max().element(coords)])
-        space = CreepBelow("creep", 1, None, m, floor)
+        space = CreepBelow("creep", 1, m, floor)
         start = space.element(coords)
         start_value = space.norm(amplified_image(space.element(space.unit_scaled_stack(coords[None])[0]), u4))
         _, first = optimize_couple(space, n, u4, one_step, starts=[start])
@@ -624,10 +633,10 @@ class TestProposalContract:
         # the couple check, not a rescale, keeps an infeasible point from being returned
         u = gauss(np.random.default_rng(13), (2, 2, 2, 2))
         with pytest.raises(InvalidInputError, match="norm .* > 1"):
-            optimize_couple(DoubledProposal("double", 1, None), 2, u, OptimizerConfig(restarts=1, iterations=3))
+            optimize_couple(DoubledProposal("double", 1), 2, u, OptimizerConfig(restarts=1, iterations=3))
 
     def test_proposal_of_another_shape_rejected(self):
         # at m != n the images and the elements differ in shape
         u = gauss(np.random.default_rng(14), (3, 3, 2, 2))
         with pytest.raises(InvalidInputError, match="polar_proposal gave shape"):
-            optimize_couple(ImagesAsCoordinates("images", 1, None), 2, u, OptimizerConfig(restarts=1, iterations=3))
+            optimize_couple(ImagesAsCoordinates("images", 1), 2, u, OptimizerConfig(restarts=1, iterations=3))

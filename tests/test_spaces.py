@@ -45,10 +45,26 @@ BATCH_SPACE_IDS = ["cmin", "cmax", "op:1", "op:2", "op:3", "op:4", "op:5",
                    "l1:[cmin,l1:[cmax,op:2]]", "l1:[op:2,cmax,cmin]", "bare", "fault", "l1-bare"]
 
 
+class SpectralRows(MatricialSpace):
+    """A custom space: the operator norm of each element's m x (m dim) coordinate matrix."""
+
+    def norm_batch(self, coords):
+        rows = coords.reshape(*coords.shape[:-2], coords.shape[-2] * self.dim)
+        return np.linalg.svd(rows, compute_uv=False)[..., 0]
+
+
+class NanBelowZero(MatricialSpace):
+    """|c| on level 1, NaN where the first coordinate has a negative real part."""
+
+    def norm_batch(self, coords):
+        first = coords[..., 0, 0, 0]
+        return np.where(first.real < 0, np.nan, np.abs(first))
+
+
 def batch_space(space_id):
     if space_id == "bare":
-        # a custom evaluator: the default loop over norm_fn
-        return MatricialSpace("bare", 2, lambda c: np.linalg.norm(c.reshape(c.shape[0], -1), 2))
+        # a custom space: a subclass with its own stacked kernel
+        return SpectralRows("bare", 2)
     if space_id == "fault":
         return planted_fault_space()
     if space_id == "l1-bare":
@@ -62,6 +78,9 @@ def reference_norm(space, c):
     sid = space.space_id
     if sid == "cmin":
         return float(np.linalg.svd(c[:, :, 0], compute_uv=False)[0])
+    if sid == "fault:cmin":
+        value = float(np.linalg.svd(c[:, :, 0], compute_uv=False)[0])
+        return value + 0.1 if c.shape[0] == 2 else value
     if sid == "cmax":
         return float(np.linalg.svd(c[:, :, 0], compute_uv=False).sum())
     if sid.startswith("op:"):
@@ -73,7 +92,8 @@ def reference_norm(space, c):
         for part, lo, hi in zip(space.parts, space.offsets[:-1], space.offsets[1:]):
             total += reference_norm(part, np.ascontiguousarray(c[:, :, lo:hi]))
         return total
-    return float(space.norm_fn(c))
+    assert sid == "bare", sid
+    return float(np.linalg.norm(c.reshape(c.shape[0], -1), 2))
 
 
 class TestNormBatch:
@@ -350,12 +370,12 @@ class TestValidation:
             c_max().norm(u)
 
     def test_space_without_an_evaluator_rejected(self):
-        # the default norm_batch loops over norm_fn, so one of the two is needed
-        with pytest.raises(InvalidInputError):
-            MatricialSpace("bare", 1, None)
+        # a space is a subclass with a norm_batch kernel; the base class has none
+        with pytest.raises(InvalidInputError, match="needs a norm_batch"):
+            MatricialSpace("bare", 1)
 
     def test_nan_norm_hides_no_infeasible_element(self):
-        space = MatricialSpace("nan", 1, lambda c: np.nan if c[0, 0, 0].real < 0 else abs(c[0, 0, 0]))
+        space = NanBelowZero("nan", 1)
         stack = np.array([-1.0, 0.5, 2.0], dtype=complex).reshape(3, 1, 1, 1)
         check_unit_ball(space, stack[:2])
         with pytest.raises(InvalidInputError, match="norm 2 > 1"):
