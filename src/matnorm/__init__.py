@@ -35,7 +35,6 @@ from .correspondence import (
     amplified_image,
     canonical_identity,
     check_naturality,
-    phi_apply,
     phi_of,
     reconstruct,
 )

@@ -5,10 +5,10 @@ A level-n element v = (x_ij) of a space E determines the linear map
     phi_v : a  ->  sum_ij a_ji x_ij
 
 from the n x n matrices into E (note the transposed pairing a_ji). This map
-is a bijection: the element is recovered exactly from the map's matrix. The
-module also provides entrywise amplification of phi_v, the canonical flip
-element whose amplified image reproduces v, and a naturality checker for
-postcomposition with coordinate maps.
+is a bijection: the element is recovered exactly from the map's matrix. Its
+one evaluator is the entrywise amplification (at m = 1, phi_v itself); the
+module also provides the canonical flip element, whose amplified image
+reproduces v, and a naturality checker for coordinate maps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "PhiMap",
     "phi_of",
     "reconstruct",
-    "phi_apply",
     "amplified_image",
     "amplified_images",
     "canonical_identity",
@@ -39,7 +38,8 @@ class PhiMap:
     """Matrix representation of phi_v over the elementary basis.
 
     ``matrix`` has shape (dim, n*n); column p*n + q holds the coordinates the
-    map assigns to the elementary matrix e_pq, i.e. x_qp.
+    map assigns to the elementary matrix e_pq, i.e. x_qp. So the image of an
+    n x n matrix ``a`` is ``matrix @ a.reshape(-1)``.
     """
 
     source_dim: int
@@ -60,16 +60,6 @@ def reconstruct(phi: PhiMap) -> LeveledElement:
     return LeveledElement(phi.space_id, phi.matrix.reshape(d, n, n).transpose(2, 1, 0))
 
 
-def phi_apply(phi: PhiMap, a) -> LeveledElement:
-    """Image of an n x n matrix under the map, as a level-1 element."""
-    arr = linalg.as_matrix(a)
-    n = phi.source_dim
-    if arr.shape != (n, n):
-        raise InvalidInputError(f"expected a {n} x {n} matrix, got shape {arr.shape}")
-    out = phi.matrix @ arr.reshape(n * n)
-    return LeveledElement(phi.space_id, out.reshape(1, 1, -1))
-
-
 def amplified_image(v: LeveledElement, blocks) -> LeveledElement:
     """Entrywise application of phi_v to an m x m array of n x n matrices, n the level of ``v``."""
     u4 = linalg.as_block_array(blocks, block_size=v.level)
@@ -88,22 +78,13 @@ def check_naturality(psi, v: LeveledElement) -> float:
     """Largest deviation between mapping-then-representing and representing-then-mapping.
 
     ``psi`` is a coordinate matrix from the space of ``v`` into another
-    space. Both composition orders are evaluated on the full elementary
-    basis, which spans the n x n matrices, and compared coordinatewise.
+    space. Column p*n + q of a map's matrix is the image of e_pq, so the two
+    matrices compare both orders on the elementary basis, which spans M_n.
     """
-    psi_m = np.asarray(psi, dtype=complex)
-    if psi_m.ndim != 2 or psi_m.shape[1] != v.dim:
+    psi_m = linalg.as_matrix(psi)
+    if psi_m.shape[1] != v.dim:
         raise InvalidInputError(
             f"coordinate map of shape {psi_m.shape} does not act on dimension {v.dim}"
         )
-    n = v.level
-    phi_v = phi_of(v)
     mapped = LeveledElement("mapped", np.einsum("fd,kld->klf", psi_m, v.coords))
-    phi_w = phi_of(mapped)
-
-    worst = 0.0
-    for a in np.eye(n * n, dtype=complex).reshape(n * n, n, n):
-        via_map = phi_apply(phi_w, a).coords[0, 0]
-        via_space = psi_m @ phi_apply(phi_v, a).coords[0, 0]
-        worst = max(worst, float(np.abs(via_map - via_space).max()))
-    return worst
+    return float(np.abs(phi_of(mapped).matrix - psi_m @ phi_of(v).matrix).max())

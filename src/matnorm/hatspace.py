@@ -354,10 +354,10 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
     require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     m = u4.shape[0]
-    cert = hat_upper_bound(n, u4)
-    upper = cert.value
     result = search_lower_bound(n, u4, catalog=catalog, budget=budget, seed=seed,
                                 optimizer_config=optimizer_config)
+    cert = hat_upper_bound(n, u4)
+    upper = cert.value
     if result.value > upper * (1.0 + CONSISTENCY_TOL) + np.finfo(float).tiny:
         raise InconsistencyError(
             f"lower bound {result.value:.12g} via {result.couple.space.space_id} exceeds "

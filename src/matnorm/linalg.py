@@ -85,14 +85,11 @@ def canonical_identity(n: int) -> np.ndarray:
     """The flip element of the n x n blocks: block (p, q) is e_qp.
 
     Its amplified image under any phi_v is v itself, and the assembled
-    n^2 x n^2 matrix is the (unitary) swap permutation.
+    n^2 x n^2 matrix is the (unitary) swap permutation: the identity with
+    the last two of its (n, n, n, n) axes swapped.
     """
     require_int("block size", n, 1)
-    out = np.zeros((n, n, n, n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            out[p, q, q, p] = 1.0
-    return out
+    return np.eye(n * n, dtype=complex).reshape(n, n, n, n).transpose(0, 1, 3, 2).copy()
 
 
 def random_unitary(k: int, seed) -> np.ndarray:

@@ -377,12 +377,12 @@ def coproduct_apply(space: MatricialSpace, psis, u: LeveledElement) -> np.ndarra
     corresponding map exactly: the other components contribute exact zeros.
     """
     offs = _as_l1(space).offsets
-    psis = [np.asarray(p, dtype=complex) for p in psis]
+    psis = [linalg.as_matrix(p) for p in psis]
     if len(psis) != len(space.parts):
         raise InvalidInputError(f"{len(psis)} maps for {len(space.parts)} summands")
     out_dim = psis[0].shape[0]
     for psi, part in zip(psis, space.parts):
-        if psi.ndim != 2 or psi.shape != (out_dim, part.dim):
+        if psi.shape != (out_dim, part.dim):
             raise InvalidInputError(f"coordinate map of shape {psi.shape} against summand dimension {part.dim}")
     if u.space_id != space.space_id:
         raise InvalidInputError(f"element of {u.space_id} passed to {space.space_id}")

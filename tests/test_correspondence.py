@@ -12,7 +12,6 @@ from matnorm import (
     check_naturality,
     concrete_operator_space,
     l1_sum,
-    phi_apply,
     phi_of,
     random_element,
     reconstruct,
@@ -37,16 +36,17 @@ class TestIdentityAction:
     # pins the transposed pairing: a silent transpose bug would break this
     @pytest.mark.parametrize("n", range(1, 7))
     def test_flip_represents_identity_on_basis(self, n):
-        phi = phi_of(flip_element(n))
+        v = flip_element(n)
         for p in range(n):
             for q in range(n):
                 e = np.zeros((n, n), dtype=complex)
                 e[p, q] = 1.0
-                image = phi_apply(phi, e).coords[0, 0].reshape(n, n)
+                image = amplified_image(v, e.reshape(1, 1, n, n)).coords[0, 0].reshape(n, n)
                 np.testing.assert_array_equal(image, e)
 
 
 class TestPhiApply:
+    # phi_v on one matrix is the m = 1 amplification
     def test_elementary_tensor(self):
         # v = a0 (x) x acts as b -> tr(a0 b) x
         rng = np.random.default_rng(0)
@@ -55,10 +55,10 @@ class TestPhiApply:
         a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         x = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
         coords = np.einsum("ij,d->ijd", a0, x)
-        phi = phi_of(sp.element(coords))
+        v = sp.element(coords)
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         expected = np.trace(a0 @ b) * x
-        np.testing.assert_allclose(phi_apply(phi, b).coords[0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(amplified_image(v, b.reshape(1, 1, n, n)).coords[0, 0], expected, atol=1e-12)
 
     def test_scalar_coords_give_trace_of_product(self):
         rng = np.random.default_rng(1)
@@ -66,18 +66,18 @@ class TestPhiApply:
         w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         v = c_min().element(w.reshape(n, n, 1))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        got = phi_apply(phi_of(v), a).coords[0, 0, 0]
+        got = amplified_image(v, a.reshape(1, 1, n, n)).coords[0, 0, 0]
         assert got == pytest.approx(np.trace(a @ w), abs=1e-12)
 
     def test_zero_element_gives_zero_map(self):
         v = c_max().element(np.zeros((2, 2, 1)))
-        out = phi_apply(phi_of(v), np.eye(2))
+        out = amplified_image(v, np.eye(2).reshape(1, 1, 2, 2))
         np.testing.assert_array_equal(out.coords, np.zeros((1, 1, 1)))
 
     def test_size_mismatch(self):
         v = c_max().element(np.zeros((2, 2, 1)))
         with pytest.raises(InvalidInputError):
-            phi_apply(phi_of(v), np.eye(3))
+            amplified_image(v, np.eye(3).reshape(1, 1, 3, 3))
 
 
 class TestAmplification:
@@ -86,10 +86,9 @@ class TestAmplification:
         sp = concrete_operator_space(2)
         v = random_element(sp, 3, rng)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        phi = phi_of(v)
         np.testing.assert_allclose(
             amplified_image(v, a.reshape(1, 1, 3, 3)).coords[0, 0],
-            phi_apply(phi, a).coords[0, 0],
+            phi_of(v).matrix @ a.reshape(-1),
             atol=1e-12,
         )
 
@@ -177,3 +176,10 @@ class TestNaturality:
         v = random_element(c_max(), 2, rng)
         with pytest.raises(InvalidInputError):
             check_naturality(np.zeros((2, 5)), v)
+
+    @pytest.mark.parametrize("psi", [[[np.nan]], [[np.inf]], "abc"], ids=["nan", "inf", "text"])
+    def test_bad_coordinate_map_rejected(self, psi):
+        # a non-finite map would read as a pass, since the max drops NaN deviations
+        v = random_element(c_max(), 2, np.random.default_rng(10))
+        with pytest.raises(InvalidInputError):
+            check_naturality(psi, v)

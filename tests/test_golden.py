@@ -151,7 +151,7 @@ def test_hat_bounds_output_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
 
 
-VERIFY_ALL_2024 = "49762df6720a1e2bd1ff6a2de77d071b0dd4046570e32e632b62d857139e60f6"
+VERIFY_ALL_2024 = "ca5657bfb92817e3d16db96bed10838ba0abb376da5229868ebba52383e55d5e"
 
 
 def test_verify_report_is_pinned():

@@ -309,6 +309,21 @@ class TestLowerBound:
         assert [couple for couple, value in returned if couple is result.couple]
         assert result.value == max(value for _, value in returned)
 
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"budget": -1}, {"catalog": []}],
+                             ids=["seed", "budget", "catalog"])
+    def test_bad_argument_rejected_before_the_upper_bound(self, monkeypatch, bad):
+        # the upper certificate (an SVD and the tie rotation) is built only after the search's checks pass
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return hat_upper_bound(*args, **kwargs)
+
+        monkeypatch.setattr("matnorm.hatspace.hat_upper_bound", counting)
+        with pytest.raises(InvalidInputError):
+            hat_bounds(2, np.ones((3, 3, 2, 2)), **bad)
+        assert calls == []
+
     def test_search_counts_couples(self):
         result = search_lower_bound(2, canonical_identity(2), budget=5, seed=4)
         assert result.couples_evaluated >= 5 * len(default_catalog(2))

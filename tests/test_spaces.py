@@ -355,10 +355,13 @@ class TestValidation:
         (lambda sp: coproduct_apply(sp, [np.eye(1), np.ones((2, 1))], sp.element(np.ones(2))),
          "map of shape"),
         (lambda sp: coproduct_apply(sp, [np.eye(1), np.eye(1)], c_min().element([1.0])), "element of cmin"),
+        (lambda sp: coproduct_apply(sp, [[[np.nan]], [[1.0]]], sp.element(np.ones(2))), "must be finite"),
+        (lambda sp: coproduct_apply(sp, ["x", [[1.0]]], sp.element(np.ones(2))), "not a complex matrix"),
         (lambda sp: l1_embed(sp, c_min().element([1.0]), 1), "cannot embed cmin"),
         (lambda sp: Couple(c_min(), c_max().element([0.5])), "couple mixes"),
         (lambda sp: scalar_action(np.eye(2), c_min().element([1.0]), np.eye(1)), "scalar factors"),
-    ], ids=["coproduct_map_count", "coproduct_map_shape", "coproduct_other_space", "l1_embed_other_space",
+    ], ids=["coproduct_map_count", "coproduct_map_shape", "coproduct_other_space", "coproduct_nan_map",
+            "coproduct_text_map", "l1_embed_other_space",
             "couple_of_two_spaces", "scalar_action_factor_shape"])
     def test_mismatched_input_rejected(self, call, fragment):
         with pytest.raises(InvalidInputError, match=fragment):
