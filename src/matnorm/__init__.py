@@ -7,6 +7,7 @@ from .errors import (
     MatnormError,
 )
 from .linalg import (
+    canonical_identity,
     dual_witness,
     random_unitary,
     trace_norm,
@@ -33,7 +34,6 @@ from .spaces import (
 from .correspondence import (
     PhiMap,
     amplified_image,
-    canonical_identity,
     check_naturality,
     phi_of,
     reconstruct,

@@ -58,11 +58,6 @@ def _block_matrix(data: dict, path: str):
     return n, m, arr
 
 
-def load_block_file(path: str):
-    """Read a block-matrix file {n, m, blocks} into (n, m, (m, m, n, n) array)."""
-    return _block_matrix(_load_json(path), path)
-
-
 def load_element_file(path: str, space):
     """Read an element of ``space`` from JSON.
 
@@ -120,7 +115,7 @@ def parse_optimizer_config(text: str | None) -> OptimizerConfig | None:
 
 
 def cmd_hat_bounds(args) -> int:
-    n, m, blocks = load_block_file(args.file)
+    n, m, blocks = _block_matrix(_load_json(args.file), args.file)
     if args.n is not None and args.n != n:
         raise InvalidInputError(f"--n {args.n} does not match the file (n={n})")
     bounds = hat_bounds(n, blocks, budget=args.budget, seed=args.seed,

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInputError
-from .linalg import canonical_identity
 from .spaces import LeveledElement
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "reconstruct",
     "amplified_image",
     "amplified_images",
-    "canonical_identity",
     "check_naturality",
 ]
 

@@ -28,15 +28,15 @@ cluster where it lowers the cluster's value (on the flip-like witness
 ``diag(e_11, ..., e_nn)`` it certifies 1 where the plain atoms give n).
 
 Floating point enters twice. The SVD does not rebuild u exactly, so the
-certificate carries the residual ``u - sum_t A_t . flip . B_t`` and adds the
-sum of its blocks' trace norms. That sum bounds the residual's norm: a
-matrix with one nonzero block has that block's trace norm as its norm
-(a permutation moves the block to the corner, padding drops the rest, and
-at m = 1 the norm is the trace norm), and the triangle inequality adds the
-blocks up. The singular values and the residual
-are themselves computed with rounding error, so the total is rounded
-outward by the relative margin ``UPPER_MARGIN * m * n``, a few times the
-error of a backward-stable SVD of U; it is stated, not proven.
+certificate's value adds the sum of the blocks' trace norms of the residual
+``u - sum_t A_t . flip . B_t``, which the checker recomputes from u and the
+atoms. That sum bounds the residual's norm: a matrix with one nonzero block
+has that block's trace norm as its norm (a permutation moves the block to
+the corner, padding drops the rest, and at m = 1 the norm is the trace
+norm), and the triangle inequality adds the blocks up. The singular values
+and the residual are themselves computed with rounding error, so the total
+is rounded outward by the relative margin ``UPPER_MARGIN * m * n``, a few
+times the error of a backward-stable SVD of U; it is stated, not proven.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .spaces import (
 )
 
 __all__ = [
-    "Couple",
     "NormBounds",
     "SearchResult",
     "default_catalog",
@@ -106,15 +105,14 @@ class SearchResult:
 class UpperCertificate:
     """A decomposition ``u = sum_t A_t . flip . B_t + residual`` and the upper bound it gives.
 
-    ``left`` is the (T, m, n) stack of the A_t, ``right`` the (T, n, m)
-    stack of the B_t and ``residual`` an (m, m, n, n) block array. ``value``
-    is ``sum_t |A_t|_op |B_t|_op`` plus the sum of the residual blocks'
-    trace norms, rounded outward; :func:`check_upper_certificate` recomputes it.
+    ``left`` is the (T, m, n) stack of the A_t and ``right`` the (T, n, m)
+    stack of the B_t. ``value`` is ``sum_t |A_t|_op |B_t|_op`` plus the sum
+    of the residual blocks' trace norms, rounded outward;
+    :func:`check_upper_certificate` recomputes the residual and the value.
     """
 
     left: np.ndarray
     right: np.ndarray
-    residual: np.ndarray
     value: float
 
 
@@ -127,11 +125,11 @@ class NormBounds:
     and ``upper_certificate`` is the decomposition worth ``upper``.
     """
 
+    upper_rule = UPPER_RULE  # a class constant, not a field: every upper bound comes from the one rule
     n: int
     level: int
     lower: float
     upper: float
-    upper_rule: str
     certificate: Couple
     upper_certificate: UpperCertificate
 
@@ -217,15 +215,21 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     chunks of ``RANDOM_CHUNK``; each stack takes one amplification and one
     batched norm. Only the reported winner becomes a ``Couple``; an optimizer
     run returns its own. Ties go to the earliest couple in evaluation order.
-    ``seed`` is a nonnegative integer. Raises ``InvalidInputError`` when no
+    ``catalog`` is an iterable of spaces and ``seed`` a nonnegative integer,
+    both checked before any bound work. Raises ``InvalidInputError`` when no
     couple has a value (no structured couples and budget 0, or NaN
     everywhere).
     """
     require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
-    catalog = list(catalog) if catalog is not None else default_catalog(n)
+    try:
+        catalog = list(catalog) if catalog is not None else default_catalog(n)
+    except TypeError as exc:
+        raise InvalidInputError(f"catalog must be an iterable of spaces: {exc}") from exc
     if not catalog:
         raise InvalidInputError("empty catalog")
+    if not all(isinstance(space, MatricialSpace) for space in catalog):
+        raise InvalidInputError("catalog entries must be MatricialSpace instances")
     budget = DEFAULT_BUDGET if budget is None else budget
     require_int("budget", budget, 0)
     require_int("seed", seed, 0)
@@ -325,14 +329,14 @@ def hat_upper_bound(n: int, u) -> UpperCertificate:
             if _atom_values(*rotated).sum() < values[a:b].sum():
                 left[a:b], right[a:b] = rotated
     residual = _residual(u4, left, right)
-    return UpperCertificate(left, right, residual, _certified_value(left, right, residual))
+    return UpperCertificate(left, right, _certified_value(left, right, residual))
 
 
 def check_upper_certificate(cert: UpperCertificate, u) -> bool:
     """True when ``cert`` bounds the norm of u.
 
-    Recomputes the residual from u and the atoms, which must equal the
-    certificate's, and the value, which must not exceed the certificate's.
+    Recomputes the residual from u and the atoms, and from them the value,
+    which must not exceed the certificate's.
     """
     u4 = linalg.as_block_array(u)
     m, _, n, _ = u4.shape
@@ -340,8 +344,7 @@ def check_upper_certificate(cert: UpperCertificate, u) -> bool:
     if left.ndim != 3 or left.shape[1:] != (m, n) or right.shape != (len(left), n, m):
         return False
     residual = _residual(u4, left, right)
-    return bool(np.array_equal(residual, cert.residual)
-                and _certified_value(left, right, residual) <= cert.value)
+    return bool(_certified_value(left, right, residual) <= cert.value)
 
 
 def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
@@ -364,4 +367,4 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
             f"upper bound {upper:.12g} from rule {UPPER_RULE}",
             lower=result.value, upper=upper, couple=result.couple, upper_certificate=cert,
         )
-    return NormBounds(n, m, result.value, upper, UPPER_RULE, result.couple, cert)
+    return NormBounds(n, m, result.value, upper, result.couple, cert)

@@ -105,10 +105,12 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     returned element. The kept points end valued by one ``norm_batch`` of their
     images; ``amplified_images`` gives a row the same bits in any batch, so the
     reported value is the returned couple's ``couple_value`` bit for bit. Ties
-    go to the first restart. Deterministic per seed.
+    go to the first restart. ``seed`` is a nonnegative integer, so the result
+    is deterministic per seed.
     """
     cfg = config or OptimizerConfig()
     require_int("block size", n, 1)
+    require_int("seed", seed, 0)
     u4 = linalg.as_block_array(u, block_size=n)
     rng = np.random.default_rng(seed)
     starts = list(starts or [])

@@ -49,6 +49,10 @@ __all__ = [
 
 COUPLE_FEASIBILITY_TOL = 1e-12
 
+MAX_OPERATOR_SIZE = 10**4  # the largest k of op:k; an id's digits are checked against it before int()
+
+MAX_ID_DEPTH = 100  # the deepest nesting of l1 sums a space id may have
+
 
 @dataclass(frozen=True, eq=False)
 class LeveledElement:
@@ -212,13 +216,12 @@ class TraceScalars(MatricialSpace):
         return np.linalg.svd(coords[..., 0], compute_uv=False).sum(axis=-1)
 
     def structured_couples(self, n, u4):
-        """The identity and the dual witnesses of u4's nonzero blocks, each divided by n.
+        """``cmin``'s, each divided by n: the identity and the dual witnesses of u4's nonzero blocks.
 
-        A dual witness achieves the trace norm of its block at level 1.
+        Each has operator norm 1, so trace norm at most n. A dual witness
+        achieves the trace norm of its block at level 1.
         """
-        blocks = u4.reshape(-1, n, n)
-        coords = [np.eye(n, dtype=complex), *linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))])]
-        return np.stack(coords)[..., None] / n
+        return c_min().structured_couples(n, u4) / n
 
     def polar_state(self, images):
         """Trace norms and dual witnesses ``V U*`` of the images, from one full SVD; a zero image gets witness 0."""
@@ -324,6 +327,8 @@ def concrete_operator_space(k: int) -> MatricialSpace:
     flattened.
     """
     require_int("size", k, 1)
+    if k > MAX_OPERATOR_SIZE:  # the message leaves k out: str() refuses ints of more than 4,300 digits
+        raise InvalidInputError(f"size must be at most {MAX_OPERATOR_SIZE}")
     return OperatorSpace(f"op:{k}", k * k, k)
 
 
@@ -393,8 +398,9 @@ def coproduct_apply(space: MatricialSpace, psis, u: LeveledElement) -> np.ndarra
     return out
 
 
-def _split_top_level(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
+def _split_top_level(text: str) -> tuple[list[str], int]:
+    """The comma-separated parts of ``text`` outside brackets, and the deepest bracket nesting inside it."""
+    parts, depth, deepest, cur = [], 0, 0, []
     for ch in text:
         if ch == "," and depth == 0:
             parts.append("".join(cur))
@@ -402,18 +408,20 @@ def _split_top_level(text: str) -> list[str]:
             continue
         if ch == "[":
             depth += 1
+            deepest = max(deepest, depth)
         elif ch == "]":
             depth -= 1
         cur.append(ch)
     parts.append("".join(cur))
-    return [p.strip() for p in parts]
+    return [p.strip() for p in parts], deepest
 
 
 def space_from_id(space_id: str) -> MatricialSpace:
     """Build a catalog space from its stable identifier.
 
-    Understood forms: "cmin", "cmax", "op:k" with k in ASCII digits and
-    "l1:[id,id,...]" (nesting allowed, no empty id).
+    Understood forms: "cmin", "cmax", "op:k" with k in ASCII digits, at most
+    ``MAX_OPERATOR_SIZE``, and "l1:[id,id,...]" (no empty id, nested at most
+    ``MAX_ID_DEPTH`` deep).
     """
     if not isinstance(space_id, str):
         raise InvalidInputError(f"space id must be a string, got {space_id!r}")
@@ -425,9 +433,14 @@ def space_from_id(space_id: str) -> MatricialSpace:
     if s.startswith("op:"):
         if not (s[3:].isascii() and s[3:].isdigit()):  # int() also takes signs, underscores and spaces
             raise InvalidInputError(f"bad operator-space id: {space_id!r}")
-        return concrete_operator_space(int(s[3:]))
+        digits = s[3:].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_OPERATOR_SIZE)):  # int() refuses more than 4,300 digits
+            raise InvalidInputError(f"op:k needs k at most {MAX_OPERATOR_SIZE}, got {len(digits)} digits")
+        return concrete_operator_space(int(digits))
     if s.startswith("l1:[") and s.endswith("]"):
-        inner = _split_top_level(s[4:-1])
+        inner, deepest = _split_top_level(s[4:-1])
+        if deepest >= MAX_ID_DEPTH:  # this sum is one level more; checked before the parts recurse
+            raise InvalidInputError(f"space id nests l1 sums more than {MAX_ID_DEPTH} deep")
         if "" in inner:
             raise InvalidInputError(f"empty summand in l1 sum id: {space_id!r}")
         return l1_sum([space_from_id(tok) for tok in inner])

@@ -17,7 +17,6 @@ import numpy as np
 from . import hatspace, linalg, spaces
 from .correspondence import (
     amplified_image,
-    canonical_identity,
     check_naturality,
     phi_of,
     reconstruct,
@@ -66,10 +65,9 @@ def _check(check_id, description, claim, kind, observed, expected, tolerance):
     }
 
 
-def _random_matrix(rng, n, target_trace_norm=None):
+def _random_matrix(rng, n, target_trace_norm):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if target_trace_norm is not None:
-        a *= target_trace_norm / linalg.trace_norm(a)
+    a *= target_trace_norm / linalg.trace_norm(a)
     return a
 
 
@@ -116,7 +114,7 @@ def _suite_correspondence(seed, trials, n_values, **_):
     # the flip element represents the identity map, exactly: column p*n + q of its matrix is the image of e_pq
     worst = 0.0
     for n in range(1, 7):
-        flip = spaces.concrete_operator_space(n).element(canonical_identity(n).reshape(n, n, n * n))
+        flip = spaces.concrete_operator_space(n).element(linalg.canonical_identity(n).reshape(n, n, n * n))
         worst = max(worst, float(np.abs(phi_of(flip).matrix - np.eye(n * n)).max()))
     checks.append(_check(
         "correspondence.identity_action", "flip element acts as the identity map (n up to 6)",
@@ -132,7 +130,7 @@ def _suite_correspondence(seed, trials, n_values, **_):
         for t in range(trials):
             n = n_values[t % len(n_values)]
             v = spaces.random_element(space, n, rng)
-            flip = canonical_identity(n)
+            flip = linalg.canonical_identity(n)
             rec = amplified_image(v, flip)
             worst_rec = max(worst_rec, float(np.abs(rec.coords - v.coords).max()))
             back = reconstruct(phi_of(v))
@@ -246,7 +244,7 @@ def _suite_prop7(seed, trials, n_values, budget, **_):
     for n, child in zip(n_values, children):
         catalog = hatspace.default_catalog(n)
         per_space = budget if budget is not None else max(1, -(-trials // len(catalog)))
-        flip = canonical_identity(n)
+        flip = linalg.canonical_identity(n)
         result = hatspace.search_lower_bound(n, flip, catalog=catalog, budget=per_space,
                                              seed=int(np.random.default_rng(child).integers(2**32)))
         target = 10000 if per_space * len(catalog) >= 10000 else per_space * len(catalog)
@@ -317,7 +315,7 @@ def _suite_prop14(n_values, **_):
     n_values = n_values or (2, 3, 4, 5, 6)
     checks = []
     for n in n_values:
-        image = np.einsum("klaa->kl", canonical_identity(n))
+        image = np.einsum("klaa->kl", linalg.canonical_identity(n))
         image_dev = float(np.abs(image - np.eye(n)).max())
         checks.append(_check(
             f"prop14.image.n{n}", f"entrywise trace of the flip element is the identity (n={n})",
@@ -344,7 +342,7 @@ def _suite_convexity(n_values, p_values, **_):
         # The flip element has norm 1, so p-convexity would cap its doubled block-diagonal at 2^(1/p). The
         # identity/n couple's image of it is that element twice, of trace norm 2; the realignment rule gives 2.
         doubled = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
-        doubled[:n, :n] = doubled[n:, n:] = canonical_identity(n)
+        doubled[:n, :n] = doubled[n:, n:] = linalg.canonical_identity(n)
         lower = hatspace.couple_value(Couple(cmax, cmax.element((np.eye(n) / n).reshape(n, n, 1))), doubled)
         min_lower = min(min_lower, lower)
         off_two[n] = max(abs(lower - 2.0), abs(hatspace.hat_upper_bound(n, doubled).value - 2.0))

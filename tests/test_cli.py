@@ -11,7 +11,10 @@ from matnorm import canonical_identity, trace_norm
 from matnorm.cli import main
 from matnorm.errors import InconsistencyError, InvalidInputError
 from matnorm.serialize import complex_to_pairs
+from matnorm.spaces import MAX_ID_DEPTH
 from matnorm.suites import run_suite
+
+from helpers import OVERSIZED_ID_NAMES, OVERSIZED_IDS, nested_id
 
 
 DATA = Path(__file__).parent / "data"
@@ -73,6 +76,20 @@ class TestNormCommand:
     def test_shape_mismatch_exit_2(self, tmp_path):
         path = write_blocks(tmp_path / "w.json", 2, 2, np.zeros((2, 2, 1, 1)))
         assert main(["norm", "op:2", "2", path]) == 2
+
+    @pytest.mark.parametrize("sid", OVERSIZED_IDS, ids=OVERSIZED_ID_NAMES)
+    def test_oversized_space_id_exit_2(self, sid, capsys):
+        # the file's level-2 element fits every id here, so only the id can fail; these raised
+        # RecursionError or int()'s ValueError: exit 4 with a traceback
+        assert main(["norm", sid, "2", str(DATA / "element_cmax_m2.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_space_id_at_the_depth_bound(self, capsys):
+        path = str(DATA / "element_cmax_m2.json")
+        assert main(["norm", nested_id(MAX_ID_DEPTH), "2", path]) == 0
+        assert capsys.readouterr().out.strip() == "4"
+        assert main(["norm", nested_id(MAX_ID_DEPTH + 1), "2", path]) == 2
 
     def test_block_file_parsed_once(self, tmp_path, monkeypatch, capsys):
         import matnorm.cli as cli_mod

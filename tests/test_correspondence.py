@@ -20,11 +20,7 @@ from matnorm import (
 )
 from matnorm.correspondence import amplified_images
 
-
-def assembled(blocks):
-    """The mk x mk matrix of an m x m array of k x k blocks; block (p, q) holds rows p*k.., columns q*k.."""
-    m, _, k, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(m * k, m * k)
+from helpers import assembled
 
 
 def flip_element(n):

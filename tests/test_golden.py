@@ -50,38 +50,24 @@ way, with its one timing field removed.
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from matnorm import MatricialSpace, OptimizerConfig, c_max, c_min, canonical_identity, hat_bounds
+from matnorm import OptimizerConfig, c_max, c_min, canonical_identity, hat_bounds
 from matnorm.suites import run_suite
 
+from helpers import Bare, gauss
+
 FAST = OptimizerConfig(restarts=1, iterations=2, stall_limit=2)
-
-
-def gauss(seed, shape):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def traceless(seed, shape):
     # every block has trace exactly 0, so the identity couples of the polar
     # spaces (cmin, cmax, op:k) have a zero image and no polar proposal
-    u = gauss(seed, shape)
+    u = gauss(np.random.default_rng(seed), shape)
     u[..., 1, 1] = -u[..., 0, 0]
     return u
-
-
-@dataclass(frozen=True, eq=False)
-class Bare(MatricialSpace):
-    """A space with ``base``'s norm kernel and nothing else."""
-
-    base: MatricialSpace
-
-    def norm_batch(self, coords):
-        return self.base.norm_batch(coords)
 
 
 def bare_catalog():
@@ -93,31 +79,31 @@ def bare_catalog():
 CASES = {
     "flip_n2": lambda: hat_bounds(2, canonical_identity(2)),
     "flip_n3": lambda: hat_bounds(3, canonical_identity(3)),
-    "gauss_m2_n2": lambda: hat_bounds(2, gauss(1, (2, 2, 2, 2)), seed=1),
-    "gauss_m3_n2": lambda: hat_bounds(2, gauss(2, (3, 3, 2, 2)), seed=2),
-    "gauss_m2_n3": lambda: hat_bounds(3, gauss(3, (2, 2, 3, 3)), seed=3),
-    "gauss_m1_n2_seed5": lambda: hat_bounds(2, gauss(4, (1, 1, 2, 2)), seed=5),
-    **{f"single_n{n}_fast": (lambda n=n: hat_bounds(n, gauss(10 + n, (1, 1, n, n)), budget=8,
-                                                     seed=20 + n, optimizer_config=FAST))
+    "gauss_m2_n2": lambda: hat_bounds(2, gauss(np.random.default_rng(1), (2, 2, 2, 2)), seed=1),
+    "gauss_m3_n2": lambda: hat_bounds(2, gauss(np.random.default_rng(2), (3, 3, 2, 2)), seed=2),
+    "gauss_m2_n3": lambda: hat_bounds(3, gauss(np.random.default_rng(3), (2, 2, 3, 3)), seed=3),
+    "gauss_m1_n2_seed5": lambda: hat_bounds(2, gauss(np.random.default_rng(4), (1, 1, 2, 2)), seed=5),
+    **{f"single_n{n}_fast": (lambda n=n: hat_bounds(n, gauss(np.random.default_rng(10 + n), (1, 1, n, n)),
+                                                     budget=8, seed=20 + n, optimizer_config=FAST))
        for n in (1, 2, 3, 4)},
-    "budget_0": lambda: hat_bounds(2, gauss(7, (2, 2, 2, 2)), budget=0, seed=7),
+    "budget_0": lambda: hat_bounds(2, gauss(np.random.default_rng(7), (2, 2, 2, 2)), budget=0, seed=7),
     # without optimizer steps the best random couple is the lower bound
     **{f"budget_{b}": (lambda b=b: hat_bounds(
-        2, gauss(7, (2, 2, 2, 2)), catalog=bare_catalog(), budget=b, seed=7,
+        2, gauss(np.random.default_rng(7), (2, 2, 2, 2)), catalog=bare_catalog(), budget=b, seed=7,
         optimizer_config=OptimizerConfig(restarts=2, iterations=0)))
        for b in (1, 63, 64, 65, 130)},
     "restarts_from_random": lambda: hat_bounds(
-        2, gauss(8, (2, 2, 2, 2)), budget=8, seed=8,
+        2, gauss(np.random.default_rng(8), (2, 2, 2, 2)), budget=8, seed=8,
         optimizer_config=OptimizerConfig(restarts=4, iterations=6, stall_limit=3)),
     "bare_spaces_random_starts": lambda: hat_bounds(
-        2, gauss(9, (2, 2, 2, 2)), catalog=bare_catalog(), budget=70, seed=9,
+        2, gauss(np.random.default_rng(9), (2, 2, 2, 2)), catalog=bare_catalog(), budget=70, seed=9,
         optimizer_config=OptimizerConfig(restarts=3, iterations=8, stall_limit=4)),
     "flip_n4": lambda: hat_bounds(4, canonical_identity(4)),
     # restart 0 starts at the identity, has no polar proposal and ends while
     # restart 1 (a dual witness) takes polar steps
     "polar_proposal_vanishes": lambda: hat_bounds(2, traceless(13, (2, 2, 2, 2)), seed=13),
     "restarts_4_default_catalog": lambda: hat_bounds(
-        2, gauss(14, (3, 3, 2, 2)), seed=14, optimizer_config=OptimizerConfig(restarts=4)),
+        2, gauss(np.random.default_rng(14), (3, 3, 2, 2)), seed=14, optimizer_config=OptimizerConfig(restarts=4)),
 }
 
 DIGESTS = {

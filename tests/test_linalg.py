@@ -17,6 +17,8 @@ from matnorm import (
 from matnorm.linalg import as_block_array, as_matrix
 from matnorm.serialize import pairs_to_complex
 
+from helpers import assembled, gauss, op_norm
+
 
 def eig_singular_values(a):
     """Independent oracle: singular values from the eigenvalues of A* A."""
@@ -24,23 +26,9 @@ def eig_singular_values(a):
     return np.sqrt(np.clip(vals, 0.0, None))[::-1]
 
 
-def random_complex(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def op_norm(a):
-    return np.linalg.norm(a, 2)
-
-
 def level_one_op_norm(a):
     """The op:k norm of a k x k matrix as a level-1 element: its operator norm."""
     return concrete_operator_space(len(a)).norm(np.asarray(a).reshape(-1))
-
-
-def assembled(blocks):
-    """op:k's mk x mk matrix of an m x m array of k x k blocks."""
-    m, _, k, _ = blocks.shape
-    return concrete_operator_space(k)._assembled(np.asarray(blocks, dtype=complex).reshape(m, m, k * k))
 
 
 class TestOperatorNorm:
@@ -52,7 +40,7 @@ class TestOperatorNorm:
 
     def test_matches_eigen_oracle(self):
         rng = np.random.default_rng(7)
-        a = random_complex(rng, (5, 5))
+        a = gauss(rng, (5, 5))
         assert level_one_op_norm(a) == pytest.approx(eig_singular_values(a).max(), abs=1e-9)
 
     def test_rejects_nonfinite(self):
@@ -73,7 +61,7 @@ class TestTraceNorm:
 
     def test_matches_eigen_oracle(self):
         rng = np.random.default_rng(11)
-        a = random_complex(rng, (4, 4))
+        a = gauss(rng, (4, 4))
         assert trace_norm(a) == pytest.approx(eig_singular_values(a).sum(), abs=1e-9)
 
 
@@ -90,7 +78,7 @@ class TestDualWitness:
 
     def test_pairing_reaches_trace_norm(self):
         rng = np.random.default_rng(3)
-        a = random_complex(rng, (3, 3))
+        a = gauss(rng, (3, 3))
         w = dual_witness(a)
         assert op_norm(w) == pytest.approx(1.0, abs=1e-10)
         assert np.trace(a @ w) == pytest.approx(trace_norm(a), abs=1e-9)
@@ -112,7 +100,7 @@ class TestDualWitness:
 
 
 class TestBlockLayout:
-    """op:k's assembled matrix: block (p, q) fills rows p*k.. and columns q*k.."""
+    """The tests' independent layout of op:k's assembled matrix: block (p, q) fills rows p*k.. and columns q*k.."""
 
     def test_single_block_unchanged(self):
         a = np.arange(4.0).reshape(2, 2)
@@ -177,7 +165,7 @@ class TestRandomGenerators:
 class TestNormInequalities:
     def test_duality_cap_many_contractions(self):
         rng = np.random.default_rng(21)
-        a = random_complex(rng, (3, 3))
+        a = gauss(rng, (3, 3))
         cap = trace_norm(a) + 1e-9
         for _ in range(10_000):
             # uniform singular values: interior and boundary of the unit ball
@@ -188,7 +176,7 @@ class TestNormInequalities:
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
     def test_operator_trace_rank_sandwich(self, k, seed):
         rng = np.random.default_rng(seed)
-        a = random_complex(rng, (k, k))
+        a = gauss(rng, (k, k))
         op = op_norm(a)
         tr = trace_norm(a)
         assert op <= tr + 1e-9
@@ -198,7 +186,7 @@ class TestNormInequalities:
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31 - 1))
     def test_triangle_inequality(self, k, seed):
         rng = np.random.default_rng(seed)
-        a = random_complex(rng, (k, k))
-        b = random_complex(rng, (k, k))
+        a = gauss(rng, (k, k))
+        b = gauss(rng, (k, k))
         assert op_norm(a + b) <= op_norm(a) + op_norm(b) + 1e-9
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9

@@ -31,36 +31,13 @@ from matnorm.correspondence import amplified_images
 from matnorm.optimizer import TOLERANCE
 from matnorm.spaces import OperatorSpace, TraceScalars
 
-
-def gauss(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def assembled(blocks):
-    """The mk x mk matrix of an m x m array of k x k blocks."""
-    m, _, k, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(m * k, m * k)
+from helpers import Bare, assembled, gauss, single_block
 
 
 def split(a, k):
     """The m x m array of k x k blocks of an mk x mk matrix: the inverse of :func:`assembled`."""
     m = len(a) // k
     return a.reshape(m, k, m, k).transpose(0, 2, 1, 3)
-
-
-def single_block(a):
-    a = np.asarray(a, dtype=complex)
-    return a.reshape(1, 1, *a.shape)
-
-
-@dataclass(frozen=True, eq=False)
-class Bare(MatricialSpace):
-    """A space with ``base``'s norm kernel and nothing else: no structured couples and no polar step."""
-
-    base: MatricialSpace
-
-    def norm_batch(self, coords):
-        return self.base.norm_batch(coords)
 
 
 def propose(space, coords, u4):

@@ -30,15 +30,9 @@ from matnorm import (
     space_from_id,
 )
 from matnorm.correspondence import amplified_images
-from matnorm.spaces import AxiomReport, check_unit_ball
+from matnorm.spaces import MAX_ID_DEPTH, MAX_OPERATOR_SIZE, AxiomReport, check_unit_ball
 
-
-def gauss(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def op_norm(a):
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+from helpers import OVERSIZED_IDS, gauss, nested_id, op_norm
 
 
 BATCH_SPACE_IDS = ["cmin", "cmax", "op:1", "op:2", "op:3", "op:4", "op:5",
@@ -220,11 +214,24 @@ class TestSpaceIds:
         assert space_from_id(" l1:[ cmin , op:2 ] ").space_id == "l1:[cmin,op:2]"
 
     def test_unknown_rejected(self):
-        # int() read "op:2_0" as op:20 and "op:+2" as op:2; None raised an AttributeError
+        # int() read "op:2_0" as op:20 and "op:+2" as op:2; None raised an AttributeError; of the oversized
+        # ids, deep nesting raised RecursionError (from depth 500 on), 5,000 digits int()'s ValueError, and
+        # 3,000 digits built an op:k whose dimension no message could format
         for sid in ("bogus", "op:x", "l1:[]", "l1:[nope]", None, "op:2_0", "op:+2", "op: 2", "op:-1", "op:0",
-                    "l1:[cmin,,cmax]", "l1:[cmin,]"):
+                    "l1:[cmin,,cmax]", "l1:[cmin,]", *OVERSIZED_IDS):
             with pytest.raises(InvalidInputError):
                 space_from_id(sid)
+
+    def test_ids_at_the_bounds(self):
+        deep = nested_id(MAX_ID_DEPTH)
+        assert space_from_id(deep).space_id == deep
+        assert space_from_id(deep).norm(np.diag([3.0, -4.0])) == 4.0
+        assert space_from_id(f"op:{MAX_OPERATOR_SIZE}").k == MAX_OPERATOR_SIZE
+        assert space_from_id("op:" + "0" * 5000 + "2").space_id == "op:2"
+        with pytest.raises(InvalidInputError):
+            concrete_operator_space(MAX_OPERATOR_SIZE + 1)
+        with pytest.raises(InvalidInputError):
+            concrete_operator_space(10**5000)  # the message must not format k
 
 
 class TestElementOps:
