@@ -133,13 +133,19 @@ def cmd_verify(args) -> int:
     if args.n is not None and args.n > 4:
         print(f"warning: n={args.n} grows the assembled matrices quickly; expect long runtimes",
               file=sys.stderr)
+    new = bool(args.out) and not os.path.lexists(args.out)
     try:  # opened before the suite, which can take minutes, and emptied only once the report exists
         out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise InvalidInputError(f"cannot write the report to {args.out}: {exc}") from exc
     with out as fh:
-        report = run_suite(args.suite, seed=args.seed, trials=args.trials, n=args.n,
-                           m_max=args.m, p=args.p, budget=args.budget)
+        try:
+            report = run_suite(args.suite, seed=args.seed, trials=args.trials, n=args.n,
+                               m_max=args.m, p=args.p, budget=args.budget)
+        except BaseException:  # no report: a file this run made goes, an existing one keeps its bytes
+            if new:
+                os.unlink(args.out)
+            raise
         if args.out:
             fh.truncate(0)
         print(json.dumps(report, indent=2), file=fh)

@@ -8,7 +8,8 @@ from the n x n matrices into E (note the transposed pairing a_ji). This map
 is a bijection: the element is recovered exactly from the map's matrix. Its
 one evaluator is the entrywise amplification (at m = 1, phi_v itself); the
 module also provides the canonical flip element, whose amplified image
-reproduces v, and a naturality checker for coordinate maps.
+reproduces v, a naturality checker for coordinate maps and the
+amplification's adjoint, :func:`pullbacks`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "reconstruct",
     "amplified_image",
     "amplified_images",
+    "pullbacks",
     "check_naturality",
 ]
 
@@ -70,6 +72,17 @@ def amplified_images(coords: np.ndarray, u4: np.ndarray) -> np.ndarray:
     m = u4.shape[0]
     phis = coords.transpose(0, 3, 2, 1).reshape(b, d, n * n)  # each element's phi_of matrix
     return np.einsum("bdx,klx->bkld", phis, u4.reshape(m, m, n * n))
+
+
+def pullbacks(functionals: np.ndarray, u4: np.ndarray) -> np.ndarray:
+    """The adjoint of :func:`amplified_images`: the (B, n, n, dim) G with ``sum(G[b] * v) == sum(F[b] * phi_v(u))``.
+
+    F is a (B, m, m, dim) stack. Each row is its own product in one broadcast
+    ``@``, so it gets the bits of its own call, whatever the batch.
+    """
+    (b, m, _, d), n = functionals.shape, u4.shape[2]
+    rows = functionals.transpose(0, 3, 1, 2).reshape(b, d, m * m)
+    return (rows @ u4.reshape(m * m, n * n)).reshape(b, d, n, n).transpose(0, 3, 2, 1)
 
 
 def check_naturality(psi, v: LeveledElement) -> float:

@@ -352,10 +352,15 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
     """Certified interval with certificates; raises on lower > upper.
 
     ``InconsistencyError`` carries both bounds and both certificates. The
-    zero matrix takes the general search, whose couples are all worth 0.
+    zero matrix takes the general search, whose couples are all worth 0. A
+    nonzero u whose entries are all below the smallest normal double is
+    rejected: there rounding is absolute, and the interval is not certified.
     """
     require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
+    if 0 < np.abs(u4).max() < np.finfo(float).tiny:
+        raise InvalidInputError(f"the largest |entry| of u is below the smallest normal double "
+                                f"({np.finfo(float).tiny:.4g}); scale u up")
     m = u4.shape[0]
     result = search_lower_bound(n, u4, catalog=catalog, budget=budget, seed=seed,
                                 optimizer_config=optimizer_config)

@@ -1,10 +1,10 @@
 """Maximization of the amplified-image norm over the unit ball of a space.
 
-Each ascent step linearizes the objective at the current point through the
-extremal vectors of its norm, pulls the resulting linear functional back to
-the variable, and moves to the closed-form maximizer ``p`` of that functional
-over the unit ball (``MatricialSpace.polar_proposal``, built from dual
-witnesses): the monotone generalized power method of Journee, Nesterov,
+Each ascent step linearizes the norm at the current image (the functional F
+of ``MatricialSpace.polar_state``), pulls F back through v -> phi_v(u)
+(``correspondence.pullbacks``), and moves to the closed-form maximizer ``p``
+of the pulled functional over the unit ball (``MatricialSpace.polar_proposal``,
+from dual witnesses): the monotone generalized power method of Journee, Nesterov,
 Richtarik and Sepulchre (JMLR 2010). The objective ``f(v) = |phi_v(u)|`` is
 convex, so ``f(p) >= f(v)`` and no point between v and p beats both ends: a
 step needs no line search and no step size. Nonsmoothness is handled by
@@ -16,13 +16,13 @@ move, so the next step would make the same proposal. A zero proposal (a
 space without a polar step, or a vanishing linearization) is worth 0, no
 more than any start, so such a restart ends after one step with its start.
 
-The restarts advance in lockstep: each step makes one ``polar_proposal``
-call over the states of the running restarts, then one amplification and
-one ``polar_state`` call over their proposals (points of the unit ball, so
-nothing is rescaled). ``polar_state`` values the proposals' images and keeps
-what their own proposals need from the same factorization, so a catalog
-step makes two SVD calls: the proposal's and the image's. A restart keeps
-its point, its state and its value, not its image; the end values the
+The restarts advance in lockstep: each step makes one ``pullbacks`` and one
+``polar_proposal`` call over the functionals of the running restarts, then
+one amplification and one ``polar_state`` call over their proposals (points
+of the unit ball, so nothing is rescaled). ``polar_state`` values the images
+and gives their functionals from one factorization, so a catalog step makes
+two SVD calls: the proposal's and the image's. A restart keeps its point,
+its functional and its value, not its image; the end values the
 images of the kept points in one ``norm_batch``. Steps draw nothing; the
 drawn starts come first, in restart order, so any batching gives a
 sequential run's result.
@@ -41,13 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correspondence import amplified_image, amplified_images
+from .correspondence import amplified_image, amplified_images, pullbacks
 from .errors import InvalidInputError, require_int
 from .spaces import Couple, LeveledElement, MatricialSpace
 
 __all__ = ["OptimizerConfig", "optimize_couple"]
 
 TOLERANCE = 1e-12
+
+MAX_RESTARTS = 10**4  # the restarts are drawn and stepped as one stack, so their count sizes its arrays
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,17 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("iterations", 0), ("stall_limit", 1)):
             require_int(name, getattr(self, name), low)
+        if self.restarts > MAX_RESTARTS:  # the message leaves the count out, as op:k's leaves k out
+            raise InvalidInputError(f"restarts must be at most {MAX_RESTARTS}")
 
 
-def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, states: np.ndarray, vals: np.ndarray,
+def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, functionals: np.ndarray, vals: np.ndarray,
             cfg: OptimizerConfig) -> None:
     """Run the restarts of a (R, n, n, dim) stack in lockstep, updating their rows in place.
 
-    ``coords``, ``states`` and ``vals`` hold each restart's point, the
-    ``polar_state`` row of its image and its value. Per restart, a step
-    moves to its proposal, and keeps the state it was valued by, when the
+    ``coords``, ``functionals`` and ``vals`` hold each restart's point, the
+    ``polar_state`` functional of its image and its value. Per restart, a step
+    moves to its proposal, and keeps the functional it was valued by, when the
     proposal's value beats the current one (NaN never does); the restart
     ends when it does not.
     """
@@ -79,16 +83,16 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, states: n
         if not active.size:
             break
         every = len(active) == len(vals)  # no restart has ended: pass the rows themselves, not copies
-        proposals = space.polar_proposal(states if every else states[active], u4)
+        proposals = space.polar_proposal(pullbacks(functionals if every else functionals[active], u4))
         shape = (len(active), *coords.shape[1:])
         if proposals.shape != shape:
             raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {shape}")
-        values, proposal_states = space.polar_state(amplified_images(proposals, u4))
+        values, proposal_functionals = space.polar_state(amplified_images(proposals, u4))
         current = vals if every else vals[active]
         better, gained = values > current, values > current + TOLERANCE * np.abs(current)  # before writing vals
         # every restart won: write back by slice, with no mask copies
         won, pick = (slice(None), slice(None)) if every and better.all() else (active[better], better)
-        coords[won], states[won], vals[won] = proposals[pick], proposal_states[pick], values[pick]
+        coords[won], functionals[won], vals[won] = proposals[pick], proposal_functionals[pick], values[pick]
         stall[active] = np.where(gained, 0, stall[active] + 1)
         active = active[better & (stall[active] < cfg.stall_limit)]
 
@@ -101,7 +105,7 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     and only the starts are rescaled into the ball: a step moves straight to
     its polar proposal, a unit-ball point, with no line search (see the module
     docstring). Each start is valued on its own, and one ``polar_state`` call
-    over the starts' images gives their states. The ``Couple`` checks the
+    over the starts' images gives their functionals. The ``Couple`` checks the
     returned element. The kept points end valued by one ``norm_batch`` of their
     images; ``amplified_images`` gives a row the same bits in any batch, so the
     reported value is the returned couple's ``couple_value`` bit for bit. Ties
@@ -128,8 +132,8 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     space.unit_scaled_stack(coords)
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
     vals = np.array([space.norm(image) for image in start_images])
-    states = space.polar_state(np.stack([image.coords for image in start_images]))[1]
-    _ascend(space, u4, coords, states, vals, cfg)
+    functionals = space.polar_state(np.stack([image.coords for image in start_images]))[1]
+    _ascend(space, u4, coords, functionals, vals, cfg)
 
     vals = space.norm_batch(amplified_images(coords, u4))  # as couple_value values the returned couple
     best = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))  # ties go to the first restart

@@ -77,10 +77,10 @@ class MatricialSpace:
     A space is a subclass with a ``norm_batch`` kernel over any leading axes;
     construction rejects a class without one. A kind may also supply
     structured couples and the optimizer's two polar hooks: ``polar_state``
-    values a stack of images and keeps, per row, what ``polar_proposal``
-    needs, both from one full SVD of the stack. Neither hook may write into
-    the arrays it receives: the optimizer passes its own state rows,
-    uncopied, and keeps what the hooks return.
+    values a stack of images and gives each image's support functional,
+    from one full SVD of the stack, and ``polar_proposal`` maximizes a
+    functional pulled back to the elements over the unit ball. Neither hook
+    sees u, and neither may write into the arrays it receives.
     """
 
     space_id: str
@@ -144,33 +144,25 @@ class MatricialSpace:
         return np.empty((0, n, n, self.dim), dtype=complex)
 
     def polar_state(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Norms of a (B, m, m, dim) stack of images, and per row what ``polar_proposal`` needs.
+        """Norms of a (B, m, m, dim) stack of images, within rounding of ``norm_batch``'s, and their functionals.
 
-        Returns the (B,) norms, within rounding of ``norm_batch``'s, and a
-        state stack whose first axis is B. The optimizer calls it on the
-        images of its starts and of each step's proposals, and keeps a
-        restart's state row beside its point, so one factorization of an
-        image both values it and proposes from it. Each row must get the
-        bits of its own call, whatever the batch. It must not write into
-        ``images``. By default the state is the images themselves.
+        The (B, m, m, dim) stack F is each image's support functional: in the
+        dual unit ball, with ``Re sum(F[b] * images[b])`` the norm, and 0 for
+        a zero image. The optimizer keeps a restart's F beside its point, so
+        one factorization values an image and proposes from it. Each row must
+        get the bits of its own call, whatever the batch. By default F = 0.
         """
-        return self.norm_batch(images), images
+        return self.norm_batch(images), np.zeros_like(images)
 
-    def polar_proposal(self, state: np.ndarray, u4: np.ndarray) -> np.ndarray:
-        """Closed-form maximizer over the unit ball of the objective linearized at each element of a stack.
+    def polar_proposal(self, pulled: np.ndarray) -> np.ndarray:
+        """Maximizer of ``Re sum(g * v)`` over the level-n unit ball for each g of a (B, n, n, dim) stack.
 
-        Takes the ``polar_state`` rows of the elements' images under u4 and
-        returns a (B, n, n, dim) stack. The optimizer moves a restart
-        straight there and ends it when that does not raise the value, so an
-        override must return the maximizer (worth at least the current value
-        by convexity). A zero row means no proposal: the space has no such
-        step, or the linearization vanishes (a zero image included); that
-        restart ends. ``state`` may be the optimizer's own state rows, so an
-        override must not write into it. The optimizer rejects a stack of
-        another shape, but when m == n it cannot tell an override that
-        returns the images.
+        g is a ``polar_state`` functional pulled back by ``pullbacks``. The
+        optimizer moves a restart straight there and ends it when that does
+        not raise the value, so an override must return the maximizer. A
+        zero row means no proposal (no such step, or g = 0); that restart ends.
         """
-        return np.zeros((len(state), *u4.shape[2:], self.dim), dtype=complex)
+        return np.zeros_like(pulled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,18 +216,14 @@ class TraceScalars(MatricialSpace):
         return c_min().structured_couples(n, u4) / n
 
     def polar_state(self, images):
-        """Trace norms and dual witnesses ``V U*`` of the images, from one full SVD; a zero image gets witness 0."""
+        """Trace norms and transposed dual witnesses ``(V U*)^T`` of the images, from one full SVD."""
         uu, s, vvh = np.linalg.svd(images[..., 0])
         witnesses = vvh.conj().swapaxes(1, 2) @ uu.conj().swapaxes(1, 2)
-        _zero_rows(witnesses, ~images.any(axis=(1, 2, 3)))
-        return s.sum(axis=-1), witnesses
+        return s.sum(axis=-1), _zero_rows(witnesses.swapaxes(1, 2)[..., None], ~images.any(axis=(1, 2, 3)))
 
-    def polar_proposal(self, witnesses, u4):
-        m, n = u4.shape[1:3]
-        # The transposed pullback g^T[j, i] = sum_kl w[l, k] u4[k, l, j, i], one broadcast @: each row is
-        # its own product, where a batched einsum sums in another order and changes the last bits.
-        gt = (witnesses.swapaxes(1, 2).reshape(-1, 1, m * m) @ u4.reshape(m * m, n * n)).reshape(-1, n, n)
-        # maximize Re sum w_ij g_ij = Re tr(w g^T) over the unit ball: the top rank-one part of g^T
+    def polar_proposal(self, pulled):
+        # maximize Re sum g_ij w_ij = Re tr(g^T w) over the unit ball: the top rank-one part of g^T
+        gt = pulled[..., 0].swapaxes(1, 2)
         uu, _, vvh = np.linalg.svd(gt)
         w = vvh[:, 0].conj()[:, :, None] * uu[..., 0].conj()[:, None, :]
         return _zero_rows(w, ~gt.any(axis=(1, 2)))[..., None]
@@ -271,27 +259,19 @@ class OperatorSpace(MatricialSpace):
         return np.stack(coords)
 
     def polar_state(self, images):
-        """Operator norms and top singular pairs ``(x, conj y)`` of the assembled images, from one full SVD.
-
-        The (B, 2, mk) state of a zero image is 0.
-        """
+        """Operator norms and functionals ``conj(x) y^T``, (x, y) the top singular pair, of the assembled images."""
         x, s, yh = np.linalg.svd(self._assembled(images))
-        pairs = np.empty((len(s), 2, s.shape[1]), dtype=complex)
-        pairs[:, 0] = x[..., 0]
-        np.conjugate(yh[:, 0], out=pairs[:, 1])
-        return s[:, 0], _zero_rows(pairs, ~images.any(axis=(1, 2, 3)))
+        b, m, k = len(s), images.shape[1], self.k
+        top = np.conjugate(x[..., 0, None] * yh[:, None, 0])  # conj(x) y^T, as y = conj(yh[0])
+        functionals = top.reshape(b, m, k, m, k).transpose(0, 1, 3, 2, 4).reshape(images.shape)
+        return s[:, 0], _zero_rows(functionals, ~images.any(axis=(1, 2, 3)))
 
-    def polar_proposal(self, pairs, u4):
-        k, b, m, n = self.k, len(pairs), *u4.shape[1:3]
-        xc, yc = pairs[:, 0].reshape(b, m, k), pairs[:, 1].reshape(b, m, k)
-        # One einsum per element: a batched einsum or a product sums in another order and changes the last bits.
-        # The pull has rank at most mn of nk, so its witness off the range follows those bits and steers the search.
-        pulls = np.empty((b, n, n, k, k), dtype=complex)
-        for xr, yr, out in zip(xc, yc, pulls):
-            np.einsum("klji,ka,lb->ijab", u4, xr.conj(), yr, out=out)
-        pulls = self._assembled(pulls.reshape(b, n, n, k * k))
-        w = linalg.dual_witnesses(pulls.swapaxes(1, 2)).reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
-        return _zero_rows(w.reshape(b, n, n, k * k), ~pulls.any(axis=(1, 2)))
+    def polar_proposal(self, pulled):
+        # maximize Re tr(G^T w) over the assembled unit ball: w is the dual witness of G^T
+        k, b, n = self.k, *pulled.shape[:2]
+        gt = self._assembled(pulled).swapaxes(1, 2)
+        w = linalg.dual_witnesses(gt).reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
+        return _zero_rows(w.reshape(pulled.shape), ~gt.any(axis=(1, 2)))
 
 
 @dataclass(frozen=True, eq=False)

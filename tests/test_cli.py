@@ -151,12 +151,20 @@ class TestHatBoundsCommand:
     @pytest.mark.parametrize("override", [
         '{"restarts": 1.5}', '{"iterations": "5"}', '{"stall_limit": null}',
         '{"iterations": -3}', '{"restarts": true}', '{"seed": 1}', '{"step_init": 0.1}',
+        '{"restarts": 1000000000000000000}',
     ])
     def test_optimizer_override_validated_exit_2(self, tmp_path, capsys, override):
         path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
         assert main(["hat-bounds", path, "--budget", "2", "--opt-config", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_subnormal_scale_blocks_exit_2(self, tmp_path, capsys):
+        # below the smallest normal double the interval is not certified, so the input is refused
+        path = write_blocks(tmp_path / "tiny.json", 2, 1, 1e-320 * canonical_identity(2)[:1, :1])
+        assert main(["hat-bounds", path]) == 2
+        err = capsys.readouterr().err
+        assert "smallest normal double" in err and "Traceback" not in err
 
     def test_partial_override_builds_on_search_defaults(self, tmp_path, capsys):
         # restating one default must not reset the others
@@ -295,6 +303,13 @@ class TestVerifyCommand:
         assert out.read_text() == '{"suite": "earlier"}\n'
         assert main(["verify", "--suite", "prop14", "--n", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["suite"] == "prop14"
+
+    def test_failed_run_leaves_no_new_out_file(self, tmp_path, capsys):
+        # the report file is opened before the suite runs; a run with no report removes the file it made
+        out = tmp_path / "new.json"
+        assert main(["verify", "--suite", "prop13", "--p", "0.5", "--out", str(out)]) == 2
+        assert "exponent must exceed 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_prop13_searches_the_given_size_and_budget(self, monkeypatch):
         import matnorm.hatspace as hatspace

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matnorm import (
     InvalidInputError,
@@ -18,9 +20,9 @@ from matnorm import (
     trace_norm,
     space_from_id,
 )
-from matnorm.correspondence import amplified_images
+from matnorm.correspondence import amplified_images, pullbacks
 
-from helpers import assembled
+from helpers import assembled, gauss
 
 
 def flip_element(n):
@@ -110,6 +112,24 @@ class TestAmplification:
                 np.testing.assert_array_equal(amplified_images(coords[b:b + 1], u4)[0], stack[b])
                 pair = amplified_images(coords[[b, (b + 1) % len(coords)]], u4)
                 np.testing.assert_array_equal(pair[0], stack[b])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), n=st.integers(1, 3), dim=st.integers(1, 9), batch=st.integers(1, 4),
+           scale=st.floats(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_pullbacks_is_the_adjoint_of_the_amplification(self, m, n, dim, batch, scale, seed):
+        # sum(G v) == sum(F phi_v(u)) row by row, to rounding relative to |F| |v| |u|, the
+        # Cauchy-Schwarz bound of both sides; each row gets the bits of its own call
+        rng = np.random.default_rng(seed)
+        u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
+        v, f = gauss(rng, (batch, n, n, dim)), gauss(rng, (batch, m, m, dim))
+        g = pullbacks(f, u4)
+        assert g.shape == v.shape
+        lhs = (f * amplified_images(v, u4)).sum(axis=(1, 2, 3))
+        rhs = (g * v).sum(axis=(1, 2, 3))
+        scale = np.linalg.norm(f.reshape(batch, -1), axis=1) * np.linalg.norm(v.reshape(batch, -1), axis=1)
+        assert (np.abs(lhs - rhs) <= 1e-12 * scale * np.linalg.norm(u4)).all()
+        for b in range(batch):
+            np.testing.assert_array_equal(pullbacks(f[b:b + 1], u4)[0], g[b])
 
     def test_block_diagonal_through_trace_couple(self):
         # identity/n coordinates send a1 + a2 to diag(tr(a_k)/n)

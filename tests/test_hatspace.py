@@ -580,11 +580,18 @@ class TestBounds:
                 assert b.lower == pytest.approx(trace_norm(a), rel=1e-9)
                 assert b.upper == pytest.approx(trace_norm(a), rel=1e-9)
         # below the smallest normal double rounding is absolute and the bounds
-        # are not certified, but the consistency check must still not raise
-        for scale in (1e-315, 1e-320):
+        # would not be certified (lower exceeded upper by 1.3e-3 relative at
+        # 1e-320), so such a u is rejected; a normal entry among subnormal
+        # ones is accepted, and so is the zero matrix
+        for scale in (1e-309, 1e-315, 1e-320):
             for n in (1, 2, 3, 4):
-                hat_bounds(n, single_block(scale * gauss(rng, (n, n))), budget=8,
-                           seed=int(rng.integers(2**32)), optimizer_config=fast)
+                with pytest.raises(InvalidInputError, match="smallest normal double"):
+                    hat_bounds(n, single_block(scale * gauss(rng, (n, n))), budget=8,
+                               seed=int(rng.integers(2**32)), optimizer_config=fast)
+        a = 1e-315 * gauss(rng, (2, 2))
+        a[0, 0] = np.finfo(float).tiny
+        assert hat_bounds(2, single_block(a), budget=8, optimizer_config=fast).lower > 0
+        assert hat_bounds(2, single_block(np.zeros((2, 2))), budget=8).upper == 0.0
 
     def test_json_schema(self):
         b = hat_bounds(2, canonical_identity(2), budget=10, seed=15)

@@ -27,7 +27,7 @@ from matnorm import (
     space_from_id,
     trace_norm,
 )
-from matnorm.correspondence import amplified_images
+from matnorm.correspondence import amplified_images, pullbacks
 from matnorm.optimizer import TOLERANCE
 from matnorm.spaces import OperatorSpace, TraceScalars
 
@@ -41,8 +41,8 @@ def split(a, k):
 
 
 def propose(space, coords, u4):
-    """Polar proposals for a (B, n, n, dim) stack of elements, from the polar states of their images."""
-    return space.polar_proposal(space.polar_state(amplified_images(coords, u4))[1], u4)
+    """Polar proposals for a (B, n, n, dim) stack of elements, from the pulled-back functionals of their images."""
+    return space.polar_proposal(pullbacks(space.polar_state(amplified_images(coords, u4))[1], u4))
 
 
 class TestBenchmarkRecovery:
@@ -213,8 +213,8 @@ def test_polar_proposal_of_a_stack_matches_rows_bitwise(m, n, scale, zero, seed)
     # the bits of its own calls; the values are the norms up to rounding; the
     # element with a zero image gets a zero proposal (the SVD of 0 has
     # unitary factors, which must not propose) and the others a nonzero one;
-    # neither hook writes into what it receives (the optimizer passes its own
-    # state rows), so read-only inputs raise nothing
+    # neither hook writes into what it receives, so read-only inputs raise
+    # nothing
     rng = np.random.default_rng(seed)
     u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
     u4.flags.writeable = False
@@ -229,8 +229,10 @@ def test_polar_proposal_of_a_stack_matches_rows_bitwise(m, n, scale, zero, seed)
         np.testing.assert_array_equal(values, np.concatenate([v for v, _ in rows]), err_msg=space.space_id)
         np.testing.assert_array_equal(state, np.concatenate([st for _, st in rows]), err_msg=space.space_id)
         np.testing.assert_allclose(values, space.norm_batch(images), rtol=1e-13, atol=0, err_msg=space.space_id)
-        stacked = space.polar_proposal(state, u4)
-        rows = np.concatenate([space.polar_proposal(state[b:b + 1], u4) for b in range(len(state))])
+        pulled = pullbacks(state, u4)
+        pulled.flags.writeable = False
+        stacked = space.polar_proposal(pulled)
+        rows = np.concatenate([space.polar_proposal(pulled[b:b + 1]) for b in range(len(pulled))])
         assert stacked.shape == coords.shape
         np.testing.assert_array_equal(stacked, rows, err_msg=space.space_id)
         assert [bool(p.any()) for p in stacked] == [b != zero for b in range(len(stacked))], space.space_id
@@ -271,9 +273,9 @@ class CountedScalars(TraceScalars):
         self.log.append(("state", len(images)))
         return super().polar_state(images)
 
-    def polar_proposal(self, state, u4):
-        self.log.append(("proposal", len(state)))
-        return super().polar_proposal(state, u4)
+    def polar_proposal(self, pulled):
+        self.log.append(("proposal", len(pulled)))
+        return super().polar_proposal(pulled)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -408,20 +410,22 @@ def flaky_missing(first):
 
 @dataclass(frozen=True, eq=False)
 class FlakyScalars(OperatorSpace):
-    """cmin (op:1) without a polar step wherever ``floor(1000 |x_0|)`` is odd, x the image's top left singular vector.
+    """cmin (op:1) without a polar step wherever ``floor(1000 |g_00|)`` is odd, g the pulled-back functional.
 
     Its proposals vanish in mid-run, so one restart may end while a higher
     one still takes polar steps.
     """
 
-    def polar_proposal(self, pairs, u4):
-        return np.where(flaky_missing(pairs[:, 0, 0])[:, None, None, None], 0, super().polar_proposal(pairs, u4))
+    def polar_proposal(self, pulled):
+        return np.where(flaky_missing(pulled[:, 0, 0, 0])[:, None, None, None], 0, super().polar_proposal(pulled))
 
 
 def reference_proposal(space, image, u4):
     """Single-element polar proposal from the (m, m, dim) amplified image of an element, or None.
 
-    The pullbacks sum in the order the catalog kinds' do, so the bits agree.
+    Each kind's support functional comes first, then its pullback
+    ``g[i, j] = sum_kl f[k, l] u4[k, l, j, i]`` as one ``@`` over the
+    coordinates, summed as ``pullbacks`` sums it, so the bits agree.
     """
     m, n = u4.shape[1:3]
     if not image.any():
@@ -429,18 +433,18 @@ def reference_proposal(space, image, u4):
     if isinstance(space, OperatorSpace):
         k = space.k
         x, _, yh = np.linalg.svd(assembled(image.reshape(m, m, k, k)))
-        if isinstance(space, FlakyScalars) and flaky_missing(x[0, 0]):
+        functional = split(np.outer(x[:, 0].conj(), yh[0].conj()), k).reshape(m, m, k * k)
+        pull = functional.transpose(2, 0, 1).reshape(k * k, m * m) @ u4.reshape(m * m, n * n)
+        pull = pull.reshape(k, k, n, n).transpose(3, 2, 0, 1)  # (i, j, a, b)
+        if isinstance(space, FlakyScalars) and flaky_missing(pull[0, 0, 0, 0]):
             return None
-        xc = x[:, 0].reshape(m, k)
-        yc = yh[0].conj().reshape(m, k)
-        pull = assembled(np.einsum("klji,ka,lb->ijab", u4, xc.conj(), yc))
         if not pull.any():
             return None
-        return split(dual_witness(pull.T), k).reshape(n, n, k * k)
+        return split(dual_witness(assembled(pull).T), k).reshape(n, n, k * k)
     if not isinstance(space, TraceScalars):
         return None
-    witness = dual_witness(image[:, :, 0])
-    pullback_t = (witness.T.reshape(1, m * m) @ u4.reshape(m * m, n * n)).reshape(n, n)
+    functional = dual_witness(image[:, :, 0]).T
+    pullback_t = (functional.reshape(1, m * m) @ u4.reshape(m * m, n * n)).reshape(n, n)
     if not pullback_t.any():
         return None
     uu, _, vvh = np.linalg.svd(pullback_t)
@@ -591,18 +595,18 @@ class TestLockstepEquivalence:
 class DoubledProposal(TraceScalars):
     """cmax with twice its polar proposal: the proposals leave the unit ball."""
 
-    def polar_proposal(self, state, u4):
-        return 2 * super().polar_proposal(state, u4)
+    def polar_proposal(self, pulled):
+        return 2 * super().polar_proposal(pulled)
 
 
+@dataclass(frozen=True, eq=False)
 class ImagesAsCoordinates(TraceScalars):
-    """cmax whose state is its (B, m, m, dim) images and whose proposal returns them: a stack of the images' shape."""
+    """cmax whose proposal is a zero stack of the level-``m`` images' shape, not the level-n elements'."""
 
-    def polar_state(self, images):
-        return self.norm_batch(images), images
+    m: int
 
-    def polar_proposal(self, state, u4):
-        return state
+    def polar_proposal(self, pulled):
+        return np.zeros((len(pulled), self.m, self.m, self.dim), dtype=complex)
 
 
 class TestProposalContract:
@@ -616,4 +620,4 @@ class TestProposalContract:
         # at m != n the images and the elements differ in shape
         u = gauss(np.random.default_rng(14), (3, 3, 2, 2))
         with pytest.raises(InvalidInputError, match="polar_proposal gave shape"):
-            optimize_couple(ImagesAsCoordinates("images", 1), 2, u, OptimizerConfig(restarts=1, iterations=3))
+            optimize_couple(ImagesAsCoordinates("images", 1, 3), 2, u, OptimizerConfig(restarts=1, iterations=3))

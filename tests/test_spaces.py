@@ -29,7 +29,7 @@ from matnorm import (
     scalar_action,
     space_from_id,
 )
-from matnorm.correspondence import amplified_images
+from matnorm.correspondence import amplified_images, pullbacks
 from matnorm.spaces import MAX_ID_DEPTH, MAX_OPERATOR_SIZE, AxiomReport, check_unit_ball
 
 from helpers import OVERSIZED_IDS, gauss, nested_id, op_norm
@@ -123,7 +123,7 @@ class TestScalarSpaces:
     @given(m=st.integers(1, 3), n=st.integers(1, 3), batch=st.integers(1, 4), scale=st.floats(-3, 3),
            zeros=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
     def test_cmin_is_op1_bitwise(self, m, n, batch, scale, zeros, seed):
-        # cmin is op:1 under its own id: same norms, polar states and proposals and structured couples, bit for bit
+        # cmin is op:1 under its own id: same norms, functionals, proposals and structured couples, bit for bit
         rng = np.random.default_rng(seed)
         u4 = 10.0 ** scale * gauss(rng, (m, m, n, n))
         coords = gauss(rng, (batch, n, n, 1))
@@ -136,8 +136,27 @@ class TestScalarSpaces:
         (values, state), (op1_values, op1_state) = cmin.polar_state(images), op1.polar_state(images)
         np.testing.assert_array_equal(values, op1_values)
         np.testing.assert_array_equal(state, op1_state)
-        np.testing.assert_array_equal(cmin.polar_proposal(state, u4), op1.polar_proposal(state, u4))
+        pulled = pullbacks(state, u4)
+        np.testing.assert_array_equal(cmin.polar_proposal(pulled), op1.polar_proposal(pulled))
         np.testing.assert_array_equal(cmin.structured_couples(n, u4), op1.structured_couples(n, u4))
+
+
+@pytest.mark.parametrize("space_id", [space.space_id for space in default_catalog(3)])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3), batch=st.integers(1, 4), scale=st.floats(-3, 3), zero=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_polar_state_gives_support_functionals(space_id, m, batch, scale, zero, seed):
+    # polar_state's functional F linearizes the norm at each image: Re sum(F image) is the value it
+    # reports, and a zero image gets F = 0 (the SVD of 0 has unitary factors that must not propose)
+    space = space_from_id(space_id)
+    rng = np.random.default_rng(seed)
+    images = 10.0 ** scale * gauss(rng, (batch, m, m, space.dim))
+    if zero < batch:
+        images[zero] = 0
+    values, functionals = space.polar_state(images)
+    assert functionals.shape == images.shape
+    np.testing.assert_allclose((functionals * images).sum(axis=(1, 2, 3)).real, values, rtol=1e-13, atol=0)
+    assert [bool(f.any()) for f in functionals] == [bool(image.any()) for image in images]
 
 
 class TestOperatorSpace:
