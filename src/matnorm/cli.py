@@ -37,7 +37,7 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
@@ -104,7 +104,7 @@ def parse_optimizer_config(text: str | None) -> OptimizerConfig | None:
         return None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise InvalidInputError(f"bad optimizer config: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("optimizer config must be a JSON object")

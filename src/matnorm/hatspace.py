@@ -18,14 +18,37 @@ scalar matrices, since it passes through every amplified map, so the atom
 norm obeys the triangle inequality. The realignment of u, the (mn) x (nm)
 matrix ``U[(k, j), (i, l)] = u[k, l, i, j]``, turns each atom into the rank-one
 matrix ``vec(A) vec(B)^T``, so every rank-one decomposition of U is a
-decomposition of u into atoms. One SVD ``U = X S Yh`` gives one, with
+decomposition of u into atoms.
+
+The norm is exactly the least value ``sum_t |A_t|_op |B_t|_op`` over all
+decompositions ``u = sum_t A_t . flip . B_t``: the projective tensor norm
+gamma(U) of M_{m,n} (x) M_{n,m}, both with the operator norm. The three facts
+give ``<=``. For ``>=``, gamma is a norm at every level that obeys both
+axioms (padding keeps the atoms' operator norms, and ``S (A . flip . B) T``
+is ``(S A) . flip . (B T)``), and gamma(flip) <= 1; so gamma with flip is a
+couple, whose image of u is u itself. The upper side is thus a convex
+minimization with no gap to the norm. Also, since ``|vec A|_2`` is at most
+``sqrt(min(m, n)) |A|_op``, the trace norm R of U is at most ``min(m, n)``
+times any decomposition's value, so ``R / min(m, n) <= norm``.
+
+One SVD ``U = X S Yh`` gives a first decomposition, with
 ``A_t = s_t X[:, t]`` and ``B_t = Yh[t]`` reshaped, worth
-``sum_t s_t |X_t|_op |Y_t|_op``: at most the trace norm of U, which is at
-most the sum of the blocks' trace norms, and exactly the block's trace norm
-at m = 1. Singular values that tie span a space with no preferred basis; a
+``sum_t s_t |X_t|_op |Y_t|_op``: at most R, which is at most the sum of the
+blocks' trace norms, and exactly the block's trace norm at m = 1 (and at
+n = 1). Singular values that tie span a space with no preferred basis; a
 DFT rotation of their atoms leaves their sum unchanged and is kept for each
 cluster where it lowers the cluster's value (on the flip-like witness
 ``diag(e_11, ..., e_nn)`` it certifies 1 where the plain atoms give n).
+Then pairwise unitary sweeps descend from there: a 2 x 2 unitary ``[[c, s],
+[-conj(s), c]]`` sends ``(A_i, A_j)`` to ``(c A_i + s A_j, -conj(s) A_i +
+c A_j)`` and ``(B_i, B_j)`` to ``(c B_i + conj(s) B_j, -s B_i + c B_j)``,
+which leaves ``vec(A_i) vec(B_i)^T + vec(A_j) vec(B_j)^T`` unchanged, so
+the rotated atoms still decompose u exactly. The sweeps rotate pairs in
+round-robin order and keep a rotation where it lowers the pair's value.
+They skip m = 1 and n = 1, where the SVD's atoms are already exact; a
+numerical rank below 2 (the flip element); and min(m, n) >= 4, where the
+operator norms they score have no closed form. The swept atoms replace the
+SVD's only where their certified value is lower.
 
 Floating point enters twice. The SVD does not rebuild u exactly, so the
 certificate's value adds the sum of the blocks' trace norms of the residual
@@ -92,6 +115,42 @@ UPPER_MARGIN = 8 * np.finfo(float).eps
 
 # singular values closer than this, relative to the largest, count as tied
 TIE_RTOL = 1e-9
+
+# pairwise unitary sweeps of the upper bound: at most SWEEPS sweeps, ending
+# early when a sweep gains less than SWEEP_RTOL of the swept atoms' value
+SWEEPS = 2
+SWEEP_RTOL = 1e-6
+
+
+def _pair_grid(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's rotations of a pair ``(x_i, x_j)``, and the vectors their rows make.
+
+    With ``s_k = sin(k pi / (2 grid))``, ``c_k = s_(grid-k)`` and
+    ``w_l = exp(2 pi i l / grid)``, let ``y(k, l) = c_k x_i + s_k w_l x_j``.
+    Rotation (k, l), for k = 1..grid and l = 0..grid-1, is
+    ``[[c_k, s_k w_l], [-s_k conj(w_l), c_k]]``, after the identity (k = 0).
+    Its first row makes y(k, l) and its second ``-conj(w_l) y(grid - k,
+    l + grid / 2)``, whose Gram is that of y(grid - k, l + grid / 2). Returns
+    the (1 + grid^2, 2, 2) rotations; the weights of the Gram blocks
+    ``(x_i x_i*, x_i x_j*, x_j x_i*, x_j x_j*)`` in the Gram of each y(k, l),
+    k = 0..grid, which are ``alpha_p conj(alpha_q)`` on ``x_p x_q*``; and for
+    each rotation the indices of its two rows' y.
+    """
+    sines = np.sin(np.pi / 2 * np.arange(grid + 1) / grid)  # exact 0 and 1 at the ends
+    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
+    k, l = np.divmod(np.arange((grid + 1) * grid), grid)
+    ys = np.stack([sines[grid - k], sines[k] * phases[l]], axis=1)
+    first = np.array([0, *range(grid, len(ys))])
+    k, l = np.divmod(first, grid)
+    second = (grid - k) * grid + (l + grid // 2) % grid
+    rotations = np.stack([ys[first], -phases[l, None].conj() * ys[second]], axis=1)
+    rotations[0] = np.eye(2)  # exactly: the pairs that keep their atoms take it
+    weights = np.einsum("vp,vq->vpq", ys, ys.conj()).reshape(-1, 4)
+    return rotations, weights, first, second
+
+
+# an 8 x 8 grid: theta in (0, pi/2] and phi in [0, 2 pi)
+PAIR_ROTATIONS, _PAIR_GRAM_WEIGHTS, _FIRST_ROW, _SECOND_ROW = _pair_grid(8)
 
 
 @dataclass(frozen=True)
@@ -286,11 +345,11 @@ def _atom_values(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return ops[: len(left)] * ops[len(left):]
 
 
-def _certified_value(left: np.ndarray, right: np.ndarray, residual: np.ndarray) -> float:
-    """The atoms' values plus the residual blocks' trace norms, rounded outward."""
+def _certificate(u4: np.ndarray, left: np.ndarray, right: np.ndarray) -> UpperCertificate:
+    """The atoms with their certified value: theirs plus the residual blocks' trace norms, rounded outward."""
     m, n = left.shape[1:]
-    raw = _atom_values(left, right).sum() + np.linalg.svd(residual, compute_uv=False).sum()
-    return float(raw * (1.0 + UPPER_MARGIN * m * n))
+    raw = _atom_values(left, right).sum() + np.linalg.svd(_residual(u4, left, right), compute_uv=False).sum()
+    return UpperCertificate(left, right, float(raw * (1.0 + UPPER_MARGIN * m * n)))
 
 
 def _tie_clusters(s: np.ndarray) -> list[tuple[int, int]]:
@@ -307,11 +366,83 @@ def _rotate(stack: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (f.T @ stack.reshape(len(stack), -1)).reshape(stack.shape)
 
 
+def _round_robin(t: int) -> np.ndarray:
+    """(rounds, t // 2, 2) index pairs of 0..t-1: every pair once, disjoint within a round.
+
+    The circle method; for odd t a dummy player gives each round one bye.
+    """
+    players = list(range(t + t % 2))
+    rounds = []
+    for _ in range(len(players) - 1):
+        pairs = zip(players[: len(players) // 2], players[::-1])
+        rounds.append([pair for pair in pairs if t not in pair])
+        players.insert(1, players.pop())
+    return np.array(rounds)
+
+
+def _sweep(left: np.ndarray, right: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The atoms after pairwise unitary sweeps over the first t, or None where no sweep runs.
+
+    Each atom is kept as the pair ``x = (A, conj(B^T))`` of r x max(m, n)
+    matrices (both transposed when m > n), r = min(m, n), so that
+    ``|A|_op^2`` and ``|B|_op^2`` are the top eigenvalues of ``x x*``. A
+    round of ``_round_robin(t)`` scores every rotation of
+    ``PAIR_ROTATIONS`` on each of its disjoint pairs in one pass, and keeps
+    a pair's best where it lowers the pair's value. Each row (alpha, beta)
+    of a rotation makes one new atom ``alpha x_i + beta x_j``; for the
+    first row that is ``A_i -> c A_i + s A_j`` and
+    ``B_i -> c B_i + conj(s) B_j``. The scores only choose rotations; the
+    caller certifies the result. Runs at r = 2 or 3 only, where
+    :func:`linalg.top_eigenvalues` has a closed form (r = 1 is exact
+    already, and r >= 4 has none), and on t >= 2 atoms.
+    """
+    _, m, n = left.shape
+    if min(m, n) not in (2, 3) or t < 2:
+        return None
+    # a power of two near the largest entry keeps Grams and their squares in range, and comes off exactly
+    scale = 2.0 ** -np.clip(np.frexp(np.abs(left[:t]).max())[1], -1000, 1000)
+    x = np.stack([left[:t] * scale, right[:t].swapaxes(1, 2).conj()], axis=1)  # (t, side, r, c)
+    if m > n:
+        x = x.swapaxes(2, 3)
+    x = np.ascontiguousarray(x)
+    r = min(m, n)
+    tops = linalg.top_eigenvalues(x @ x.conj().swapaxes(2, 3))
+    value = np.sqrt(tops[:, 0] * tops[:, 1]).sum()
+    rounds = _round_robin(t)
+    rows = np.arange(rounds.shape[1])
+    for _ in range(SWEEPS):
+        gain = 0.0
+        for pairs in rounds:
+            xp = x[pairs]  # (P, atom, side, r, c)
+            blocks = xp[:, :, None] @ xp.conj().swapaxes(3, 4)[:, None]  # (P, atom, atom, side, r, r)
+            grams = (_PAIR_GRAM_WEIGHTS @ blocks.reshape(len(pairs), 4, -1)).reshape(len(pairs), -1, 2, r, r)
+            tops = linalg.top_eigenvalues(grams)
+            atoms = np.sqrt(tops[..., 0] * tops[..., 1])  # (P, y)
+            values = atoms[:, _FIRST_ROW] + atoms[:, _SECOND_ROW]  # (P, rotations)
+            best = np.argmin(np.where(np.isfinite(values), values, np.inf), axis=1)
+            drop = values[:, 0] - values[rows, best]
+            kept = drop > 0  # the identity comes first; NaN and inf never win
+            if kept.any():
+                gain += drop[kept].sum()
+                best = np.where(kept, best, 0)
+                x[pairs] = (PAIR_ROTATIONS[best] @ xp.reshape(len(pairs), 2, -1)).reshape(xp.shape)
+        if not gain >= SWEEP_RTOL * value:
+            break
+        value -= gain
+    if m > n:
+        x = x.swapaxes(2, 3)
+    left, right = left.copy(), right.copy()
+    left[:t], right[:t] = x[:, 0] / scale, x[:, 1].conj().swapaxes(1, 2)
+    return left, right
+
+
 def hat_upper_bound(n: int, u) -> UpperCertificate:
     """Upper bound from the SVD of the realignment of u, as a checked decomposition into flip atoms.
 
     Each cluster of tied singular values keeps its plain atoms or their DFT
-    rotation, whichever is worth less.
+    rotation, whichever is worth less. Then :func:`_sweep` rotates pairs of
+    the atoms whose singular value exceeds ``TIE_RTOL`` times the largest;
+    the swept atoms are kept only where their certified value is lower.
     """
     require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
@@ -328,8 +459,13 @@ def hat_upper_bound(n: int, u) -> UpperCertificate:
             rotated = _rotate(left[a:b], f), _rotate(right[a:b], f.conj())
             if _atom_values(*rotated).sum() < values[a:b].sum():
                 left[a:b], right[a:b] = rotated
-    residual = _residual(u4, left, right)
-    return UpperCertificate(left, right, _certified_value(left, right, residual))
+    cert = _certificate(u4, left, right)
+    swept = _sweep(left, right, int((s > TIE_RTOL * s[0]).sum()))
+    if swept is not None:
+        other = _certificate(u4, *swept)
+        if other.value < cert.value:
+            cert = other
+    return cert
 
 
 def check_upper_certificate(cert: UpperCertificate, u) -> bool:
@@ -343,8 +479,7 @@ def check_upper_certificate(cert: UpperCertificate, u) -> bool:
     left, right = np.asarray(cert.left), np.asarray(cert.right)
     if left.ndim != 3 or left.shape[1:] != (m, n) or right.shape != (len(left), n, m):
         return False
-    residual = _residual(u4, left, right)
-    return bool(_certified_value(left, right, residual) <= cert.value)
+    return bool(_certificate(u4, left, right).value <= cert.value)
 
 
 def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,

@@ -81,6 +81,41 @@ def dual_witnesses(stack: np.ndarray) -> np.ndarray:
     return vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
 
 
+def top_eigenvalues(grams: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each Hermitian matrix of a (..., r, r) stack, r = 2 or 3, in closed form.
+
+    r = 2 takes the quadratic formula; r = 3 the trigonometric form of the
+    cubic's roots (Smith, CACM 1961), where a multiple of the identity (p = 0)
+    gives its diagonal. Both agree with LAPACK to about 1e-15 relative,
+    except where the two largest of three eigenvalues tie: there the arccos
+    loses half the digits (about 1e-8 relative), so the value may choose
+    but not certify. Only the upper triangle is read. A non-finite entry, or
+    an intermediate that overflows, gives a non-finite value and no warning.
+    There is no closed form for r >= 4; callers skip those shapes.
+    """
+    g = np.asarray(grams)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if g.shape[-1] == 2:
+            d0, d1 = g[..., 0, 0].real, g[..., 1, 1].real
+            return (d0 + d1) / 2 + np.hypot((d0 - d1) / 2, np.abs(g[..., 0, 1]))
+        q = (g[..., 0, 0].real + g[..., 1, 1].real + g[..., 2, 2].real) / 3
+        a0, a1, a2 = g[..., 0, 0].real - q, g[..., 1, 1].real - q, g[..., 2, 2].real - q
+        b, c, e = g[..., 0, 1], g[..., 0, 2], g[..., 1, 2]
+        bb, cc, ee = _abs2(b), _abs2(c), _abs2(e)
+        p = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2 * (bb + cc + ee)) / 6)
+        # det(B) / 2 for B = (G - q I) / p; p = 0 leaves B = 0, so phi = pi/6 and the value q
+        w = 1 / np.where(p > 0, p, 1.0)
+        a0, a1, a2, w2 = a0 * w, a1 * w, a2 * w, w * w
+        half_det = ((a0 * a1 * a2 - (a0 * ee + a1 * cc + a2 * bb) * w2) / 2
+                    + (b * w * e * w * c.conj()).real * w)
+        return q + 2 * p * np.cos(np.arccos(np.maximum(np.minimum(half_det, 1.0), -1.0)) / 3)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """``|z|^2`` elementwise, without the square root."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def canonical_identity(n: int) -> np.ndarray:
     """The flip element of the n x n blocks: block (p, q) is e_qp.
 

@@ -166,6 +166,20 @@ class TestHatBoundsCommand:
         err = capsys.readouterr().err
         assert "smallest normal double" in err and "Traceback" not in err
 
+    def test_huge_integer_in_block_file_exit_2(self, tmp_path, capsys):
+        # json refuses integer literals past 4,300 digits with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": ' + "7" * 5000 + ', "m": 1, "blocks": [[[[[1, 0]]]]]}')
+        assert main(["hat-bounds", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err and "Traceback" not in err
+
+    def test_huge_integer_in_optimizer_config_exit_2(self, tmp_path, capsys):
+        path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
+        assert main(["hat-bounds", path, "--opt-config", '{"restarts": ' + "7" * 5000 + "}"]) == 2
+        err = capsys.readouterr().err
+        assert "bad optimizer config" in err and "Traceback" not in err
+
     def test_partial_override_builds_on_search_defaults(self, tmp_path, capsys):
         # restating one default must not reset the others
         rng = np.random.default_rng(102)

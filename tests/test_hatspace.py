@@ -86,13 +86,7 @@ class TestCoupleValue:
         # norm_batch values, which couple_value gives bit for bit
         for seed in range(4):
             rng = np.random.default_rng([m, n, seed])
-            if psd:
-                u = np.zeros((m, m, n, n), dtype=complex)
-                for k in range(m):
-                    g = gauss(rng, (n, n))
-                    u[k, k] = g @ g.conj().T
-            else:
-                u = gauss(rng, (m, m, n, n))
+            u = psd_block_diagonal(rng, m, n) if psd else gauss(rng, (m, m, n, n))
             b = hat_bounds(n, u, seed=seed)
             assert couple_value(b.certificate, u) == b.lower
 
@@ -401,6 +395,15 @@ def diagonal_witness(n):
     return x
 
 
+def psd_block_diagonal(rng, m, n):
+    """diag(G_1 G_1*, ..., G_m G_m*) with Gaussian n x n G_k: the bench's PSD shape."""
+    u = np.zeros((m, m, n, n), dtype=complex)
+    for k in range(m):
+        g = gauss(rng, (n, n))
+        u[k, k] = g @ g.conj().T
+    return u
+
+
 def doubled_flip(n):
     d = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
     d[:n, :n] = d[n:, n:] = canonical_identity(n)
@@ -456,9 +459,13 @@ class TestUpperBound:
         u = np.zeros((2, 2, 2, 2), dtype=complex)
         u[0, 0] = gauss(rng, (2, 2))
         u[1, 1] = gauss(rng, (2, 2))
-        # the realignment is block diagonal too, with atoms of one block each
-        value = hat_upper_bound(2, u).value
-        assert value == pytest.approx(trace_norm(u[0, 0]) + trace_norm(u[1, 1]), abs=1e-9)
+        # the realignment is block diagonal too, with SVD atoms of one block
+        # each, worth the sum of the blocks' trace norms; the sweep may only lower that
+        blocks = trace_norm(u[0, 0]) + trace_norm(u[1, 1])
+        assert plain_atoms_value(u) == pytest.approx(blocks, abs=1e-9)
+        cert = hat_upper_bound(2, u)
+        assert cert.value <= blocks * (1 + 2 * UPPER_MARGIN * 4)
+        assert check_upper_certificate(cert, u)
 
     def test_entry_trace_sum_never_worse_than_entrywise(self):
         rng = np.random.default_rng(7)
@@ -511,6 +518,58 @@ class TestUpperBound:
         assert not check_upper_certificate(replace(cert, value=cert.value * (1 - 1e-9)), u)
         assert not check_upper_certificate(replace(cert, right=cert.right[:-1]), u)
         assert not check_upper_certificate(cert, 2 * u)
+
+
+class TestSweep:
+    """Pairwise unitary sweeps: a checked decomposition, never worth more than the SVD's atoms."""
+
+    FAST = OptimizerConfig(restarts=1, iterations=2, stall_limit=2)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(m=st.integers(2, 3), n=st.integers(2, 3), exponent=st.integers(-150, 150), psd=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_swept_certificate_is_checked_and_no_worse(self, m, n, exponent, psd, seed):
+        rng = np.random.default_rng(seed)
+        u = 10.0 ** exponent * (psd_block_diagonal(rng, m, n) if psd else gauss(rng, (m, m, n, n)))
+        with np.errstate(over="raise"):
+            cert = hat_upper_bound(n, u)
+            b = hat_bounds(n, u, budget=4, seed=seed, optimizer_config=self.FAST)  # no InconsistencyError
+        assert check_upper_certificate(cert, u)
+        assert cert.value <= plain_atoms_value(u) * (1 + 2 * UPPER_MARGIN * m * n)
+        assert b.upper == cert.value
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (6, 3)])
+    def test_lowers_the_svd_certificate_on_gaussian_inputs(self, m, n):
+        # a pinned case, not a bound: these inputs have no tied singular
+        # values, so without the sweep the certificate is the plain atoms'
+        u = gauss(np.random.default_rng([m, n]), (m, m, n, n))
+        cert = hat_upper_bound(n, u)
+        assert check_upper_certificate(cert, u)
+        assert cert.value < 0.95 * plain_atoms_value(u)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), exponent=st.integers(-150, 150), seed=st.integers(0, 2**32 - 1))
+    def test_level_one_keeps_the_svd_atoms_bitwise(self, n, exponent, seed):
+        # m = 1 skips the sweep: the certificate is already the block's trace norm
+        u = 10.0 ** exponent * gauss(np.random.default_rng(seed), (1, 1, n, n))
+        cert = hat_upper_bound(n, u)
+        x, s, yh = np.linalg.svd(realign(u), full_matrices=False)
+        np.testing.assert_array_equal(cert.left, (x * s).T.reshape(-1, 1, n))
+        np.testing.assert_array_equal(cert.right, yh.reshape(-1, n, 1))
+
+    @pytest.mark.parametrize("n,u,value", [
+        (2, canonical_identity(2), 1.000000000000008),
+        (3, canonical_identity(3), 1.000000000000016),
+        (4, canonical_identity(4), 1.0000000000000333),
+        (2, doubled_flip(2), 2.00000000000003),
+        (3, doubled_flip(3), 2.000000000000068),
+        (2, diagonal_witness(2), 1.0000000000000075),
+        (3, diagonal_witness(3), 1.0000000000000182),
+        (6, diagonal_witness(6), 1.0000000000000793),
+    ], ids=["flip_2", "flip_3", "flip_4", "doubled_flip_2", "doubled_flip_3", "diag_2", "diag_3", "diag_6"])
+    def test_exact_cases_keep_their_values_bitwise(self, n, u, value):
+        # flip has rank 1 and skips the sweep; on the others no rotation is worth less
+        assert hat_upper_bound(n, u).value == value
 
 
 class TestBounds:

@@ -14,7 +14,7 @@ from matnorm import (
     random_unitary,
     trace_norm,
 )
-from matnorm.linalg import as_block_array, as_matrix
+from matnorm.linalg import as_block_array, as_matrix, top_eigenvalues
 from matnorm.serialize import pairs_to_complex
 
 from helpers import assembled, gauss, op_norm
@@ -97,6 +97,46 @@ class TestDualWitness:
     def test_rectangular_rejected(self):
         with pytest.raises(InvalidInputError):
             dual_witness(np.ones((2, 3)))
+
+
+class TestTopEigenvalues:
+    # the closed form against LAPACK's eigvalsh, relative to the largest eigenvalue
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 5])
+    def test_random_psd_grams_match_eigvalsh(self, r, cols):
+        x = gauss(np.random.default_rng(10 * r + cols), (500, r, cols))
+        grams = x @ x.conj().swapaxes(1, 2)
+        ref = np.linalg.eigvalsh(grams)[:, -1]
+        np.testing.assert_allclose(top_eigenvalues(grams), ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_hermitian_stack_of_any_shape(self, r):
+        g = gauss(np.random.default_rng(r), (4, 3, r, r))
+        g = g + g.conj().swapaxes(-1, -2)
+        ref = np.linalg.eigvalsh(g)[..., -1]
+        np.testing.assert_allclose(top_eigenvalues(g), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_degenerate_grams(self, r):
+        rng = np.random.default_rng(30 + r)
+        assert top_eigenvalues(np.zeros((r, r), dtype=complex)) == 0.0
+        v = gauss(rng, r)
+        rank_one = np.outer(v, v.conj())
+        assert top_eigenvalues(rank_one) == pytest.approx(np.linalg.eigvalsh(rank_one)[-1], rel=1e-12)
+        # a triple (or, at r = 2, double) eigenvalue: p = 0 in the trigonometric form
+        for scale in (1.0, 3.7, 1e-150, 1e150):
+            assert top_eigenvalues(scale * np.eye(r, dtype=complex)) == pytest.approx(scale, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_gives_non_finite_value(self, r, bad):
+        g = np.eye(r, dtype=complex)
+        for i in range(r):
+            for j in range(i, r):
+                h = g.copy()
+                h[i, j] = bad
+                h[j, i] = np.conj(bad)
+                assert not np.isfinite(top_eigenvalues(h))
 
 
 class TestBlockLayout:
