@@ -28,7 +28,7 @@ from .hatspace import hat_bounds
 from .optimizer import OptimizerConfig
 from .serialize import pairs_to_complex
 from .spaces import space_from_id
-from .suites import SUITE_NAMES, run_suite
+from .suites import MAX_SUITE_N, SUITE_NAMES, run_suite
 
 
 def _load_json(path: str) -> dict:
@@ -130,7 +130,7 @@ def cmd_hat_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n is not None and args.n > 4:
+    if args.n is not None and 4 < args.n <= MAX_SUITE_N:  # a larger n is rejected, not run
         print(f"warning: n={args.n} grows the assembled matrices quickly; expect long runtimes",
               file=sys.stderr)
     new = bool(args.out) and not os.path.lexists(args.out)

@@ -106,7 +106,7 @@ CONSISTENCY_TOL = 1e-9
 
 DEFAULT_BUDGET = 64
 
-RANDOM_CHUNK = 64  # random couples per batched evaluation; bounds the memory a budget takes
+RANDOM_CHUNK = 64  # couples per batched evaluation (twice that at most); bounds the memory a search takes
 
 UPPER_RULE = "realignment"
 
@@ -231,7 +231,6 @@ def structured_couples(space: MatricialSpace, n: int, u) -> np.ndarray:
     a space with only a ``norm_batch`` has none. Returns them rescaled into
     the unit ball and checked feasible, as an (S, n, n, dim) stack.
     """
-    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     coords = space.unit_scaled_stack(space.structured_couples(n, u4))
     check_unit_ball(space, coords)
@@ -269,17 +268,17 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
 
     Per space: structured couples, ``budget`` random couples, then an
     optimizer run from the first of them (skipped when budget is 0; it takes
-    no step on a space without a polar proposal). The structured couples and
-    the first ``RANDOM_CHUNK`` random ones are one stack, and the rest come in
-    chunks of ``RANDOM_CHUNK``; each stack takes one amplification and one
-    batched norm. Only the reported winner becomes a ``Couple``; an optimizer
-    run returns its own. Ties go to the earliest couple in evaluation order.
+    no step on a space without a polar proposal). The structured couples come
+    in slices of ``RANDOM_CHUNK``, the last with the first ``RANDOM_CHUNK``
+    random ones appended, and the rest in chunks of ``RANDOM_CHUNK``; each
+    stack takes one amplification and one batched norm. Only the reported
+    winner becomes a ``Couple``; an optimizer run returns its own. Ties go to
+    the earliest couple in evaluation order.
     ``catalog`` is an iterable of spaces and ``seed`` a nonnegative integer,
     both checked before any bound work. Raises ``InvalidInputError`` when no
     couple has a value (no structured couples and budget 0, or NaN
     everywhere).
     """
-    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     try:
         catalog = list(catalog) if catalog is not None else default_catalog(n)
@@ -303,8 +302,9 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
         starts = []
         chunks = (_random_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done))
                   for done in range(0, budget, RANDOM_CHUNK))
-        first = np.concatenate([structured_couples(space, n, u4), *itertools.islice(chunks, 1)])
-        for coords in itertools.chain([first], chunks):
+        structured = structured_couples(space, n, u4)
+        *head, last = np.split(structured, range(RANDOM_CHUNK, len(structured), RANDOM_CHUNK))
+        for coords in itertools.chain(head, [np.concatenate([last, *itertools.islice(chunks, 1)])], chunks):
             if not len(coords):
                 continue
             values = space.norm_batch(amplified_images(coords, u4))
@@ -444,21 +444,17 @@ def hat_upper_bound(n: int, u) -> UpperCertificate:
     the atoms whose singular value exceeds ``TIE_RTOL`` times the largest;
     the swept atoms are kept only where their certified value is lower.
     """
-    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     m = u4.shape[0]
     x, s, yh = np.linalg.svd(_realign(u4), full_matrices=False)
     left = np.ascontiguousarray((x * s).T).reshape(-1, m, n)
     right = yh.reshape(-1, n, m)
-    clusters = _tie_clusters(s)
-    if clusters:
-        values = _atom_values(left, right)
-        for a, b in clusters:  # the rotation is unitary, so the atoms' sum stays U
-            k = b - a
-            f = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k) / np.sqrt(k)
-            rotated = _rotate(left[a:b], f), _rotate(right[a:b], f.conj())
-            if _atom_values(*rotated).sum() < values[a:b].sum():
-                left[a:b], right[a:b] = rotated
+    for a, b in _tie_clusters(s):  # the rotation is unitary, so the atoms' sum stays U
+        k = b - a
+        f = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k) / np.sqrt(k)
+        rotated = _rotate(left[a:b], f), _rotate(right[a:b], f.conj())
+        if _atom_values(*rotated).sum() < _atom_values(left[a:b], right[a:b]).sum():
+            left[a:b], right[a:b] = rotated
     cert = _certificate(u4, left, right)
     swept = _sweep(left, right, int((s > TIE_RTOL * s[0]).sum()))
     if swept is not None:
@@ -491,7 +487,6 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
     nonzero u whose entries are all below the smallest normal double is
     rejected: there rounding is absolute, and the interval is not certified.
     """
-    require_int("block size", n, 1)
     u4 = linalg.as_block_array(u, block_size=n)
     if 0 < np.abs(u4).max() < np.finfo(float).tiny:
         raise InvalidInputError(f"the largest |entry| of u is below the smallest normal double "

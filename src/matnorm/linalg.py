@@ -35,9 +35,12 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
-def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
-    """Coerce ``blocks`` to an (m, m, n, n) array of square blocks, m and n positive."""
-    if block_size is not None:
+_ANY_SIZE = object()  # as_block_array's default: no block size given, so any
+
+
+def as_block_array(blocks, block_size: int = _ANY_SIZE) -> np.ndarray:
+    """Coerce ``blocks`` to an (m, m, n, n) array of square blocks, m and n positive, n the given block size."""
+    if block_size is not _ANY_SIZE:
         require_int("block size", block_size, 1)
     try:
         arr = np.asarray(blocks, dtype=complex)
@@ -48,7 +51,7 @@ def as_block_array(blocks, block_size: int | None = None) -> np.ndarray:
     m1, m2, n1, n2 = arr.shape
     if m1 != m2 or n1 != n2 or arr.size == 0:
         raise InvalidInputError(f"blocks must form a nonempty square array of square matrices, got {arr.shape}")
-    if block_size is not None and n1 != block_size:
+    if block_size is not _ANY_SIZE and n1 != block_size:
         raise InvalidInputError(f"expected {block_size} x {block_size} blocks, got {n1} x {n1}")
     if not np.isfinite(arr).all():
         raise InvalidInputError("block entries must be finite")
@@ -72,13 +75,13 @@ def dual_witness(a) -> np.ndarray:
         raise InvalidInputError("dual witness requires a square matrix")
     if not arr.any():
         raise DegenerateInputError("zero matrix has no distinguished unit-norm witness")
-    return dual_witnesses(arr)
+    return dual_witnesses(arr)[0]
 
 
-def dual_witnesses(stack: np.ndarray) -> np.ndarray:
-    """:func:`dual_witness` of each matrix of a (..., k, k) stack, unchecked; a zero matrix gets some unitary."""
-    u, _, vh = np.linalg.svd(stack)
-    return vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
+def dual_witnesses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dual_witness` of each matrix of a (..., k, k) stack, and its singular values; unchecked."""
+    u, s, vh = np.linalg.svd(stack)
+    return vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2), s
 
 
 def top_eigenvalues(grams: np.ndarray) -> np.ndarray:

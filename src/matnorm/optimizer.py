@@ -113,9 +113,8 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     is deterministic per seed.
     """
     cfg = config or OptimizerConfig()
-    require_int("block size", n, 1)
-    require_int("seed", seed, 0)
     u4 = linalg.as_block_array(u, block_size=n)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     starts = list(starts or [])
     for start in starts:
@@ -123,12 +122,9 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
                 or not np.isfinite(start.coords).all()):
             raise InvalidInputError(f"start of {start.space_id} with coordinates {start.coords.shape} is not "
                                     f"a finite level-{n} element of {space.space_id} (dim {space.dim})")
-    coords = np.empty((cfg.restarts, n, n, space.dim), dtype=complex)
-    for r, start in enumerate(starts[: cfg.restarts]):
-        coords[r] = start.coords
-    if len(starts) < cfg.restarts:  # random_element's stream, restart by restart: real part, then imaginary
-        draws = rng.standard_normal((cfg.restarts - len(starts), 2, n, n, space.dim))
-        coords[len(starts):] = draws[:, 0] + 1j * draws[:, 1]
+    # random_element's stream, restart by restart: real part, then imaginary
+    draws = rng.standard_normal((max(cfg.restarts - len(starts), 0), 2, n, n, space.dim))
+    coords = np.concatenate([*(s.coords[None] for s in starts[: cfg.restarts]), draws[:, 0] + 1j * draws[:, 1]])
     space.unit_scaled_stack(coords)
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
     vals = np.array([space.norm(image) for image in start_images])

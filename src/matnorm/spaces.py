@@ -217,8 +217,7 @@ class TraceScalars(MatricialSpace):
 
     def polar_state(self, images):
         """Trace norms and transposed dual witnesses ``(V U*)^T`` of the images, from one full SVD."""
-        uu, s, vvh = np.linalg.svd(images[..., 0])
-        witnesses = vvh.conj().swapaxes(1, 2) @ uu.conj().swapaxes(1, 2)
+        witnesses, s = linalg.dual_witnesses(images[..., 0])
         return s.sum(axis=-1), _zero_rows(witnesses.swapaxes(1, 2)[..., None], ~images.any(axis=(1, 2, 3)))
 
     def polar_proposal(self, pulled):
@@ -255,7 +254,7 @@ class OperatorSpace(MatricialSpace):
             coords.append(linalg.canonical_identity(n).reshape(n, n, n * n))
         if k == 1:
             blocks = u4.reshape(-1, n, n)
-            coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))])[..., None])
+            coords.extend(linalg.dual_witnesses(blocks[blocks.any(axis=(1, 2))])[0][..., None])
         return np.stack(coords)
 
     def polar_state(self, images):
@@ -270,7 +269,7 @@ class OperatorSpace(MatricialSpace):
         # maximize Re tr(G^T w) over the assembled unit ball: w is the dual witness of G^T
         k, b, n = self.k, *pulled.shape[:2]
         gt = self._assembled(pulled).swapaxes(1, 2)
-        w = linalg.dual_witnesses(gt).reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
+        w = linalg.dual_witnesses(gt)[0].reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
         return _zero_rows(w.reshape(pulled.shape), ~gt.any(axis=(1, 2)))
 
 

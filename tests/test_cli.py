@@ -12,7 +12,7 @@ from matnorm.cli import main
 from matnorm.errors import InconsistencyError, InvalidInputError
 from matnorm.serialize import complex_to_pairs
 from matnorm.spaces import MAX_ID_DEPTH
-from matnorm.suites import run_suite
+from matnorm.suites import MAX_SUITE_N, run_suite
 
 from helpers import OVERSIZED_ID_NAMES, OVERSIZED_IDS, nested_id
 
@@ -408,6 +408,25 @@ class TestArgumentValidation:
         monkeypatch.setattr(suites, "_SUITES", dict.fromkeys(suites._SUITES, never))
         with pytest.raises(InvalidInputError):
             run_suite(name, **kwargs)
+
+    @pytest.mark.parametrize("n", [MAX_SUITE_N + 1, 100000, 7 * 10**5000], ids=["bound_plus_1", "1e5", "5001_digits"])
+    def test_library_rejects_n_past_the_bound_before_any_suite(self, monkeypatch, n):
+        # prop14 at n = 100000 raised ValueError ("array is too big") from canonical_identity, an exit 4
+        import matnorm.suites as suites
+
+        def never(**_):
+            raise AssertionError("a suite ran before its parameters were checked")
+
+        monkeypatch.setattr(suites, "_SUITES", dict.fromkeys(suites._SUITES, never))
+        with pytest.raises(InvalidInputError, match=f"n must be at most {MAX_SUITE_N}"):
+            run_suite("prop14", n=n)
+
+    def test_cli_rejects_n_past_the_bound_and_leaves_no_out_file(self, tmp_path, capsys):
+        out = tmp_path / "new.json"
+        assert main(["verify", "--suite", "prop14", "--n", "100000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n must be at most {MAX_SUITE_N}\n"  # no traceback, no runtime warning
+        assert not out.exists()
 
     def test_library_rejects_a_suite_name_of_another_type(self):
         # a list name raised TypeError ("unhashable type") from the suite lookup

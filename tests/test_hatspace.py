@@ -211,6 +211,29 @@ class TestLowerBound:
         assert len(seen) == OptimizerConfig().restarts == 2
         assert seen[0][0, 0, 0] == 1 and seen[1][0, 0, 0] == pytest.approx(witnesses[0][0, 0], abs=1e-15)
 
+    def test_structured_couples_valued_in_bounded_stacks(self, monkeypatch):
+        # cmin and cmax each have m^2 + 1 = 82 structured couples at m = 9; they once
+        # went with the first random chunk as one stack, whose images grow as m^4
+        import matnorm.hatspace as hs
+
+        u = gauss(np.random.default_rng(51), (9, 9, 1, 1))
+        assert len(structured_couples(c_min(), 1, u)) == 82
+        monkeypatch.setattr(hs, "RANDOM_CHUNK", 10**6)
+        ref = search_lower_bound(1, u, seed=3)
+        monkeypatch.undo()
+        sizes, real = [], hs.amplified_images
+
+        def spy(coords, u4):
+            sizes.append(len(coords))
+            return real(coords, u4)
+
+        monkeypatch.setattr(hs, "amplified_images", spy)
+        ours = search_lower_bound(1, u, seed=3)
+        assert max(sizes) <= 2 * hs.RANDOM_CHUNK
+        assert (ours.value, ours.couples_evaluated) == (ref.value, ref.couples_evaluated)
+        assert ours.couple.space.space_id == ref.couple.space.space_id
+        np.testing.assert_array_equal(ours.couple.v.coords, ref.couple.v.coords)
+
     def test_empty_catalog_rejected(self):
         with pytest.raises(InvalidInputError, match="empty catalog"):
             search_lower_bound(2, canonical_identity(2), catalog=[])

@@ -182,8 +182,10 @@ class TestCoercion:
         (lambda: as_matrix([["a", "b"]]), "not a complex matrix"),
         (lambda: as_matrix([1.0, 2.0]), "2-D"),
         (lambda: as_block_array(np.ones((2, 2, 2))), "m x m array"),
+        # None once meant "any block size"; a given block size is now always checked
+        (lambda: as_block_array(np.ones((2, 2, 2, 2)), block_size=None), "block size must be an integer"),
     ], ids=["pairs_ragged", "pairs_no_pair_axis", "pairs_nonfinite", "matrix_non_numeric", "matrix_1d",
-            "block_array_3d"])
+            "block_array_3d", "block_array_size_none"])
     def test_malformed_rejected(self, call, fragment):
         with pytest.raises(InvalidInputError, match=fragment):
             call()
