@@ -43,7 +43,7 @@ Then pairwise unitary sweeps descend from there: a 2 x 2 unitary ``[[c, s],
 [-conj(s), c]]`` sends ``(A_i, A_j)`` to ``(c A_i + s A_j, -conj(s) A_i +
 c A_j)`` and ``(B_i, B_j)`` to ``(c B_i + conj(s) B_j, -s B_i + c B_j)``,
 which leaves ``vec(A_i) vec(B_i)^T + vec(A_j) vec(B_j)^T`` unchanged, so
-the rotated atoms still decompose u exactly. The sweeps rotate pairs in
+the rotated atoms still decompose u exactly. Two sweeps rotate pairs in
 round-robin order and keep a rotation where it lowers the pair's value.
 They skip m = 1 and n = 1, where the SVD's atoms are already exact; a
 numerical rank below 2 (the flip element); and min(m, n) >= 4, where the
@@ -116,10 +116,8 @@ UPPER_MARGIN = 8 * np.finfo(float).eps
 # singular values closer than this, relative to the largest, count as tied
 TIE_RTOL = 1e-9
 
-# pairwise unitary sweeps of the upper bound: at most SWEEPS sweeps, ending
-# early when a sweep gains less than SWEEP_RTOL of the swept atoms' value
+# pairwise unitary sweeps of the upper bound, each over every pair once
 SWEEPS = 2
-SWEEP_RTOL = 1e-6
 
 
 def _pair_grid(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -275,7 +273,8 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     winner becomes a ``Couple``; an optimizer run returns its own. Ties go to
     the earliest couple in evaluation order.
     ``catalog`` is an iterable of spaces and ``seed`` a nonnegative integer,
-    both checked before any bound work. Raises ``InvalidInputError`` when no
+    both checked before any bound work, as is the optimizer's restart stack
+    on the catalog's largest space. Raises ``InvalidInputError`` when no
     couple has a value (no structured couples and budget 0, or NaN
     everywhere).
     """
@@ -291,8 +290,9 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     budget = DEFAULT_BUDGET if budget is None else budget
     require_int("budget", budget, 0)
     require_int("seed", seed, 0)
-
     cfg = optimizer_config or OptimizerConfig()
+    cfg.check_stack(len(u4), n, max(space.dim for space in catalog))
+
     children = np.random.SeedSequence(seed).spawn(len(catalog))
     best_val = -np.inf
     best = None  # (space, element) of the best stack row, or the optimizer's couple once it wins
@@ -406,29 +406,20 @@ def _sweep(left: np.ndarray, right: np.ndarray, t: int) -> tuple[np.ndarray, np.
         x = x.swapaxes(2, 3)
     x = np.ascontiguousarray(x)
     r = min(m, n)
-    tops = linalg.top_eigenvalues(x @ x.conj().swapaxes(2, 3))
-    value = np.sqrt(tops[:, 0] * tops[:, 1]).sum()
     rounds = _round_robin(t)
     rows = np.arange(rounds.shape[1])
-    for _ in range(SWEEPS):
-        gain = 0.0
-        for pairs in rounds:
-            xp = x[pairs]  # (P, atom, side, r, c)
-            blocks = xp[:, :, None] @ xp.conj().swapaxes(3, 4)[:, None]  # (P, atom, atom, side, r, r)
-            grams = (_PAIR_GRAM_WEIGHTS @ blocks.reshape(len(pairs), 4, -1)).reshape(len(pairs), -1, 2, r, r)
-            tops = linalg.top_eigenvalues(grams)
-            atoms = np.sqrt(tops[..., 0] * tops[..., 1])  # (P, y)
-            values = atoms[:, _FIRST_ROW] + atoms[:, _SECOND_ROW]  # (P, rotations)
-            best = np.argmin(np.where(np.isfinite(values), values, np.inf), axis=1)
-            drop = values[:, 0] - values[rows, best]
-            kept = drop > 0  # the identity comes first; NaN and inf never win
-            if kept.any():
-                gain += drop[kept].sum()
-                best = np.where(kept, best, 0)
-                x[pairs] = (PAIR_ROTATIONS[best] @ xp.reshape(len(pairs), 2, -1)).reshape(xp.shape)
-        if not gain >= SWEEP_RTOL * value:
-            break
-        value -= gain
+    for pairs in np.concatenate([rounds] * SWEEPS):  # each sweep is every round once
+        xp = x[pairs]  # (P, atom, side, r, c)
+        blocks = xp[:, :, None] @ xp.conj().swapaxes(3, 4)[:, None]  # (P, atom, atom, side, r, r)
+        grams = (_PAIR_GRAM_WEIGHTS @ blocks.reshape(len(pairs), 4, -1)).reshape(len(pairs), -1, 2, r, r)
+        tops = linalg.top_eigenvalues(grams)
+        atoms = np.sqrt(tops[..., 0] * tops[..., 1])  # (P, y)
+        values = atoms[:, _FIRST_ROW] + atoms[:, _SECOND_ROW]  # (P, rotations)
+        best = np.argmin(np.where(np.isfinite(values), values, np.inf), axis=1)
+        kept = values[rows, best] < values[:, 0]  # the identity comes first; NaN and inf never win
+        if kept.any():
+            best = np.where(kept, best, 0)
+            x[pairs] = (PAIR_ROTATIONS[best] @ xp.reshape(len(pairs), 2, -1)).reshape(xp.shape)
     if m > n:
         x = x.swapaxes(2, 3)
     left, right = left.copy(), right.copy()
@@ -486,12 +477,19 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
     zero matrix takes the general search, whose couples are all worth 0. A
     nonzero u whose entries are all below the smallest normal double is
     rejected: there rounding is absolute, and the interval is not certified.
+    So is a u with an |entry| above ``max double / (4 (m n)^2)``: the norm is
+    at most the sum of the blocks' trace norms, at most ``(m n)^2`` times the
+    largest |entry|, and the factor 4 leaves the SVDs and sums room.
     """
     u4 = linalg.as_block_array(u, block_size=n)
-    if 0 < np.abs(u4).max() < np.finfo(float).tiny:
+    m = u4.shape[0]
+    largest, top = np.abs(u4).max(), np.finfo(float).max / (4 * (m * n) ** 2)  # |entry| may round up to inf
+    if 0 < largest < np.finfo(float).tiny:
         raise InvalidInputError(f"the largest |entry| of u is below the smallest normal double "
                                 f"({np.finfo(float).tiny:.4g}); scale u up")
-    m = u4.shape[0]
+    if largest > top:
+        raise InvalidInputError(f"the largest |entry| of u exceeds max double / (4 (m n)^2) ({top:.4g}); "
+                                f"scale u down")
     result = search_lower_bound(n, u4, catalog=catalog, budget=budget, seed=seed,
                                 optimizer_config=optimizer_config)
     cert = hat_upper_bound(n, u4)

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError, require_int
 
 __all__ = [
+    "as_finite_array",
     "as_matrix",
     "as_block_array",
     "trace_norm",
@@ -22,16 +23,26 @@ __all__ = [
 ]
 
 
+def as_finite_array(data, dtype, what: str) -> np.ndarray:
+    """Coerce ``data`` to an array of ``dtype`` with finite entries; ``what`` names it in errors.
+
+    numpy raises ValueError or TypeError on ragged or non-numeric data, and
+    OverflowError on an integer past the double range (10**400, a json literal).
+    """
+    try:
+        arr = np.asarray(data, dtype=dtype)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed input, not a {what}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{what} entries must be finite")
+    return arr
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a nonempty 2-D complex array with finite entries."""
-    try:
-        arr = np.asarray(a, dtype=complex)
-    except (ValueError, TypeError) as exc:
-        raise InvalidInputError(f"not a complex matrix: {exc}") from exc
+    arr = as_finite_array(a, complex, "complex matrix")
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("matrix entries must be finite")
     return arr
 
 
@@ -42,10 +53,7 @@ def as_block_array(blocks, block_size: int = _ANY_SIZE) -> np.ndarray:
     """Coerce ``blocks`` to an (m, m, n, n) array of square blocks, m and n positive, n the given block size."""
     if block_size is not _ANY_SIZE:
         require_int("block size", block_size, 1)
-    try:
-        arr = np.asarray(blocks, dtype=complex)
-    except (ValueError, TypeError) as exc:
-        raise InvalidInputError(f"ragged or non-numeric block array: {exc}") from exc
+    arr = as_finite_array(blocks, complex, "block array")
     if arr.ndim != 4:
         raise InvalidInputError(f"expected an m x m array of n x n blocks, got shape {arr.shape}")
     m1, m2, n1, n2 = arr.shape
@@ -53,8 +61,6 @@ def as_block_array(blocks, block_size: int = _ANY_SIZE) -> np.ndarray:
         raise InvalidInputError(f"blocks must form a nonempty square array of square matrices, got {arr.shape}")
     if block_size is not _ANY_SIZE and n1 != block_size:
         raise InvalidInputError(f"expected {block_size} x {block_size} blocks, got {n1} x {n1}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("block entries must be finite")
     return arr
 
 

@@ -51,6 +51,10 @@ TOLERANCE = 1e-12
 
 MAX_RESTARTS = 10**4  # the restarts are drawn and stepped as one stack, so their count sizes its arrays
 
+# complex entries of a restart stack (256 MiB per array): restarts x max(m, n)^2 x dim, as the count alone
+# leaves the bytes unbounded (10^4 restarts of op:17 at n = 16 would take 11.8 GB)
+MAX_STACK_ENTRIES = 2**24
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -65,6 +69,12 @@ class OptimizerConfig:
             require_int(name, getattr(self, name), low)
         if self.restarts > MAX_RESTARTS:  # the message leaves the count out, as op:k's leaves k out
             raise InvalidInputError(f"restarts must be at most {MAX_RESTARTS}")
+
+    def check_stack(self, m: int, n: int, dim: int) -> None:
+        """Raise ``InvalidInputError`` when the restart stack for level-n couples of dim on m x m blocks is too big."""
+        if self.restarts * max(m, n) ** 2 * dim > MAX_STACK_ENTRIES:
+            raise InvalidInputError(f"{self.restarts} restarts x {max(m, n)}^2 x dim {dim} exceed the restart "
+                                    f"stack's {MAX_STACK_ENTRIES} entries; lower restarts")
 
 
 def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, functionals: np.ndarray, vals: np.ndarray,
@@ -115,6 +125,7 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     cfg = config or OptimizerConfig()
     u4 = linalg.as_block_array(u, block_size=n)
     require_int("seed", seed, 0)
+    cfg.check_stack(len(u4), n, space.dim)
     rng = np.random.default_rng(seed)
     starts = list(starts or [])
     for start in starts:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .errors import InvalidInputError
+from .linalg import as_finite_array
 
 
 def complex_to_pairs(arr):
@@ -13,14 +14,9 @@ def complex_to_pairs(arr):
 
 def pairs_to_complex(data):
     """Inverse of :func:`complex_to_pairs`; validates shape and finiteness."""
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise InvalidInputError(f"malformed complex-pair data: {exc}") from exc
+    arr = as_finite_array(data, float, "complex-pair array")
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InvalidInputError(
             f"complex entries must be [re, im] pairs, got trailing dimension {arr.shape[-1] if arr.ndim else 0}"
         )
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("complex-pair data must be finite")
     return arr[..., 0] + 1j * arr[..., 1]

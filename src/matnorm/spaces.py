@@ -96,10 +96,7 @@ class MatricialSpace:
         Accepts an (m, m, dim) array; for dim-1 spaces a plain (m, m) matrix
         and, for any space, a flat length-dim vector (level 1) also work.
         """
-        try:
-            arr = np.asarray(coords, dtype=complex)
-        except (ValueError, TypeError) as exc:
-            raise InvalidInputError(f"bad coordinates: {exc}") from exc
+        arr = linalg.as_finite_array(coords, complex, "coordinate array")
         if arr.ndim == 1 and arr.shape[0] == self.dim:
             arr = arr.reshape(1, 1, self.dim)
         elif arr.ndim == 2 and self.dim == 1 and arr.shape[0] == arr.shape[1]:
@@ -108,8 +105,6 @@ class MatricialSpace:
             raise InvalidInputError(
                 f"{self.space_id}: expected (m, m, {self.dim}) coordinates, m positive, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise InvalidInputError("coordinates must be finite")
         return LeveledElement(self.space_id, arr)
 
     def norm(self, u) -> float:

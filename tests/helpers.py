@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from matnorm import MatricialSpace
-from matnorm.spaces import MAX_ID_DEPTH
+from matnorm.spaces import MAX_ID_DEPTH, OperatorSpace, TraceScalars
 
 
 def gauss(rng, shape):
@@ -38,6 +38,15 @@ class Bare(MatricialSpace):
 
     def norm_batch(self, coords):
         return self.base.norm_batch(coords)
+
+
+def forbid_bound_work(monkeypatch):
+    """Fail the test at the first generator or norm the default catalog's spaces would make: for inputs refused up front."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bound work started on an input that should have been refused")
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    for kind in (TraceScalars, OperatorSpace):
+        monkeypatch.setattr(kind, "norm_batch", forbidden)
 
 
 def nested_id(depth):

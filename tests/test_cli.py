@@ -14,7 +14,7 @@ from matnorm.serialize import complex_to_pairs
 from matnorm.spaces import MAX_ID_DEPTH
 from matnorm.suites import MAX_SUITE_N, run_suite
 
-from helpers import OVERSIZED_ID_NAMES, OVERSIZED_IDS, nested_id
+from helpers import OVERSIZED_ID_NAMES, OVERSIZED_IDS, forbid_bound_work, nested_id
 
 
 DATA = Path(__file__).parent / "data"
@@ -174,6 +174,14 @@ class TestHatBoundsCommand:
         err = capsys.readouterr().err
         assert "is not valid JSON" in err and "Traceback" not in err
 
+    def test_restart_stack_past_its_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        # op:17's stack of 10^4 restarts would take 11.8 GB: refused before any bound work
+        forbid_bound_work(monkeypatch)
+        path = write_blocks(tmp_path / "ones16.json", 16, 1, np.ones((1, 1, 16, 16)))
+        assert main(["hat-bounds", path, "--opt-config", '{"restarts": 10000}']) == 2
+        err = capsys.readouterr().err
+        assert "restart stack" in err and "Traceback" not in err
+
     def test_huge_integer_in_optimizer_config_exit_2(self, tmp_path, capsys):
         path = write_blocks(tmp_path / "flip.json", 2, 2, canonical_identity(2))
         assert main(["hat-bounds", path, "--opt-config", '{"restarts": ' + "7" * 5000 + "}"]) == 2
@@ -240,8 +248,14 @@ class TestRejectedFiles:
          "declared level 3 does not match data (2)"),
         (["hat-bounds", "FILE", "--opt-config", "[]"], '{"n": 1, "m": 1, "blocks": [[[[[1, 0]]]]]}',
          "optimizer config must be a JSON object"),
+        # a 401-digit integer overflowed numpy's conversion, and a 1e308 diagonal's SVD did not converge
+        (["hat-bounds", "FILE"], '{"n": 1, "m": 1, "blocks": [[[[[1' + "0" * 400 + ', 0]]]]]}', "int too large"),
+        (["norm", "cmax", "1", "FILE"], '{"m": 1, "coords": [[[[1' + "0" * 400 + ', 0]]]]}', "int too large"),
+        (["hat-bounds", "FILE"], '{"n": 2, "m": 1, "blocks": [[[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]]}',
+         "max double"),
     ], ids=["not_an_object", "no_blocks", "dim_mismatch", "blocks_do_not_fit", "no_coords_or_blocks",
-            "declared_m_mismatch", "opt_config_not_an_object"])
+            "declared_m_mismatch", "opt_config_not_an_object", "integer_401_digits_blocks",
+            "integer_401_digits_coords", "diagonal_1e308"])
     def test_exit_2(self, tmp_path, capsys, args, text, fragment):
         # text None reads the checked-in cmax element
         path = DATA / "element_cmax_m2.json"

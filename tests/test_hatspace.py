@@ -1,6 +1,7 @@
 """Bound engine: lower/upper rules and certificates."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from matnorm import (
 )
 from matnorm.hatspace import UPPER_MARGIN, _random_chunk
 
-from helpers import Bare, gauss, op_norm, single_block
+from helpers import Bare, forbid_bound_work, gauss, op_norm, single_block
 
 
 class NanOnLevelOne(MatricialSpace):
@@ -674,6 +675,33 @@ class TestBounds:
         a[0, 0] = np.finfo(float).tiny
         assert hat_bounds(2, single_block(a), budget=8, optimizer_config=fast).lower > 0
         assert hat_bounds(2, single_block(np.zeros((2, 2))), budget=8).upper == 0.0
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 3), (2, 6)])
+    def test_entries_near_the_top_of_the_double_range(self, m, n):
+        # the norm is at most (m n)^2 max|entry|, so below max double / (4 (m n)^2) nothing
+        # overflows and the interval is finite; above it u is refused (at 1e308 the SVD of
+        # diag(1e308, 1e308) did not converge, and Gaussian u gave [inf, inf])
+        top = np.finfo(float).max / (4 * (m * n) ** 2)
+        rng = np.random.default_rng(23)
+        g = gauss(rng, (m, m, n, n))
+        fast = OptimizerConfig(restarts=2, iterations=8)
+        for u in (g * (top * (1 - 1e-12) / np.abs(g).max()), np.full((m, m, n, n), top, dtype=complex)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b = hat_bounds(n, u, budget=8, optimizer_config=fast)
+            assert 0 < b.lower <= b.upper < np.inf
+            with pytest.raises(InvalidInputError, match="max double"):
+                hat_bounds(n, 2 * u, budget=8, optimizer_config=fast)
+
+    def test_restart_stack_past_its_bound_refused_before_bound_work(self, monkeypatch):
+        # 10^4 restarts pass MAX_RESTARTS, but op:17's stack at n = 16 would be 11.8 GB
+        forbid_bound_work(monkeypatch)
+        cfg = OptimizerConfig(restarts=10**4)
+        u = np.ones((1, 1, 16, 16), dtype=complex)
+        with pytest.raises(InvalidInputError, match="restart stack"):
+            hat_bounds(16, u, optimizer_config=cfg)
+        with pytest.raises(InvalidInputError, match="restart stack"):
+            optimize_couple(concrete_operator_space(17), 16, u, cfg)
 
     def test_json_schema(self):
         b = hat_bounds(2, canonical_identity(2), budget=10, seed=15)

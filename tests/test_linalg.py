@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from matnorm import (
     DegenerateInputError,
     InvalidInputError,
+    c_max,
     concrete_operator_space,
     dual_witness,
     hat_bounds,
@@ -184,8 +185,15 @@ class TestCoercion:
         (lambda: as_block_array(np.ones((2, 2, 2))), "m x m array"),
         # None once meant "any block size"; a given block size is now always checked
         (lambda: as_block_array(np.ones((2, 2, 2, 2)), block_size=None), "block size must be an integer"),
+        # 10**400 is a 401-digit json literal, within json's digit limit; numpy raises OverflowError on it
+        (lambda: pairs_to_complex([[10**400, 0]]), "int too large"),
+        (lambda: as_matrix([[10**400]]), "int too large"),
+        (lambda: as_block_array([[[[10**400]]]]), "int too large"),
+        (lambda: c_max().element([10**400]), "int too large"),
+        (lambda: hat_bounds(1, [[[[10**400]]]]), "int too large"),
     ], ids=["pairs_ragged", "pairs_no_pair_axis", "pairs_nonfinite", "matrix_non_numeric", "matrix_1d",
-            "block_array_3d", "block_array_size_none"])
+            "block_array_3d", "block_array_size_none", "pairs_huge_int", "matrix_huge_int",
+            "block_array_huge_int", "element_huge_int", "hat_bounds_huge_int"])
     def test_malformed_rejected(self, call, fragment):
         with pytest.raises(InvalidInputError, match=fragment):
             call()
