@@ -204,6 +204,26 @@ class NormBounds:
         }
 
 
+def _bounded_blocks(u, n: int) -> np.ndarray:
+    """u as an (m, m, n, n) block array, rejected where its interval would not be certified.
+
+    A nonzero u whose entries are all below the smallest normal double is
+    rejected: there rounding is absolute. So is a u with an |entry| above
+    ``max double / (4 (m n)^2)``: the norm is at most the sum of the blocks'
+    trace norms, at most ``(m n)^2`` times the largest |entry|, and the
+    factor 4 leaves the SVDs and sums room.
+    """
+    u4 = linalg.as_block_array(u, block_size=n)
+    largest, top = np.abs(u4).max(), np.finfo(float).max / (4 * (len(u4) * n) ** 2)  # |entry| may round up to inf
+    if 0 < largest < np.finfo(float).tiny:
+        raise InvalidInputError(f"the largest |entry| of u is below the smallest normal double "
+                                f"({np.finfo(float).tiny:.4g}); scale u up")
+    if largest > top:
+        raise InvalidInputError(f"the largest |entry| of u exceeds max double / (4 (m n)^2) ({top:.4g}); "
+                                f"scale u down")
+    return u4
+
+
 def default_catalog(n: int) -> list[MatricialSpace]:
     """Catalog realizing all known extremal couples at size n.
 
@@ -230,9 +250,7 @@ def structured_couples(space: MatricialSpace, n: int, u) -> np.ndarray:
     the unit ball and checked feasible, as an (S, n, n, dim) stack.
     """
     u4 = linalg.as_block_array(u, block_size=n)
-    coords = space.unit_scaled_stack(space.structured_couples(n, u4))
-    check_unit_ball(space, coords)
-    return coords
+    return _unit_checked(space, space.structured_couples(n, u4), False)[0]
 
 
 def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
@@ -242,7 +260,12 @@ def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
 
 
 def _random_chunk(space: MatricialSpace, n: int, rng, count: int) -> np.ndarray:
-    """Elements of ``count`` random couples as one (count, n, n, dim) stack, checked feasible.
+    """Elements of ``count`` random couples as one (count, n, n, dim) stack, checked feasible."""
+    return _unit_checked(space, *_draw_chunk(space, n, rng, count))[0]
+
+
+def _draw_chunk(space: MatricialSpace, n: int, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (count, n, n, dim) elements of ``count`` random couples, and their sphere coins.
 
     Draws in single-couple order: the coordinates (``random_element``'s real
     then imaginary parts), then the sphere coin for a nonzero element (one of
@@ -254,31 +277,39 @@ def _random_chunk(space: MatricialSpace, n: int, rng, count: int) -> np.ndarray:
     for b, row in enumerate(draws):
         normal(out=row)
         sphere[b] = (row.flat[0] != 0 or row.any()) and coin() < 0.5
-    coords = draws[:, 0] + 1j * draws[:, 1]
+    return draws[:, 0] + 1j * draws[:, 1], sphere
+
+
+def _unit_checked(space: MatricialSpace, coords: np.ndarray, sphere) -> tuple[np.ndarray, np.ndarray]:
+    """A stack rescaled in place by ``unit_scaled_stack(coords, sphere)`` and checked feasible, with its norms."""
     space.unit_scaled_stack(coords, sphere)
-    check_unit_ball(space, coords)
-    return coords
+    return coords, check_unit_ball(space, coords)
 
 
 def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=0,
                        optimizer_config: OptimizerConfig | None = None) -> SearchResult:
     """Maximize couple values over the catalog; sequential and deterministic.
 
-    Per space: structured couples, ``budget`` random couples, then an
-    optimizer run from the first of them (skipped when budget is 0; it takes
-    no step on a space without a polar proposal). The structured couples come
-    in slices of ``RANDOM_CHUNK``, the last with the first ``RANDOM_CHUNK``
-    random ones appended, and the rest in chunks of ``RANDOM_CHUNK``; each
-    stack takes one amplification and one batched norm. Only the reported
-    winner becomes a ``Couple``; an optimizer run returns its own. Ties go to
-    the earliest couple in evaluation order.
-    ``catalog`` is an iterable of spaces and ``seed`` a nonnegative integer,
-    both checked before any bound work, as is the optimizer's restart stack
-    on the catalog's largest space. Raises ``InvalidInputError`` when no
-    couple has a value (no structured couples and budget 0, or NaN
-    everywhere).
+    Per space: structured couples (the space's hand-picked elements),
+    ``budget`` random couples, then an optimizer run from the first of them
+    (skipped when budget is 0; it takes no step on a space without a polar
+    proposal). The structured elements ride on the first ``RANDOM_CHUNK``
+    random draws as one stack, rescaled into the unit ball (the random rows
+    half onto the sphere) by one ``unit_scaled_stack`` and checked by one
+    ``check_unit_ball``; each later chunk of ``RANDOM_CHUNK`` draws is
+    rescaled and checked on its own. The optimizer gets the norms checked
+    with its starts, so it does not norm them again. Couples are valued in
+    slices of ``RANDOM_CHUNK`` structured ones, the last with the first chunk
+    appended, then chunk by chunk; each slice takes one amplification and one
+    batched norm. Only the reported winner becomes a ``Couple``; an optimizer
+    run returns its own. Ties go to the earliest couple in evaluation order.
+    u is range-checked by :func:`_bounded_blocks`. ``catalog`` is an iterable
+    of spaces and ``seed`` a nonnegative integer, both checked before any
+    bound work, as is the optimizer's restart stack on the catalog's largest
+    space. Raises ``InvalidInputError`` when no couple has a value (no
+    structured couples and budget 0, or NaN everywhere).
     """
-    u4 = linalg.as_block_array(u, block_size=n)
+    u4 = _bounded_blocks(u, n)
     try:
         catalog = list(catalog) if catalog is not None else default_catalog(n)
     except TypeError as exc:
@@ -299,12 +330,15 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     evaluated = 0
     for space, child in zip(catalog, children):
         rng = np.random.default_rng(child)
-        starts = []
-        chunks = (_random_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done))
-                  for done in range(0, budget, RANDOM_CHUNK))
-        structured = structured_couples(space, n, u4)
-        *head, last = np.split(structured, range(RANDOM_CHUNK, len(structured), RANDOM_CHUNK))
-        for coords in itertools.chain(head, [np.concatenate([last, *itertools.islice(chunks, 1)])], chunks):
+        starts, start_norms = [], []
+        structured = space.structured_couples(n, u4)
+        first, sphere = _draw_chunk(space, n, rng, min(RANDOM_CHUNK, budget))
+        head = _unit_checked(space, np.concatenate([structured, first]),
+                             np.concatenate([np.zeros(len(structured), dtype=bool), sphere]))
+        cuts = range(RANDOM_CHUNK, len(structured), RANDOM_CHUNK)
+        chunks = (_unit_checked(space, *_draw_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done)))
+                  for done in range(RANDOM_CHUNK, budget, RANDOM_CHUNK))
+        for coords, norms in itertools.chain(zip(*(np.split(part, cuts) for part in head)), chunks):
             if not len(coords):
                 continue
             values = space.norm_batch(amplified_images(coords, u4))
@@ -312,10 +346,12 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
             top = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
             if values[top] > best_val:
                 best_val, best = float(values[top]), (space, LeveledElement(space.space_id, coords[top]))
-            starts.extend(LeveledElement(space.space_id, c) for c in coords[: cfg.restarts - len(starts)])
+            take = cfg.restarts - len(starts)
+            starts.extend(LeveledElement(space.space_id, c) for c in coords[:take])
+            start_norms.extend(norms[:take])
         if budget > 0:
             couple, val = optimize_couple(space, n, u4, cfg, starts=starts,
-                                          seed=int(child.generate_state(1)[0]))
+                                          seed=int(child.generate_state(1)[0]), start_norms=start_norms)
             evaluated += 1
             if val > best_val:
                 best_val, best = val, couple
@@ -433,9 +469,10 @@ def hat_upper_bound(n: int, u) -> UpperCertificate:
     Each cluster of tied singular values keeps its plain atoms or their DFT
     rotation, whichever is worth less. Then :func:`_sweep` rotates pairs of
     the atoms whose singular value exceeds ``TIE_RTOL`` times the largest;
-    the swept atoms are kept only where their certified value is lower.
+    the swept atoms are kept only where their certified value is lower. u is
+    range-checked by :func:`_bounded_blocks`.
     """
-    u4 = linalg.as_block_array(u, block_size=n)
+    u4 = _bounded_blocks(u, n)
     m = u4.shape[0]
     x, s, yh = np.linalg.svd(_realign(u4), full_matrices=False)
     left = np.ascontiguousarray((x * s).T).reshape(-1, m, n)
@@ -475,21 +512,12 @@ def hat_bounds(n: int, u, catalog=None, budget: int | None = None, seed=0,
 
     ``InconsistencyError`` carries both bounds and both certificates. The
     zero matrix takes the general search, whose couples are all worth 0. A
-    nonzero u whose entries are all below the smallest normal double is
-    rejected: there rounding is absolute, and the interval is not certified.
-    So is a u with an |entry| above ``max double / (4 (m n)^2)``: the norm is
-    at most the sum of the blocks' trace norms, at most ``(m n)^2`` times the
-    largest |entry|, and the factor 4 leaves the SVDs and sums room.
+    nonzero u whose entries are all below the smallest normal double, or one
+    with an |entry| above ``max double / (4 (m n)^2)``, is rejected, here and
+    by the two bounds' shared check (see :func:`_bounded_blocks`).
     """
     u4 = linalg.as_block_array(u, block_size=n)
     m = u4.shape[0]
-    largest, top = np.abs(u4).max(), np.finfo(float).max / (4 * (m * n) ** 2)  # |entry| may round up to inf
-    if 0 < largest < np.finfo(float).tiny:
-        raise InvalidInputError(f"the largest |entry| of u is below the smallest normal double "
-                                f"({np.finfo(float).tiny:.4g}); scale u up")
-    if largest > top:
-        raise InvalidInputError(f"the largest |entry| of u exceeds max double / (4 (m n)^2) ({top:.4g}); "
-                                f"scale u down")
     result = search_lower_bound(n, u4, catalog=catalog, budget=budget, seed=seed,
                                 optimizer_config=optimizer_config)
     cert = hat_upper_bound(n, u4)

@@ -24,8 +24,11 @@ and gives their functionals from one factorization, so a catalog step makes
 two SVD calls: the proposal's and the image's. A restart keeps its point,
 its functional and its value, not its image; the end values the
 images of the kept points in one ``norm_batch``. Steps draw nothing; the
-drawn starts come first, in restart order, so any batching gives a
-sequential run's result.
+restarts beyond the given starts are drawn up front, in restart order, from
+a generator built only when there is one to draw, so any batching gives a
+sequential run's result. Only the starts are rescaled into the ball: each
+whose norm exceeds 1 is divided by it, by the norm handed in with it where
+the caller has one (the search's starts come checked, with their norms).
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
@@ -43,7 +46,7 @@ import numpy as np
 from . import linalg
 from .correspondence import amplified_image, amplified_images, pullbacks
 from .errors import InvalidInputError, require_int
-from .spaces import Couple, LeveledElement, MatricialSpace
+from .spaces import Couple, LeveledElement, MatricialSpace, scale_by_norms
 
 __all__ = ["OptimizerConfig", "optimize_couple"]
 
@@ -108,35 +111,49 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, functiona
 
 
 def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | None = None,
-                    starts=None, seed=0):
+                    starts=None, seed=0, *, start_norms=None):
     """Best couple found by multi-restart ascent; returns (couple, value).
 
-    Restarts beyond the given ``starts`` start from Gaussian draws (one stack),
-    and only the starts are rescaled into the ball: a step moves straight to
-    its polar proposal, a unit-ball point, with no line search (see the module
-    docstring). Each start is valued on its own, and one ``polar_state`` call
-    over the starts' images gives their functionals. The ``Couple`` checks the
-    returned element. The kept points end valued by one ``norm_batch`` of their
-    images; ``amplified_images`` gives a row the same bits in any batch, so the
-    reported value is the returned couple's ``couple_value`` bit for bit. Ties
-    go to the first restart. ``seed`` is a nonnegative integer, so the result
-    is deterministic per seed.
+    Restarts beyond the given ``starts`` start from Gaussian draws (one stack
+    from ``default_rng(seed)``, built only when there is a restart to draw).
+    Only the starts are rescaled into the ball, each whose norm exceeds 1
+    divided by it: a step moves straight to its polar proposal, a unit-ball
+    point (see the module docstring). ``start_norms``, one finite nonnegative
+    norm per given start as ``check_unit_ball`` returns it, replaces the
+    given starts' norm evaluation; they are divided as ``unit_scaled_stack``
+    divides, so each is the same bits when its norm is its ``norm_batch``
+    value. Each start is valued on its own, and one ``polar_state`` call over
+    the starts' images gives their functionals. The ``Couple`` checks the
+    returned element. The kept points end valued by one ``norm_batch`` of
+    their images; ``amplified_images`` gives a row the same bits in any
+    batch, so the reported value is the returned couple's ``couple_value``
+    bit for bit. Ties go to the first restart. ``seed`` is a nonnegative
+    integer, so the result is deterministic per seed.
     """
     cfg = config or OptimizerConfig()
     u4 = linalg.as_block_array(u, block_size=n)
     require_int("seed", seed, 0)
     cfg.check_stack(len(u4), n, space.dim)
-    rng = np.random.default_rng(seed)
     starts = list(starts or [])
     for start in starts:
         if (start.space_id != space.space_id or start.coords.shape != (n, n, space.dim)
                 or not np.isfinite(start.coords).all()):
             raise InvalidInputError(f"start of {start.space_id} with coordinates {start.coords.shape} is not "
                                     f"a finite level-{n} element of {space.space_id} (dim {space.dim})")
+    if start_norms is not None:
+        start_norms = linalg.as_finite_array(start_norms, float, "start norm vector")
+        if start_norms.shape != (len(starts),) or (start_norms < 0).any():
+            raise InvalidInputError(f"start norms of shape {start_norms.shape} are not {len(starts)} "
+                                    f"nonnegative norms, one per start")
+    given = starts[: cfg.restarts]
     # random_element's stream, restart by restart: real part, then imaginary
-    draws = rng.standard_normal((max(cfg.restarts - len(starts), 0), 2, n, n, space.dim))
-    coords = np.concatenate([*(s.coords[None] for s in starts[: cfg.restarts]), draws[:, 0] + 1j * draws[:, 1]])
-    space.unit_scaled_stack(coords)
+    shape = (cfg.restarts - len(given), 2, n, n, space.dim)
+    draws = np.random.default_rng(seed).standard_normal(shape) if shape[0] else np.empty(shape)
+    coords = np.concatenate([*(s.coords[None] for s in given), draws[:, 0] + 1j * draws[:, 1]])
+    known = np.empty(0) if start_norms is None else start_norms[: len(given)]  # of the leading rows
+    scale_by_norms(coords[: len(known)], known)
+    if len(known) < len(coords):
+        space.unit_scaled_stack(coords[len(known):])
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
     vals = np.array([space.norm(image) for image in start_images])
     functionals = space.polar_state(np.stack([image.coords for image in start_images]))[1]

@@ -127,9 +127,7 @@ class MatricialSpace:
         With ``sphere`` (one flag or B) any nonzero element is divided,
         landing on the unit sphere.
         """
-        nrm = self.norm_batch(stack)
-        scaled = nrm > np.where(sphere, 0.0, 1.0)
-        return np.divide(stack, nrm[:, None, None, None], out=stack, where=scaled[:, None, None, None])
+        return scale_by_norms(stack, self.norm_batch(stack), sphere)
 
     def structured_couples(self, n: int, u4: np.ndarray) -> np.ndarray:
         """Hand-picked level-n elements for the validated (m, m, n, n) input ``u4``, as an (S, n, n, dim) stack.
@@ -183,12 +181,19 @@ def _zero_rows(stack: np.ndarray, zero: np.ndarray) -> np.ndarray:
     return stack
 
 
-def check_unit_ball(space: MatricialSpace, stack: np.ndarray) -> None:
-    """The couple feasibility check for every element of a (B, m, m, dim) stack."""
+def scale_by_norms(stack: np.ndarray, norms: np.ndarray, sphere=False) -> np.ndarray:
+    """:meth:`MatricialSpace.unit_scaled_stack` with each element's norm given, as ``norms`` (B,)."""
+    scaled = norms > np.where(sphere, 0.0, 1.0)
+    return np.divide(stack, norms[:, None, None, None], out=stack, where=scaled[:, None, None, None])
+
+
+def check_unit_ball(space: MatricialSpace, stack: np.ndarray) -> np.ndarray:
+    """The couple feasibility check for every element of a (B, m, m, dim) stack; returns the norms it checked."""
     norms = space.norm_batch(stack)
     over = norms[norms > 1.0 + COUPLE_FEASIBILITY_TOL]  # a NaN norm hides no other
     if over.size:
         raise InvalidInputError(f"couple element has norm {over[0]:.15g} > 1")
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,9 @@ class TestHatBoundsCommand:
 
 class TestCheckedInExample:
     # blocks_n3_m2 is the default_rng(0) complex Gaussian at m = 2, n = 3, certified by an op:4 couple: its pull
-    # has rank at most mn of nk, so the file pins the last bits of op:k's proposal
-    @pytest.mark.parametrize("name", ["blocks_n2_m2", "blocks_n3_m2"])
+    # has rank at most mn of nk, so the file pins the last bits of op:k's proposal; blocks_n3_m1 is the
+    # default_rng(0) complex Gaussian at m = 1, n = 3, whose interval is the block's trace norm (thm6)
+    @pytest.mark.parametrize("name", ["blocks_n2_m2", "blocks_n3_m2", "blocks_n3_m1"])
     def test_hat_bounds_json_matches_expected_file(self, name, capsys):
         # the console-script step in CI diffs the same pairs of files
         assert main(["hat-bounds", "--json", str(DATA / f"{name}.json")]) == 0

@@ -203,9 +203,9 @@ class TestLowerBound:
             np.testing.assert_array_equal(space.structured_couples(1, u4), np.stack([np.eye(1), *witnesses])[..., None])
         seen = []
 
-        def spy(space, n, u, config, starts, seed):
+        def spy(space, n, u, config, starts, seed, start_norms):
             seen.extend(start.coords for start in starts)
-            return optimize_couple(space, n, u, config, starts=starts, seed=seed)
+            return optimize_couple(space, n, u, config, starts=starts, seed=seed, start_norms=start_norms)
 
         monkeypatch.setattr("matnorm.hatspace.optimize_couple", spy)
         search_lower_bound(1, u4, catalog=[c_min()], budget=4, seed=0)
@@ -313,8 +313,8 @@ class TestLowerBound:
                              ids=["seed", "budget", "catalog", "catalog-of-ids", "catalog-not-iterable",
                                   "catalog-space-then-id"])
     def test_bad_argument_rejected_before_the_upper_bound(self, monkeypatch, bad):
-        # the upper certificate (an SVD and the tie rotation) and the first space's structured couples
-        # come only after the search's checks pass; a bad catalog raised AttributeError or TypeError
+        # the upper certificate (an SVD and the tie rotation) and every space's draws and norms come only
+        # after the search's checks pass; a bad catalog raised AttributeError or TypeError
         calls = []
 
         def counting(fn):
@@ -324,7 +324,7 @@ class TestLowerBound:
             return counted
 
         monkeypatch.setattr("matnorm.hatspace.hat_upper_bound", counting(hat_upper_bound))
-        monkeypatch.setattr("matnorm.hatspace.structured_couples", counting(structured_couples))
+        forbid_bound_work(monkeypatch)
         with pytest.raises(InvalidInputError):
             hat_bounds(2, np.ones((3, 3, 2, 2)), **bad)
         assert calls == []
@@ -333,6 +333,25 @@ class TestLowerBound:
         result = search_lower_bound(2, canonical_identity(2), budget=5, seed=4)
         assert result.couples_evaluated >= 5 * len(default_catalog(2))
         assert result.value <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n,calls,evaluated", [(1, 27, 32), (2, 34, 43), (3, 41, 53), (4, 48, 63)])
+    def test_each_search_stack_is_normed_once(self, monkeypatch, n, calls, evaluated):
+        # per space, the structured couples ride with the first random chunk through one rescale and one
+        # check, and the optimizer takes its starts' norms from that check: 3 (n + 2) SVD calls fewer than
+        # when each stack was rescaled, checked and normed again on its own (36, 46, 56 and 66), for as many
+        # couples; with no ascent step the count does not depend on the floating-point path
+        u = single_block(gauss(np.random.default_rng(n), (n, n)))
+        cfg = OptimizerConfig(restarts=1, iterations=0)
+        assert search_lower_bound(n, u, budget=8, optimizer_config=cfg).couples_evaluated == evaluated
+        real, seen = np.linalg.svd, []
+
+        def spy(*args, **kwargs):
+            seen.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        hat_bounds(n, u, budget=8, optimizer_config=cfg)
+        assert len(seen) == calls
 
 
 def reference_chunk(space, n, rng, count):
@@ -692,6 +711,19 @@ class TestBounds:
             assert 0 < b.lower <= b.upper < np.inf
             with pytest.raises(InvalidInputError, match="max double"):
                 hat_bounds(n, 2 * u, budget=8, optimizer_config=fast)
+
+    @pytest.mark.parametrize("u,match", [
+        (single_block(np.diag([1e308, 1e308])), "max double"),
+        (single_block(np.full((2, 2), 1e-320)), "smallest normal double"),
+    ], ids=["diagonal_1e308", "subnormal_block"])
+    @pytest.mark.parametrize("entry", [hat_bounds, search_lower_bound, hat_upper_bound])
+    def test_each_entry_point_checks_the_range(self, monkeypatch, entry, u, match):
+        # the bounds were checked in hat_bounds only: on diag(1e308, 1e308) the search raised LinAlgError and
+        # the upper bound read inf with an overflow warning, and on the subnormal block the two halves gave
+        # lower 2.001e-320 > upper 1.9995e-320
+        forbid_bound_work(monkeypatch)
+        with pytest.raises(InvalidInputError, match=match):
+            entry(2, u)
 
     def test_restart_stack_past_its_bound_refused_before_bound_work(self, monkeypatch):
         # 10^4 restarts pass MAX_RESTARTS, but op:17's stack at n = 16 would be 11.8 GB

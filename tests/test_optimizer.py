@@ -29,7 +29,7 @@ from matnorm import (
 )
 from matnorm.correspondence import amplified_images, pullbacks
 from matnorm.optimizer import TOLERANCE
-from matnorm.spaces import OperatorSpace, TraceScalars
+from matnorm.spaces import OperatorSpace, TraceScalars, check_unit_ball
 
 from helpers import Bare, assembled, gauss, single_block
 
@@ -621,3 +621,63 @@ class TestProposalContract:
         u = gauss(np.random.default_rng(14), (3, 3, 2, 2))
         with pytest.raises(InvalidInputError, match="polar_proposal gave shape"):
             optimize_couple(ImagesAsCoordinates("images", 1, 3), 2, u, OptimizerConfig(restarts=1, iterations=3))
+
+
+def search_starts(space, n, seed):
+    """Starts as the search hands them over, with the norms their stack was checked by.
+
+    A random row divided onto the sphere whose norm reads just above 1, the
+    zero element and a row inside the ball.
+    """
+    rows = space.unit_scaled_stack(gauss(np.random.default_rng(seed), (64, n, n, space.dim)), sphere=True)
+    over = rows[np.flatnonzero(check_unit_ball(space, rows) > 1)[0]]
+    stack = np.stack([over, np.zeros_like(over), 0.5 * rows[0]])
+    norms = check_unit_ball(space, stack)
+    assert 1 < norms[0] <= 1 + 1e-15 and norms[1] == 0
+    return [LeveledElement(space.space_id, c) for c in stack], norms
+
+
+class TestStartNorms:
+    @pytest.mark.parametrize("restarts", [1, 3, 5])
+    @pytest.mark.parametrize("space_id", ["cmax", "cmin", "op:2", "op:3"])
+    def test_same_bits_with_and_without_norms(self, space_id, restarts):
+        # the given norms spare the starts' norm evaluation and divide them as unit_scaled_stack does, the
+        # start read at 1 + ulp included; restarts beyond the starts are drawn and normed on their own
+        space = space_from_id(space_id)
+        starts, norms = search_starts(space, 2, seed=restarts)
+        u4 = gauss(np.random.default_rng(30 + restarts), (2, 2, 2, 2))
+        cfg = OptimizerConfig(restarts=restarts, iterations=5)
+        plain, plain_value = optimize_couple(space, 2, u4, cfg, starts=starts, seed=8)
+        normed, normed_value = optimize_couple(space, 2, u4, cfg, starts=starts, seed=8, start_norms=norms)
+        assert normed_value == plain_value
+        np.testing.assert_array_equal(normed.v.coords, plain.v.coords)
+
+    def test_a_start_read_above_one_is_divided_again(self):
+        starts, norms = search_starts(c_min(), 2, seed=0)
+        u4 = gauss(np.random.default_rng(31), (1, 1, 2, 2))
+        couple, _ = optimize_couple(c_min(), 2, u4, OptimizerConfig(restarts=1, iterations=0),
+                                    starts=starts[:1], start_norms=norms[:1])
+        np.testing.assert_array_equal(couple.v.coords, starts[0].coords / norms[0])
+
+    @pytest.mark.parametrize("norms", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [np.nan, 1.0], [np.inf, 1.0],
+                                       [-1.0, 1.0], ["x", 1.0]],
+                             ids=["short", "long", "nested", "nan", "inf", "negative", "text"])
+    def test_bad_norms_rejected(self, norms):
+        starts = [c_min().element(np.eye(2)), c_min().element(np.zeros((2, 2)))]
+        with pytest.raises(InvalidInputError, match="start norm"):
+            optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2)), starts=starts, start_norms=norms)
+
+    def test_zero_norm_of_a_zero_start_accepted(self):
+        # unit_scaled_stack leaves a zero row alone, and so do the given norms
+        u4 = gauss(np.random.default_rng(32), (1, 1, 2, 2))
+        starts, cfg = [c_max().element(np.zeros((2, 2)))], OptimizerConfig(restarts=1, iterations=3)
+        assert (optimize_couple(c_max(), 2, u4, cfg, starts=starts, start_norms=[0.0])[1]
+                == optimize_couple(c_max(), 2, u4, cfg, starts=starts)[1])
+
+    def test_understated_norm_caught_by_the_couple(self):
+        # a start left outside the ball by its given norm is returned unchanged with no step, and the Couple
+        # checks it
+        start = c_min().element(3 * np.eye(2))
+        with pytest.raises(InvalidInputError, match="norm 3 > 1"):
+            optimize_couple(c_min(), 2, np.eye(2).reshape(1, 1, 2, 2), OptimizerConfig(restarts=1, iterations=0),
+                            starts=[start], start_norms=[0.5])
