@@ -50,7 +50,7 @@ def _block_matrix(data: dict, path: str):
         if key not in data:
             raise InvalidInputError(f"{path}: missing key {key!r}")
     n, m = data["n"], data["m"]
-    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (n, m)):
+    if any(type(k) is not int or k < 1 for k in (n, m)):  # json's true and 1.0 are not sizes
         raise InvalidInputError(f"{path}: n and m must be positive integers")
     arr = pairs_to_complex(data["blocks"])
     if arr.shape != (m, m, n, n):
@@ -68,7 +68,7 @@ def load_element_file(path: str, space):
     data = _load_json(path)
     if "coords" in data:
         arr = pairs_to_complex(data["coords"])
-        if "dim" in data and data["dim"] != space.dim:
+        if "dim" in data and (type(data["dim"]) is not int or data["dim"] != space.dim):
             raise InvalidInputError(f"{path}: dim {data['dim']} does not match {space.space_id} (dim {space.dim})")
         element = space.element(arr)
     elif "blocks" in data:
@@ -80,7 +80,7 @@ def load_element_file(path: str, space):
         element = space.element(arr.reshape(m, m, n * n))
     else:
         raise InvalidInputError(f"{path}: expected key 'coords' or 'blocks'")
-    if "m" in data and data["m"] != element.level:
+    if "m" in data and (type(data["m"]) is not int or data["m"] != element.level):
         raise InvalidInputError(f"{path}: declared level {data['m']} does not match data ({element.level})")
     return element
 

@@ -64,7 +64,6 @@ times the error of a backward-stable SVD of U; it is stated, not proven.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,43 +246,45 @@ def structured_couples(space: MatricialSpace, n: int, u) -> np.ndarray:
 
     Each space kind supplies its own (``MatricialSpace.structured_couples``);
     a space with only a ``norm_batch`` has none. Returns them rescaled into
-    the unit ball and checked feasible, as an (S, n, n, dim) stack.
+    the unit ball and checked feasible, as an (S, n, n, dim) stack: the first
+    stack of a search with budget 0.
     """
     u4 = linalg.as_block_array(u, block_size=n)
-    return _unit_checked(space, space.structured_couples(n, u4), False)[0]
+    return next(_stacks(space, n, u4, None, 0))[0]
 
 
 def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
-    """Gaussian element rescaled into the unit ball, half onto the sphere; a search chunk of one."""
-    coords = _random_chunk(space, n, np.random.default_rng(rng), 1)[0]
-    return Couple(space, LeveledElement(space.space_id, coords))
+    """Gaussian element rescaled into the unit ball, half onto the sphere; a search stack of one."""
+    coords = next(_stacks(space, n, None, np.random.default_rng(rng), 1))[0]
+    return Couple(space, LeveledElement(space.space_id, coords[0]))
 
 
-def _random_chunk(space: MatricialSpace, n: int, rng, count: int) -> np.ndarray:
-    """Elements of ``count`` random couples as one (count, n, n, dim) stack, checked feasible."""
-    return _unit_checked(space, *_draw_chunk(space, n, rng, count))[0]
+def _stacks(space: MatricialSpace, n: int, u4, rng, budget: int):
+    """A space's couples for u4 in evaluation order, as (coords, norms) stacks rescaled and checked.
 
-
-def _draw_chunk(space: MatricialSpace, n: int, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The raw (count, n, n, dim) elements of ``count`` random couples, and their sphere coins.
-
-    Draws in single-couple order: the coordinates (``random_element``'s real
-    then imaginary parts), then the sphere coin for a nonzero element (one of
-    positive norm, as the norm is definite).
+    The structured couples (none when u4 is None) lead the first
+    ``RANDOM_CHUNK`` of ``budget`` random draws as one stack; each later
+    chunk of ``RANDOM_CHUNK`` draws is a stack of its own. Draws run in
+    single-couple order: per row the coordinates (``random_element``'s real
+    then imaginary parts), then the sphere coin of a nonzero row (one of
+    positive norm, as the norm is definite). One ``unit_scaled_stack``
+    rescales each (B, n, n, dim) stack into the unit ball, a random row
+    whose coin came up onto the sphere, and one ``check_unit_ball`` checks
+    it and gives the norms yielded with it.
     """
-    draws = np.empty((count, 2, n, n, space.dim))
-    sphere = np.zeros(count, dtype=bool)
-    normal, coin = rng.standard_normal, rng.random  # random() is the double uniform() returns
-    for b, row in enumerate(draws):
-        normal(out=row)
-        sphere[b] = (row.flat[0] != 0 or row.any()) and coin() < 0.5
-    return draws[:, 0] + 1j * draws[:, 1], sphere
-
-
-def _unit_checked(space: MatricialSpace, coords: np.ndarray, sphere) -> tuple[np.ndarray, np.ndarray]:
-    """A stack rescaled in place by ``unit_scaled_stack(coords, sphere)`` and checked feasible, with its norms."""
-    space.unit_scaled_stack(coords, sphere)
-    return coords, check_unit_ball(space, coords)
+    for done in range(0, max(budget, 1), RANDOM_CHUNK):
+        draws = np.empty((min(RANDOM_CHUNK, budget - done), 2, n, n, space.dim))
+        sphere = np.zeros(len(draws), dtype=bool)
+        for b, row in enumerate(draws):
+            rng.standard_normal(out=row)
+            sphere[b] = (row.flat[0] != 0 or row.any()) and rng.random() < 0.5  # the double uniform() returns
+        coords = draws[:, 0] + 1j * draws[:, 1]
+        if not done and u4 is not None:
+            lead = space.structured_couples(n, u4)
+            coords = np.concatenate([lead, coords])
+            sphere = np.pad(sphere, (len(lead), 0))  # structured rows are not put on the sphere
+        space.unit_scaled_stack(coords, sphere)
+        yield coords, check_unit_ball(space, coords)
 
 
 def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=0,
@@ -293,21 +294,20 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     Per space: structured couples (the space's hand-picked elements),
     ``budget`` random couples, then an optimizer run from the first of them
     (skipped when budget is 0; it takes no step on a space without a polar
-    proposal). The structured elements ride on the first ``RANDOM_CHUNK``
-    random draws as one stack, rescaled into the unit ball (the random rows
-    half onto the sphere) by one ``unit_scaled_stack`` and checked by one
-    ``check_unit_ball``; each later chunk of ``RANDOM_CHUNK`` draws is
-    rescaled and checked on its own. The optimizer gets the norms checked
-    with its starts, so it does not norm them again. Couples are valued in
-    slices of ``RANDOM_CHUNK`` structured ones, the last with the first chunk
-    appended, then chunk by chunk; each slice takes one amplification and one
-    batched norm. Only the reported winner becomes a ``Couple``; an optimizer
-    run returns its own. Ties go to the earliest couple in evaluation order.
-    u is range-checked by :func:`_bounded_blocks`. ``catalog`` is an iterable
-    of spaces and ``seed`` a nonnegative integer, both checked before any
-    bound work, as is the optimizer's restart stack on the catalog's largest
-    space. Raises ``InvalidInputError`` when no couple has a value (no
-    structured couples and budget 0, or NaN everywhere).
+    proposal). :func:`_stacks` yields them as rescaled, checked stacks, the
+    structured couples with the first ``RANDOM_CHUNK`` random ones; the
+    optimizer gets the norms checked with its starts, so it does not norm
+    them again. Each stack is valued in slices of at most
+    ``2 * RANDOM_CHUNK`` couples, each slice one amplification and one
+    batched norm. Ties go to the earliest couple in evaluation order, and a
+    couple's value has the same bits in any slice, so the slicing moves
+    neither the winner nor the count. Only the reported winner becomes a
+    ``Couple``; an optimizer run returns its own. u is range-checked by
+    :func:`_bounded_blocks`. ``catalog`` is an iterable of spaces and
+    ``seed`` a nonnegative integer, both checked before any bound work, as
+    is the optimizer's restart stack on the catalog's largest space. Raises
+    ``InvalidInputError`` when no couple has a value (no structured couples
+    and budget 0, or NaN everywhere).
     """
     u4 = _bounded_blocks(u, n)
     try:
@@ -329,26 +329,18 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     best = None  # (space, element) of the best stack row, or the optimizer's couple once it wins
     evaluated = 0
     for space, child in zip(catalog, children):
-        rng = np.random.default_rng(child)
         starts, start_norms = [], []
-        structured = space.structured_couples(n, u4)
-        first, sphere = _draw_chunk(space, n, rng, min(RANDOM_CHUNK, budget))
-        head = _unit_checked(space, np.concatenate([structured, first]),
-                             np.concatenate([np.zeros(len(structured), dtype=bool), sphere]))
-        cuts = range(RANDOM_CHUNK, len(structured), RANDOM_CHUNK)
-        chunks = (_unit_checked(space, *_draw_chunk(space, n, rng, min(RANDOM_CHUNK, budget - done)))
-                  for done in range(RANDOM_CHUNK, budget, RANDOM_CHUNK))
-        for coords, norms in itertools.chain(zip(*(np.split(part, cuts) for part in head)), chunks):
-            if not len(coords):
-                continue
-            values = space.norm_batch(amplified_images(coords, u4))
-            evaluated += len(values)
-            top = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
-            if values[top] > best_val:
-                best_val, best = float(values[top]), (space, LeveledElement(space.space_id, coords[top]))
+        for stack, norms in _stacks(space, n, u4, np.random.default_rng(child), budget):
             take = cfg.restarts - len(starts)
-            starts.extend(LeveledElement(space.space_id, c) for c in coords[:take])
+            starts.extend(LeveledElement(space.space_id, c) for c in stack[:take])
             start_norms.extend(norms[:take])
+            for lo in range(0, len(stack), 2 * RANDOM_CHUNK):
+                coords = stack[lo:lo + 2 * RANDOM_CHUNK]
+                values = space.norm_batch(amplified_images(coords, u4))
+                evaluated += len(values)
+                top = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # NaN never wins
+                if values[top] > best_val:
+                    best_val, best = float(values[top]), (space, LeveledElement(space.space_id, coords[top]))
         if budget > 0:
             couple, val = optimize_couple(space, n, u4, cfg, starts=starts,
                                           seed=int(child.generate_state(1)[0]), start_norms=start_norms)
@@ -496,11 +488,14 @@ def check_upper_certificate(cert: UpperCertificate, u) -> bool:
     """True when ``cert`` bounds the norm of u.
 
     Recomputes the residual from u and the atoms, and from them the value,
-    which must not exceed the certificate's.
+    which must not exceed the certificate's. Non-numeric or non-finite atoms
+    raise ``InvalidInputError``, as such a u does; atoms of a wrong shape
+    give False.
     """
     u4 = linalg.as_block_array(u)
     m, _, n, _ = u4.shape
-    left, right = np.asarray(cert.left), np.asarray(cert.right)
+    left = linalg.as_finite_array(cert.left, complex, "certificate's left stack")
+    right = linalg.as_finite_array(cert.right, complex, "certificate's right stack")
     if left.ndim != 3 or left.shape[1:] != (m, n) or right.shape != (len(left), n, m):
         return False
     return bool(_certificate(u4, left, right).value <= cert.value)

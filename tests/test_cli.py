@@ -247,6 +247,10 @@ class TestRejectedFiles:
         (["norm", "cmax", "1", "FILE"], '{"m": 1}', "expected key 'coords' or 'blocks'"),
         (["norm", "cmax", "2", "FILE"], '{"m": 3, "coords": [[[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]}',
          "declared level 3 does not match data (2)"),
+        # json's true and 1.0 passed as the size 1, and the element's norm was printed
+        (["norm", "cmax", "1", "FILE"], '{"m": true, "coords": [[[[1, 0]]]]}', "declared level True does not match"),
+        (["norm", "cmax", "1", "FILE"], '{"m": 1.0, "coords": [[[[1, 0]]]]}', "declared level 1.0 does not match"),
+        (["norm", "cmax", "1", "FILE"], '{"dim": true, "coords": [[[[1, 0]]]]}', "dim True does not match cmax"),
         (["hat-bounds", "FILE", "--opt-config", "[]"], '{"n": 1, "m": 1, "blocks": [[[[[1, 0]]]]]}',
          "optimizer config must be a JSON object"),
         # a 401-digit integer overflowed numpy's conversion, and a 1e308 diagonal's SVD did not converge
@@ -255,7 +259,8 @@ class TestRejectedFiles:
         (["hat-bounds", "FILE"], '{"n": 2, "m": 1, "blocks": [[[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]]}',
          "max double"),
     ], ids=["not_an_object", "no_blocks", "dim_mismatch", "blocks_do_not_fit", "no_coords_or_blocks",
-            "declared_m_mismatch", "opt_config_not_an_object", "integer_401_digits_blocks",
+            "declared_m_mismatch", "declared_m_true", "declared_m_float", "declared_dim_true",
+            "opt_config_not_an_object", "integer_401_digits_blocks",
             "integer_401_digits_coords", "diagonal_1e308"])
     def test_exit_2(self, tmp_path, capsys, args, text, fragment):
         # text None reads the checked-in cmax element

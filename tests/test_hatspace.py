@@ -34,7 +34,7 @@ from matnorm import (
     structured_couples,
     trace_norm,
 )
-from matnorm.hatspace import UPPER_MARGIN, _random_chunk
+from matnorm.hatspace import RANDOM_CHUNK, UPPER_MARGIN, _stacks
 
 from helpers import Bare, forbid_bound_work, gauss, op_norm, single_block
 
@@ -388,6 +388,13 @@ class ZeroRowGenerator:
     uniform = random
 
 
+def random_stack(space, n, rng, count):
+    """The one stack of ``count`` <= RANDOM_CHUNK random couples that a search with no structured couples makes."""
+    (coords, norms), = _stacks(space, n, None, rng, count)
+    np.testing.assert_array_equal(norms, space.norm_batch(coords))  # the norms it checked
+    return coords
+
+
 class TestRandomChunk:
     @pytest.mark.parametrize("count", [0, 1, 5, 64])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -395,7 +402,7 @@ class TestRandomChunk:
     def test_matches_the_per_couple_loop_bitwise(self, space_id, n, count):
         space = space_from_id(space_id)
         rng, ref_rng = np.random.default_rng(count + n), np.random.default_rng(count + n)
-        np.testing.assert_array_equal(_random_chunk(space, n, rng, count), reference_chunk(space, n, ref_rng, count))
+        np.testing.assert_array_equal(random_stack(space, n, rng, count), reference_chunk(space, n, ref_rng, count))
         assert rng.random() == ref_rng.random()  # the two streams end at the same place
 
     @pytest.mark.parametrize("first_only", [False, True])
@@ -405,12 +412,29 @@ class TestRandomChunk:
         # entry only is zero still draws its coin
         space, count, zero_row = space_from_id(space_id), 5, 2
         rng, ref_rng = (ZeroRowGenerator(7, zero_row, first_only) for _ in range(2))
-        coords = _random_chunk(space, 2, rng, count)
+        coords = random_stack(space, 2, rng, count)
         np.testing.assert_array_equal(coords, reference_chunk(space, 2, ref_rng, count))
         assert rng.log == ref_rng.log
         assert rng.log.count("normal") == count
         assert rng.log.count("coin") == count - (not first_only)
         assert np.isfinite(coords).all() and coords[zero_row].any() == first_only
+
+    @pytest.mark.parametrize("space_id", ["cmax", "cmin", "op:2", "op:3"])
+    def test_structured_couples_lead_the_first_chunk(self, space_id):
+        # at budget 130 the search's first stack is the structured couples on the first 64 draws, each later
+        # chunk is a stack of its own, and every row has the bits it gets alone
+        space, n = space_from_id(space_id), 2
+        u4 = gauss(np.random.default_rng(52), (3, 3, n, n))
+        rng, ref_rng = np.random.default_rng(53), np.random.default_rng(53)
+        stacks = list(_stacks(space, n, u4, rng, 130))
+        lead = structured_couples(space, n, u4)
+        assert len(lead) and [len(coords) for coords, _ in stacks] == [len(lead) + RANDOM_CHUNK, RANDOM_CHUNK, 2]
+        refs = [np.concatenate([lead, reference_chunk(space, n, ref_rng, RANDOM_CHUNK)]),
+                reference_chunk(space, n, ref_rng, RANDOM_CHUNK), reference_chunk(space, n, ref_rng, 2)]
+        for (coords, norms), ref in zip(stacks, refs):
+            np.testing.assert_array_equal(coords, ref)
+            np.testing.assert_array_equal(norms, space.norm_batch(coords))
+        assert rng.random() == ref_rng.random()
 
 
 def realign(u):
@@ -561,6 +585,13 @@ class TestUpperBound:
         assert not check_upper_certificate(replace(cert, value=cert.value * (1 - 1e-9)), u)
         assert not check_upper_certificate(replace(cert, right=cert.right[:-1]), u)
         assert not check_upper_certificate(cert, 2 * u)
+        # NaN and inf atoms once failed in the SVD ("did not converge"), a string atom in numpy's ufuncs
+        for bad in (np.nan, np.inf, "x"):
+            left = cert.left.astype(object if isinstance(bad, str) else complex)
+            left[0, 0, 0] = bad
+            for tampered in (replace(cert, left=left), replace(cert, right=left.swapaxes(1, 2))):
+                with pytest.raises(InvalidInputError, match="certificate's"):
+                    check_upper_certificate(tampered, u)
 
 
 class TestSweep:
