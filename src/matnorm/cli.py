@@ -63,14 +63,14 @@ def load_element_file(path: str, space):
 
     Two layouts are accepted: {m, dim, coords} with an (m, m, dim) coordinate
     array, or the block-matrix layout {n, m, blocks} for spaces whose
-    coordinates are flattened n x n matrices.
+    coordinates are flattened n x n matrices. Either may declare ``dim``,
+    which must then be the JSON integer ``space.dim``.
     """
     data = _load_json(path)
+    if "dim" in data and (type(data["dim"]) is not int or data["dim"] != space.dim):
+        raise InvalidInputError(f"{path}: dim {data['dim']} does not match {space.space_id} (dim {space.dim})")
     if "coords" in data:
-        arr = pairs_to_complex(data["coords"])
-        if "dim" in data and (type(data["dim"]) is not int or data["dim"] != space.dim):
-            raise InvalidInputError(f"{path}: dim {data['dim']} does not match {space.space_id} (dim {space.dim})")
-        element = space.element(arr)
+        element = space.element(pairs_to_complex(data["coords"]))
     elif "blocks" in data:
         n, m, arr = _block_matrix(data, path)
         if space.dim != n * n:

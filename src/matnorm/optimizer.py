@@ -80,34 +80,48 @@ class OptimizerConfig:
                                     f"stack's {MAX_STACK_ENTRIES} entries; lower restarts")
 
 
-def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, functionals: np.ndarray, vals: np.ndarray,
+def _rows(index: list):
+    """An ascending list of distinct rows, as a slice when they are consecutive: a view, not a copy."""
+    return slice(index[0], index[-1] + 1) if index[-1] - index[0] == len(index) - 1 else index
+
+
+def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, functionals: np.ndarray, vals: list,
             cfg: OptimizerConfig) -> None:
     """Run the restarts of a (R, n, n, dim) stack in lockstep, updating their rows in place.
 
     ``coords``, ``functionals`` and ``vals`` hold each restart's point, the
-    ``polar_state`` functional of its image and its value. Per restart, a step
-    moves to its proposal, and keeps the functional it was valued by, when the
-    proposal's value beats the current one (NaN never does); the restart
-    ends when it does not.
+    ``polar_state`` functional of its image and its value, a float. Per
+    restart, a step moves to its proposal, and keeps the functional it was
+    valued by, when the proposal's value beats the current one (NaN never
+    does); the restart ends when it does not. Values and stall counts are
+    compared as Python floats and ints (the same doubles, so the same
+    comparisons), and each step reads its running rows and writes its
+    winning rows back with one index each, a slice where the rows are
+    consecutive (as while every restart runs and wins).
     """
-    active = np.arange(len(vals))
-    stall = np.zeros(len(vals), dtype=int)
+    stall, active = [0] * len(vals), list(range(len(vals)))
     for _ in range(cfg.iterations):
-        if not active.size:
+        if not active:
             break
-        every = len(active) == len(vals)  # no restart has ended: pass the rows themselves, not copies
-        proposals = space.polar_proposal(pullbacks(functionals if every else functionals[active], u4))
+        proposals = space.polar_proposal(pullbacks(functionals[_rows(active)], u4))
         shape = (len(active), *coords.shape[1:])
         if proposals.shape != shape:
             raise InvalidInputError(f"{space.space_id}: polar_proposal gave shape {proposals.shape}, not {shape}")
         values, proposal_functionals = space.polar_state(amplified_images(proposals, u4))
-        current = vals if every else vals[active]
-        better, gained = values > current, values > current + TOLERANCE * np.abs(current)  # before writing vals
-        # every restart won: write back by slice, with no mask copies
-        won, pick = (slice(None), slice(None)) if every and better.all() else (active[better], better)
-        coords[won], functionals[won], vals[won] = proposals[pick], proposal_functionals[pick], values[pick]
-        stall[active] = np.where(gained, 0, stall[active] + 1)
-        active = active[better & (stall[active] < cfg.stall_limit)]
+        picks, won, running = [], [], []
+        for pick, (row, value) in enumerate(zip(active, values.tolist())):
+            now = vals[row]
+            if value > now:  # NaN never wins; the gain is read before the value is overwritten
+                stall[row] = 0 if value > now + TOLERANCE * abs(now) else stall[row] + 1
+                vals[row] = value
+                picks.append(pick)
+                won.append(row)
+                if stall[row] < cfg.stall_limit:
+                    running.append(row)
+        if picks:
+            won, picks = _rows(won), _rows(picks)
+            coords[won], functionals[won] = proposals[picks], proposal_functionals[picks]
+        active = running
 
 
 def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | None = None,
@@ -155,7 +169,7 @@ def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | 
     if len(known) < len(coords):
         space.unit_scaled_stack(coords[len(known):])
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
-    vals = np.array([space.norm(image) for image in start_images])
+    vals = [space.norm(image) for image in start_images]
     functionals = space.polar_state(np.stack([image.coords for image in start_images]))[1]
     _ascend(space, u4, coords, functionals, vals, cfg)
 

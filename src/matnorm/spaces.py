@@ -174,10 +174,17 @@ class Couple:
         check_unit_ball(self.space, self.v.coords[None])
 
 
-def _zero_rows(stack: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """Set, in place, the rows of ``stack`` that ``zero`` flags to 0, and return the stack."""
-    if zero.any():
-        stack[zero] = 0
+def _zero_rows(stack: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Set, in place, to 0 the rows of ``stack`` whose factored matrix is 0, and return the stack.
+
+    ``s`` holds each row's singular values, largest first, from the hook's
+    own SVD. A matrix is 0 exactly when ``s[0]`` is: LAPACK's ``gesdd``
+    scales a nonzero matrix below the safe minimum up before it factors,
+    so even a lone subnormal entry gives ``s[0] > 0``.
+    """
+    top = s[:, 0]
+    if np.count_nonzero(top) < len(top):
+        stack[top == 0] = 0
     return stack
 
 
@@ -216,16 +223,16 @@ class TraceScalars(MatricialSpace):
         return c_min().structured_couples(n, u4) / n
 
     def polar_state(self, images):
-        """Trace norms and transposed dual witnesses ``(V U*)^T`` of the images, from one full SVD."""
+        """Trace norms and transposed dual witnesses ``(V U*)^T`` (0 for a zero image) from one full SVD."""
         witnesses, s = linalg.dual_witnesses(images[..., 0])
-        return s.sum(axis=-1), _zero_rows(witnesses.swapaxes(1, 2)[..., None], ~images.any(axis=(1, 2, 3)))
+        return s.sum(axis=-1), _zero_rows(witnesses.swapaxes(1, 2)[..., None], s)
 
     def polar_proposal(self, pulled):
-        # maximize Re sum g_ij w_ij = Re tr(g^T w) over the unit ball: the top rank-one part of g^T
+        # maximize Re sum g_ij w_ij = Re tr(g^T w) over the unit ball: the top rank-one part of g^T; 0 where g = 0
         gt = pulled[..., 0].swapaxes(1, 2)
-        uu, _, vvh = np.linalg.svd(gt)
+        uu, s, vvh = np.linalg.svd(gt)
         w = vvh[:, 0].conj()[:, :, None] * uu[..., 0].conj()[:, None, :]
-        return _zero_rows(w, ~gt.any(axis=(1, 2)))[..., None]
+        return _zero_rows(w, s)[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,19 +265,22 @@ class OperatorSpace(MatricialSpace):
         return np.stack(coords)
 
     def polar_state(self, images):
-        """Operator norms and functionals ``conj(x) y^T``, (x, y) the top singular pair, of the assembled images."""
+        """Operator norms and functionals ``conj(x) y^T``, (x, y) the top singular pair, of the assembled images.
+
+        A zero image, found by its top singular value, gets F = 0.
+        """
         x, s, yh = np.linalg.svd(self._assembled(images))
         b, m, k = len(s), images.shape[1], self.k
         top = np.conjugate(x[..., 0, None] * yh[:, None, 0])  # conj(x) y^T, as y = conj(yh[0])
         functionals = top.reshape(b, m, k, m, k).transpose(0, 1, 3, 2, 4).reshape(images.shape)
-        return s[:, 0], _zero_rows(functionals, ~images.any(axis=(1, 2, 3)))
+        return s[:, 0], _zero_rows(functionals, s)
 
     def polar_proposal(self, pulled):
-        # maximize Re tr(G^T w) over the assembled unit ball: w is the dual witness of G^T
+        # maximize Re tr(G^T w) over the assembled unit ball: w is the dual witness of G^T; 0 where G = 0
         k, b, n = self.k, *pulled.shape[:2]
         gt = self._assembled(pulled).swapaxes(1, 2)
-        w = linalg.dual_witnesses(gt)[0].reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4)
-        return _zero_rows(w.reshape(pulled.shape), ~gt.any(axis=(1, 2)))
+        w, s = linalg.dual_witnesses(gt)
+        return _zero_rows(w.reshape(b, n, k, n, k).transpose(0, 1, 3, 2, 4).reshape(pulled.shape), s)
 
 
 @dataclass(frozen=True, eq=False)

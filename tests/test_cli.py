@@ -251,6 +251,13 @@ class TestRejectedFiles:
         (["norm", "cmax", "1", "FILE"], '{"m": true, "coords": [[[[1, 0]]]]}', "declared level True does not match"),
         (["norm", "cmax", "1", "FILE"], '{"m": 1.0, "coords": [[[[1, 0]]]]}', "declared level 1.0 does not match"),
         (["norm", "cmax", "1", "FILE"], '{"dim": true, "coords": [[[[1, 0]]]]}', "dim True does not match cmax"),
+        # the block layout's declared dim was not read, and the element's norm was printed
+        (["norm", "cmax", "1", "FILE"], '{"n": 1, "m": 1, "dim": 7, "blocks": [[[[[1, 0]]]]]}',
+         "dim 7 does not match cmax"),
+        (["norm", "cmax", "1", "FILE"], '{"n": 1, "m": 1, "dim": "x", "blocks": [[[[[1, 0]]]]]}',
+         "dim x does not match cmax"),
+        (["norm", "cmax", "1", "FILE"], '{"n": 1, "m": 1, "dim": true, "blocks": [[[[[1, 0]]]]]}',
+         "dim True does not match cmax"),
         (["hat-bounds", "FILE", "--opt-config", "[]"], '{"n": 1, "m": 1, "blocks": [[[[[1, 0]]]]]}',
          "optimizer config must be a JSON object"),
         # a 401-digit integer overflowed numpy's conversion, and a 1e308 diagonal's SVD did not converge
@@ -260,6 +267,7 @@ class TestRejectedFiles:
          "max double"),
     ], ids=["not_an_object", "no_blocks", "dim_mismatch", "blocks_do_not_fit", "no_coords_or_blocks",
             "declared_m_mismatch", "declared_m_true", "declared_m_float", "declared_dim_true",
+            "blocks_declared_dim_7", "blocks_declared_dim_string", "blocks_declared_dim_true",
             "opt_config_not_an_object", "integer_401_digits_blocks",
             "integer_401_digits_coords", "diagonal_1e308"])
     def test_exit_2(self, tmp_path, capsys, args, text, fragment):
