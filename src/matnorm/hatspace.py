@@ -64,6 +64,7 @@ times the error of a backward-stable SVD of U; it is stated, not proven.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,7 @@ from .spaces import (
     c_min,
     check_unit_ball,
     concrete_operator_space,
+    scale_by_norms,
 )
 
 __all__ = [
@@ -224,13 +226,16 @@ def _bounded_blocks(u, n: int) -> np.ndarray:
 
 
 def default_catalog(n: int) -> list[MatricialSpace]:
-    """Catalog realizing all known extremal couples at size n.
+    """The search's default catalog at size n: ``cmax``, ``cmin`` and ``op:2`` .. ``op:(n+1)``.
 
     Scalars with both norms and the concrete matrix spaces up to size n + 1,
     each searched once: ``cmin`` is the 1 x 1 matrices, so the matrix spaces
     start at ``op:2``. That makes n + 2 spaces, each with a polar proposal.
     No l1 sum is needed, since a couple of an l1 sum is worth at most the
-    best of its summands.
+    best of its summands. The catalog is level-blind: it depends on n, not
+    on the level m of u. So it need not hold the best couple: the op:k
+    family peaks at op:m, which the catalog lacks when m > n + 1 (at m = 5,
+    n = 3 a heavy op:4 search reached 0.98865 of op:5's value).
     """
     require_int("block size", n, 1)
     return [c_max(), c_min(), *(concrete_operator_space(k) for k in range(2, n + 2))]
@@ -255,6 +260,7 @@ def structured_couples(space: MatricialSpace, n: int, u) -> np.ndarray:
 
 def random_couple(space: MatricialSpace, n: int, rng) -> Couple:
     """Gaussian element rescaled into the unit ball, half onto the sphere; a search stack of one."""
+    require_int("block size", n, 1)
     coords = next(_stacks(space, n, None, np.random.default_rng(rng), 1))[0]
     return Couple(space, LeveledElement(space.space_id, coords[0]))
 
@@ -296,18 +302,18 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     (skipped when budget is 0; it takes no step on a space without a polar
     proposal). :func:`_stacks` yields them as rescaled, checked stacks, the
     structured couples with the first ``RANDOM_CHUNK`` random ones; the
-    optimizer gets the norms checked with its starts, so it does not norm
-    them again. Each stack is valued in slices of at most
-    ``2 * RANDOM_CHUNK`` couples, each slice one amplification and one
-    batched norm. Ties go to the earliest couple in evaluation order, and a
-    couple's value has the same bits in any slice, so the slicing moves
-    neither the winner nor the count. Only the reported winner becomes a
-    ``Couple``; an optimizer run returns its own. u is range-checked by
-    :func:`_bounded_blocks`. ``catalog`` is an iterable of spaces and
-    ``seed`` a nonnegative integer, both checked before any bound work, as
-    is the optimizer's restart stack on the catalog's largest space. Raises
-    ``InvalidInputError`` when no couple has a value (no structured couples
-    and budget 0, or NaN everywhere).
+    optimizer's starts are copies of the leading rows, each whose checked
+    norm exceeds 1 divided by it, so they are not normed again. Each stack
+    is valued in slices of at most ``2 * RANDOM_CHUNK`` couples, each slice
+    one amplification and one batched norm. Ties go to the earliest couple
+    in evaluation order, and a couple's value has the same bits in any
+    slice, so the slicing moves neither the winner nor the count. Only the
+    reported winner becomes a ``Couple``; an optimizer run returns its own.
+    u is range-checked by :func:`_bounded_blocks`. ``catalog`` is an
+    iterable of spaces and ``seed`` a nonnegative integer, both checked
+    before any bound work, as is the optimizer's restart stack on the
+    catalog's largest space. Raises ``InvalidInputError`` when no couple has
+    a value (no structured couples and budget 0, or NaN everywhere).
     """
     u4 = _bounded_blocks(u, n)
     try:
@@ -329,11 +335,11 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     best = None  # (space, element) of the best stack row, or the optimizer's couple once it wins
     evaluated = 0
     for space, child in zip(catalog, children):
-        starts, start_norms = [], []
+        starts = np.empty((0, n, n, space.dim), dtype=complex)
         for stack, norms in _stacks(space, n, u4, np.random.default_rng(child), budget):
-            take = cfg.restarts - len(starts)
-            starts.extend(LeveledElement(space.space_id, c) for c in stack[:take])
-            start_norms.extend(norms[:take])
+            if len(starts) < cfg.restarts:  # the stack's leading rows, divided into the ball on a copy
+                rows = stack[: cfg.restarts - len(starts)].copy()
+                starts = np.concatenate([starts, scale_by_norms(rows, norms[: len(rows)])])
             for lo in range(0, len(stack), 2 * RANDOM_CHUNK):
                 coords = stack[lo:lo + 2 * RANDOM_CHUNK]
                 values = space.norm_batch(amplified_images(coords, u4))
@@ -342,8 +348,7 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
                 if values[top] > best_val:
                     best_val, best = float(values[top]), (space, LeveledElement(space.space_id, coords[top]))
         if budget > 0:
-            couple, val = optimize_couple(space, n, u4, cfg, starts=starts,
-                                          seed=int(child.generate_state(1)[0]), start_norms=start_norms)
+            couple, val = optimize_couple(space, n, u4, cfg, starts=starts, seed=int(child.generate_state(1)[0]))
             evaluated += 1
             if val > best_val:
                 best_val, best = val, couple
@@ -489,11 +494,15 @@ def check_upper_certificate(cert: UpperCertificate, u) -> bool:
 
     Recomputes the residual from u and the atoms, and from them the value,
     which must not exceed the certificate's. Non-numeric or non-finite atoms
-    raise ``InvalidInputError``, as such a u does; atoms of a wrong shape
-    give False.
+    and a value that is not a real number raise ``InvalidInputError``, as a
+    u that is non-numeric, non-finite or out of the bounds' range does (see
+    :func:`_bounded_blocks`, with the block size read off u); atoms of a
+    wrong shape, and a NaN value, give False.
     """
-    u4 = linalg.as_block_array(u)
+    u4 = _bounded_blocks(u, linalg.as_block_array(u).shape[2])
     m, _, n, _ = u4.shape
+    if not isinstance(cert.value, numbers.Real):
+        raise InvalidInputError(f"certificate's value {cert.value!r} is not a real number")
     left = linalg.as_finite_array(cert.left, complex, "certificate's left stack")
     right = linalg.as_finite_array(cert.right, complex, "certificate's right stack")
     if left.ndim != 3 or left.shape[1:] != (m, n) or right.shape != (len(left), n, m):

@@ -227,11 +227,20 @@ class TestHatBoundsCommand:
 class TestCheckedInExample:
     # blocks_n3_m2 is the default_rng(0) complex Gaussian at m = 2, n = 3, certified by an op:4 couple: its pull
     # has rank at most mn of nk, so the file pins the last bits of op:k's proposal; blocks_n3_m1 is the
-    # default_rng(0) complex Gaussian at m = 1, n = 3, whose interval is the block's trace norm (thm6)
-    @pytest.mark.parametrize("name", ["blocks_n2_m2", "blocks_n3_m2", "blocks_n3_m1"])
+    # default_rng(0) complex Gaussian at m = 1, n = 3, whose interval is the block's trace norm (thm6);
+    # blocks_n2_m2_restarts8 runs the optimizer from 8 restarts at budget 1, some given by the search and some drawn
+    EXAMPLES = {  # expected file's stem: (input file's stem, further arguments)
+        "blocks_n2_m2": ("blocks_n2_m2", []),
+        "blocks_n3_m2": ("blocks_n3_m2", []),
+        "blocks_n3_m1": ("blocks_n3_m1", []),
+        "blocks_n2_m2_restarts8": ("blocks_n2_m2", ["--budget", "1", "--opt-config", '{"restarts": 8}']),
+    }
+
+    @pytest.mark.parametrize("name", list(EXAMPLES))
     def test_hat_bounds_json_matches_expected_file(self, name, capsys):
         # the console-script step in CI diffs the same pairs of files
-        assert main(["hat-bounds", "--json", str(DATA / f"{name}.json")]) == 0
+        source, args = self.EXAMPLES[name]
+        assert main(["hat-bounds", "--json", str(DATA / f"{source}.json"), *args]) == 0
         assert capsys.readouterr().out == (DATA / f"{name}.expected.json").read_text()
 
 

@@ -34,7 +34,8 @@ from matnorm import (
     structured_couples,
     trace_norm,
 )
-from matnorm.hatspace import RANDOM_CHUNK, UPPER_MARGIN, _stacks
+from matnorm.hatspace import RANDOM_CHUNK, UPPER_MARGIN, UpperCertificate, _stacks
+from matnorm.spaces import scale_by_norms
 
 from helpers import Bare, forbid_bound_work, gauss, op_norm, single_block
 
@@ -112,9 +113,13 @@ class TestBlockSize:
         lambda: canonical_identity(2.0),
         lambda: random_unitary(2.5, 0),
         lambda: concrete_operator_space(2.0),
+        lambda: random_couple(c_min(), 0, 1),
+        lambda: random_couple(c_min(), True, 1),
+        lambda: random_couple(c_min(), 2.0, 1),
     ], ids=["hat_bounds_none", "search_lower_bound_none", "hat_upper_bound_none", "optimize_couple_none",
             "structured_couples_none", "default_catalog_none", "default_catalog_float", "canonical_identity_float",
-            "random_unitary_float", "concrete_operator_space_float"])
+            "random_unitary_float", "concrete_operator_space_float", "random_couple_zero", "random_couple_bool",
+            "random_couple_float"])
     def test_size_of_another_type_rejected(self, call):
         # each raised a TypeError deeper down, or (op:2.0) built a space with a float dim
         with pytest.raises(InvalidInputError, match="size must be an integer"):
@@ -203,14 +208,39 @@ class TestLowerBound:
             np.testing.assert_array_equal(space.structured_couples(1, u4), np.stack([np.eye(1), *witnesses])[..., None])
         seen = []
 
-        def spy(space, n, u, config, starts, seed, start_norms):
-            seen.extend(start.coords for start in starts)
-            return optimize_couple(space, n, u, config, starts=starts, seed=seed, start_norms=start_norms)
+        def spy(space, n, u, config, starts, seed):
+            seen.extend(starts)
+            return optimize_couple(space, n, u, config, starts=starts, seed=seed)
 
         monkeypatch.setattr("matnorm.hatspace.optimize_couple", spy)
         search_lower_bound(1, u4, catalog=[c_min()], budget=4, seed=0)
         assert len(seen) == OptimizerConfig().restarts == 2
         assert seen[0][0, 0, 0] == 1 and seen[1][0, 0, 0] == pytest.approx(witnesses[0][0, 0], abs=1e-15)
+
+    @pytest.mark.parametrize("restarts", [20, 40, 80])
+    @pytest.mark.parametrize("space_id", ["cmax", "cmin", "op:2", "op:3"])
+    def test_starts_are_the_leading_rows_divided_by_their_checked_norms(self, monkeypatch, space_id, restarts):
+        # the optimizer takes its starts as given, so the search hands over copies of its stacks' leading rows,
+        # each whose checked norm exceeds 1 divided by it (80 rows span the first two stacks); some row on the
+        # sphere reads above 1, so the division shows
+        space, budget, seed = space_from_id(space_id), 100, 6
+        u4 = gauss(np.random.default_rng(52), (2, 2, 2, 2))
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        stacks = list(_stacks(space, 2, u4, np.random.default_rng(child), budget))
+        rows, norms = (np.concatenate(parts)[:restarts] for parts in zip(*stacks))
+        assert (norms > 1).any()
+        expected = scale_by_norms(rows.copy(), norms)
+        seen = []
+
+        def spy(space, n, u, config, starts, seed):
+            seen.append(starts.copy())
+            return optimize_couple(space, n, u, config, starts=starts, seed=seed)
+
+        monkeypatch.setattr("matnorm.hatspace.optimize_couple", spy)
+        search_lower_bound(2, u4, catalog=[space], budget=budget, seed=seed,
+                           optimizer_config=OptimizerConfig(restarts=restarts, iterations=2))
+        assert len(seen) == 1 and seen[0].shape == expected.shape and seen[0].tobytes() == expected.tobytes()
+        assert not np.array_equal(expected, rows)
 
     def test_structured_couples_valued_in_bounded_stacks(self, monkeypatch):
         # cmin and cmax each have m^2 + 1 = 82 structured couples at m = 9; they once
@@ -592,6 +622,11 @@ class TestUpperBound:
             for tampered in (replace(cert, left=left), replace(cert, right=left.swapaxes(1, 2))):
                 with pytest.raises(InvalidInputError, match="certificate's"):
                     check_upper_certificate(tampered, u)
+        # a value that is no real number raised TypeError from the comparison; a NaN value bounds nothing
+        for bad in ("x", None, 1j):
+            with pytest.raises(InvalidInputError, match="certificate's value"):
+                check_upper_certificate(replace(cert, value=bad), u)
+        assert not check_upper_certificate(replace(cert, value=np.nan), u)
 
 
 class TestSweep:
@@ -644,6 +679,12 @@ class TestSweep:
     def test_exact_cases_keep_their_values_bitwise(self, n, u, value):
         # flip has rank 1 and skips the sweep; on the others no rotation is worth less
         assert hat_upper_bound(n, u).value == value
+
+
+def check_certificate(n, u):
+    """``check_upper_certificate`` on u with a one-atom certificate: an entry point with the bounds' signature."""
+    m = len(u)
+    return check_upper_certificate(UpperCertificate(np.zeros((1, m, n)), np.zeros((1, n, m)), 1.0), u)
 
 
 class TestBounds:
@@ -747,11 +788,11 @@ class TestBounds:
         (single_block(np.diag([1e308, 1e308])), "max double"),
         (single_block(np.full((2, 2), 1e-320)), "smallest normal double"),
     ], ids=["diagonal_1e308", "subnormal_block"])
-    @pytest.mark.parametrize("entry", [hat_bounds, search_lower_bound, hat_upper_bound])
+    @pytest.mark.parametrize("entry", [hat_bounds, search_lower_bound, hat_upper_bound, check_certificate])
     def test_each_entry_point_checks_the_range(self, monkeypatch, entry, u, match):
         # the bounds were checked in hat_bounds only: on diag(1e308, 1e308) the search raised LinAlgError and
         # the upper bound read inf with an overflow warning, and on the subnormal block the two halves gave
-        # lower 2.001e-320 > upper 1.9995e-320
+        # lower 2.001e-320 > upper 1.9995e-320; the checker overflowed in its sum there and returned False on both
         forbid_bound_work(monkeypatch)
         with pytest.raises(InvalidInputError, match=match):
             entry(2, u)

@@ -29,7 +29,7 @@ from matnorm import (
 )
 from matnorm.correspondence import amplified_images, pullbacks
 from matnorm.optimizer import TOLERANCE
-from matnorm.spaces import OperatorSpace, TraceScalars, check_unit_ball
+from matnorm.spaces import OperatorSpace, TraceScalars
 
 from helpers import Bare, assembled, gauss, single_block
 
@@ -107,7 +107,7 @@ class TestInvariants:
 
 def polar_step(space, v, u):
     """One ascent step from ``v``: a single restart started at v, one iteration."""
-    couple, _ = optimize_couple(space, v.level, u, OptimizerConfig(restarts=1, iterations=1), starts=[v])
+    couple, _ = optimize_couple(space, v.level, u, OptimizerConfig(restarts=1, iterations=1), starts=v.coords[None])
     return couple.v
 
 
@@ -154,8 +154,7 @@ class TestPolarStep:
         proposal = propose(c_max(), v, u)
         start, jump = c_max().norm_batch(amplified_images(np.concatenate([v, proposal]), u))
         space = NanAbove("nan", 1, (start + jump) / 2)
-        couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=5),
-                                        starts=[space.element(v[0])])
+        couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=5), starts=v)
         assert start < jump and c_max().norm_batch(v)[0] < 1
         assert value == start
         np.testing.assert_array_equal(couple.v.coords, v[0])
@@ -168,29 +167,44 @@ class TestPolarStep:
         with pytest.raises(InvalidInputError, match="NaN at every optimizer restart"):
             optimize_couple(space, 2, np.ones((1, 1, 2, 2)), OptimizerConfig(restarts=2, iterations=3))
 
-    @pytest.mark.parametrize("start", [LeveledElement("cmax", np.ones((2, 2, 1), dtype=complex)),
-                                       LeveledElement("cmin", np.ones((3, 3, 1), dtype=complex)),
-                                       LeveledElement("cmin", np.array([np.nan, 1, 1, 1]).reshape(2, 2, 1) + 0j),
-                                       LeveledElement("cmin", np.array([np.inf, 1, 1, 1]).reshape(2, 2, 1) + 0j)],
-                             ids=["other_space", "other_level", "nan", "inf"])
-    def test_start_of_another_space_or_level_rejected(self, start):
+    @pytest.mark.parametrize("starts", [np.ones((1, 3, 3, 1)), np.ones((1, 2, 2, 2)), np.ones((2, 2, 1)),
+                                        np.array([np.nan, 1, 1, 1]).reshape(1, 2, 2, 1),
+                                        np.array([np.inf, 1, 1, 1]).reshape(1, 2, 2, 1),
+                                        np.full((1, 2, 2, 1), "x"), [c_min().element(np.eye(2))]],
+                             ids=["other_level", "other_dim", "unstacked", "nan", "inf", "text", "element_list"])
+    def test_start_stack_of_another_shape_or_not_finite_rejected(self, starts):
         # a non-finite start is no element either: NaN used to fail in the SVD ("SVD did not converge")
         with pytest.raises(InvalidInputError, match="start"):
-            optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts=[start])
+            optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts=starts)
+
+    def test_start_outside_the_ball_caught_by_the_couple(self):
+        # a given start is used as given: returned unchanged with no step, and the Couple checks it
+        with pytest.raises(InvalidInputError, match="norm 3 > 1"):
+            optimize_couple(c_min(), 2, np.eye(2).reshape(1, 1, 2, 2), OptimizerConfig(restarts=1, iterations=0),
+                            starts=3 * np.eye(2).reshape(1, 2, 2, 1))
+
+    def test_given_starts_are_not_written(self):
+        # the restarts step on a copy: with every restart given, the caller's stack keeps its points
+        rng = np.random.default_rng(15)
+        u = gauss(rng, (2, 2, 2, 2))
+        starts = c_min().unit_scaled_stack(gauss(rng, (2, 2, 2, 1)))
+        before = starts.copy()
+        couple, _ = optimize_couple(c_min(), 2, u, OptimizerConfig(restarts=2, iterations=5), starts=starts)
+        np.testing.assert_array_equal(starts, before)
+        assert not any(np.array_equal(couple.v.coords, start) for start in starts)  # the restarts moved
 
     @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), Bare("bare", 1, c_min())],
                              ids=["l1", "bare"])
     def test_space_without_proposal_keeps_best_start(self, space):
-        # no polar step: the run returns its best start, rescaled into the ball, and that start's value
+        # no polar step: the run returns its best start, as given, and that start's value
         rng = np.random.default_rng(11)
         u = gauss(rng, (2, 2, 2, 2))
-        starts = [space.element(10.0 ** e * gauss(rng, (2, 2, space.dim))) for e in (-1, 1, 0)]
-        rescaled = space.unit_scaled_stack(np.stack([s.coords for s in starts]))
-        values = [space.norm(amplified_image(LeveledElement(space.space_id, c), u)) for c in rescaled]
+        starts = space.unit_scaled_stack(np.stack([10.0 ** e * gauss(rng, (2, 2, space.dim)) for e in (-1, 1, 0)]))
+        values = [space.norm(amplified_image(LeveledElement(space.space_id, c), u)) for c in starts]
         best = int(np.argmax(values))
         couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=3, iterations=10), starts=starts)
         assert value == values[best]
-        np.testing.assert_array_equal(couple.v.coords, rescaled[best])
+        np.testing.assert_array_equal(couple.v.coords, starts[best])
 
     @pytest.mark.parametrize("space", [l1_sum([c_min(), c_max()]), Bare("bare", 1, c_min())],
                              ids=["l1", "bare"])
@@ -500,12 +514,17 @@ def reference_proposal(space, image, u4):
 
 
 def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
-    """The sequential loop; appends each point a restart starts at or moves to to ``kept``, if given."""
+    """The sequential loop; appends each point a restart starts at or moves to to ``kept``, if given.
+
+    The given ``starts`` (a stack of unit-ball points) lead as given; the drawn restarts are rescaled.
+    """
     rng = np.random.default_rng(seed)
     best_v, best_val = None, -np.inf
     for restart in range(cfg.restarts):
-        start = starts[restart] if restart < len(starts) else random_element(space, n, rng)
-        v = space.unit_scaled_stack(np.array(start.coords)[None])[0]
+        if restart < len(starts):
+            v = np.array(starts[restart], dtype=complex)
+        else:
+            v = space.unit_scaled_stack(random_element(space, n, rng).coords[None])[0]
         image = amplified_image(LeveledElement(space.space_id, v), u4).coords
         val = space.norm(LeveledElement(space.space_id, image))
         if kept is not None:
@@ -588,12 +607,12 @@ class TestLockstepEquivalence:
             space = space_from_id(space_id)
         rng = np.random.default_rng(seed)
         u4 = 10.0 ** scale * equivalence_input(kind, m, n, rng)
-        starts = []
+        starts = np.empty((0, n, n, space.dim), dtype=complex)
         for drop in vanishing[:given_starts]:
-            coords = 10.0 ** rng.uniform(-1, 1) * gauss(rng, (n, n, space.dim))
+            coords = 10.0 ** rng.uniform(-1, 1) * gauss(rng, (1, n, n, space.dim))
             if drop:
-                coords[0, 0] = 0
-            starts.append(space.element(coords))
+                coords[0, 0, 0] = 0
+            starts = np.concatenate([starts, space.unit_scaled_stack(coords)])  # the caller puts its starts in the ball
         cfg = OptimizerConfig(restarts=restarts, iterations=iterations, stall_limit=stall_limit)
         couple, value = optimize_couple(space, n, u4, cfg, starts=starts, seed=seed)
         if not u4.any():
@@ -630,17 +649,16 @@ class TestLockstepEquivalence:
         rng = np.random.default_rng(seed)
         m, n = 2, 3
         u4 = gauss(rng, (m, m, n, n))
-        coords = gauss(rng, (n, n, 1))
+        start = c_max().unit_scaled_stack(gauss(rng, (1, n, n, 1)))  # in the ball: CreepBelow norms level n as cmax
         one_step = OptimizerConfig(restarts=1, iterations=1)
-        _, floor = optimize_couple(c_max(), n, u4, one_step, starts=[c_max().element(coords)])
+        _, floor = optimize_couple(c_max(), n, u4, one_step, starts=start)
         space = CreepBelow("creep", 1, m, floor)
-        start = space.element(coords)
-        start_value = space.norm(amplified_image(space.element(space.unit_scaled_stack(coords[None])[0]), u4))
-        _, first = optimize_couple(space, n, u4, one_step, starts=[start])
+        start_value = space.norm(amplified_image(space.element(start[0]), u4))
+        _, first = optimize_couple(space, n, u4, one_step, starts=start)
         cfg = OptimizerConfig(restarts=1, iterations=3, stall_limit=2)
-        couple, value = optimize_couple(space, n, u4, cfg, starts=[start])
+        couple, value = optimize_couple(space, n, u4, cfg, starts=start)
         assert 0 < first - start_value <= TOLERANCE * start_value < value - first
-        ref_v, ref_value = reference_optimize(space, n, u4, cfg, [start], 0)
+        ref_v, ref_value = reference_optimize(space, n, u4, cfg, start, 0)
         assert value == ref_value
         np.testing.assert_array_equal(couple.v.coords, ref_v)
 
@@ -674,63 +692,3 @@ class TestProposalContract:
         u = gauss(np.random.default_rng(14), (3, 3, 2, 2))
         with pytest.raises(InvalidInputError, match="polar_proposal gave shape"):
             optimize_couple(ImagesAsCoordinates("images", 1, 3), 2, u, OptimizerConfig(restarts=1, iterations=3))
-
-
-def search_starts(space, n, seed):
-    """Starts as the search hands them over, with the norms their stack was checked by.
-
-    A random row divided onto the sphere whose norm reads just above 1, the
-    zero element and a row inside the ball.
-    """
-    rows = space.unit_scaled_stack(gauss(np.random.default_rng(seed), (64, n, n, space.dim)), sphere=True)
-    over = rows[np.flatnonzero(check_unit_ball(space, rows) > 1)[0]]
-    stack = np.stack([over, np.zeros_like(over), 0.5 * rows[0]])
-    norms = check_unit_ball(space, stack)
-    assert 1 < norms[0] <= 1 + 1e-15 and norms[1] == 0
-    return [LeveledElement(space.space_id, c) for c in stack], norms
-
-
-class TestStartNorms:
-    @pytest.mark.parametrize("restarts", [1, 3, 5])
-    @pytest.mark.parametrize("space_id", ["cmax", "cmin", "op:2", "op:3"])
-    def test_same_bits_with_and_without_norms(self, space_id, restarts):
-        # the given norms spare the starts' norm evaluation and divide them as unit_scaled_stack does, the
-        # start read at 1 + ulp included; restarts beyond the starts are drawn and normed on their own
-        space = space_from_id(space_id)
-        starts, norms = search_starts(space, 2, seed=restarts)
-        u4 = gauss(np.random.default_rng(30 + restarts), (2, 2, 2, 2))
-        cfg = OptimizerConfig(restarts=restarts, iterations=5)
-        plain, plain_value = optimize_couple(space, 2, u4, cfg, starts=starts, seed=8)
-        normed, normed_value = optimize_couple(space, 2, u4, cfg, starts=starts, seed=8, start_norms=norms)
-        assert normed_value == plain_value
-        np.testing.assert_array_equal(normed.v.coords, plain.v.coords)
-
-    def test_a_start_read_above_one_is_divided_again(self):
-        starts, norms = search_starts(c_min(), 2, seed=0)
-        u4 = gauss(np.random.default_rng(31), (1, 1, 2, 2))
-        couple, _ = optimize_couple(c_min(), 2, u4, OptimizerConfig(restarts=1, iterations=0),
-                                    starts=starts[:1], start_norms=norms[:1])
-        np.testing.assert_array_equal(couple.v.coords, starts[0].coords / norms[0])
-
-    @pytest.mark.parametrize("norms", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [np.nan, 1.0], [np.inf, 1.0],
-                                       [-1.0, 1.0], ["x", 1.0]],
-                             ids=["short", "long", "nested", "nan", "inf", "negative", "text"])
-    def test_bad_norms_rejected(self, norms):
-        starts = [c_min().element(np.eye(2)), c_min().element(np.zeros((2, 2)))]
-        with pytest.raises(InvalidInputError, match="start norm"):
-            optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2)), starts=starts, start_norms=norms)
-
-    def test_zero_norm_of_a_zero_start_accepted(self):
-        # unit_scaled_stack leaves a zero row alone, and so do the given norms
-        u4 = gauss(np.random.default_rng(32), (1, 1, 2, 2))
-        starts, cfg = [c_max().element(np.zeros((2, 2)))], OptimizerConfig(restarts=1, iterations=3)
-        assert (optimize_couple(c_max(), 2, u4, cfg, starts=starts, start_norms=[0.0])[1]
-                == optimize_couple(c_max(), 2, u4, cfg, starts=starts)[1])
-
-    def test_understated_norm_caught_by_the_couple(self):
-        # a start left outside the ball by its given norm is returned unchanged with no step, and the Couple
-        # checks it
-        start = c_min().element(3 * np.eye(2))
-        with pytest.raises(InvalidInputError, match="norm 3 > 1"):
-            optimize_couple(c_min(), 2, np.eye(2).reshape(1, 1, 2, 2), OptimizerConfig(restarts=1, iterations=0),
-                            starts=[start], start_norms=[0.5])
