@@ -298,12 +298,14 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     """Maximize couple values over the catalog; sequential and deterministic.
 
     Per space: structured couples (the space's hand-picked elements),
-    ``budget`` random couples, then an optimizer run from the first of them
-    (skipped when budget is 0; it takes no step on a space without a polar
-    proposal). :func:`_stacks` yields them as rescaled, checked stacks, the
-    structured couples with the first ``RANDOM_CHUNK`` random ones; the
-    optimizer's starts are copies of the leading rows, each whose checked
-    norm exceeds 1 divided by it, so they are not normed again. Each stack
+    ``budget`` random couples, then an optimizer run from the first
+    ``restarts`` of them (skipped when budget is 0; it takes no step on a
+    space without a polar proposal), topped up when they are fewer by a
+    :func:`_stacks` run without structured couples on the space's generator.
+    :func:`_stacks` yields rescaled, checked stacks, the structured couples
+    with the first ``RANDOM_CHUNK`` random ones; the optimizer's starts are
+    copies of the leading rows, each whose checked norm exceeds 1 divided by
+    it, so they are not normed again. Each stack
     is valued in slices of at most ``2 * RANDOM_CHUNK`` couples, each slice
     one amplification and one batched norm. Ties go to the earliest couple
     in evaluation order, and a couple's value has the same bits in any
@@ -335,8 +337,8 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
     best = None  # (space, element) of the best stack row, or the optimizer's couple once it wins
     evaluated = 0
     for space, child in zip(catalog, children):
-        starts = np.empty((0, n, n, space.dim), dtype=complex)
-        for stack, norms in _stacks(space, n, u4, np.random.default_rng(child), budget):
+        rng, starts = np.random.default_rng(child), np.empty((0, n, n, space.dim), dtype=complex)
+        for stack, norms in _stacks(space, n, u4, rng, budget):
             if len(starts) < cfg.restarts:  # the stack's leading rows, divided into the ball on a copy
                 rows = stack[: cfg.restarts - len(starts)].copy()
                 starts = np.concatenate([starts, scale_by_norms(rows, norms[: len(rows)])])
@@ -348,7 +350,10 @@ def search_lower_bound(n: int, u, catalog=None, budget: int | None = None, seed=
                 if values[top] > best_val:
                     best_val, best = float(values[top]), (space, LeveledElement(space.space_id, coords[top]))
         if budget > 0:
-            couple, val = optimize_couple(space, n, u4, cfg, starts=starts, seed=int(child.generate_state(1)[0]))
+            missing = cfg.restarts - len(starts)  # drawn after the space's couples, from its generator
+            tops = _stacks(space, n, None, rng, missing) if missing > 0 else ()
+            starts = np.concatenate([starts, *(scale_by_norms(stack, norms) for stack, norms in tops)])
+            couple, val = optimize_couple(space, n, u4, starts, cfg)
             evaluated += 1
             if val > best_val:
                 best_val, best = val, couple

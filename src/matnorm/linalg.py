@@ -28,9 +28,14 @@ def as_finite_array(data, dtype, what: str) -> np.ndarray:
 
     numpy raises ValueError or TypeError on ragged or non-numeric data, and
     OverflowError on an integer past the double range (10**400, a json literal).
+    Text is no number, although numpy parses "2" into one, so the dtype is
+    inferred before the conversion and text entries are rejected.
     """
     try:
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
+        if arr.dtype.kind in "US" or arr.dtype == object and any(isinstance(x, (str, bytes)) for x in arr.flat):
+            raise TypeError("text entries are not numbers")
+        arr = arr.astype(dtype, copy=False)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"malformed input, not a {what}: {exc}") from exc
     if not np.isfinite(arr).all():

@@ -23,18 +23,15 @@ of the unit ball, so nothing is rescaled). ``polar_state`` values the images
 and gives their functionals from one factorization, so a catalog step makes
 two SVD calls: the proposal's and the image's. A restart keeps its point,
 its functional and its value, not its image; the end values the
-images of the kept points in one ``norm_batch``. Steps draw nothing; the
-restarts beyond the given starts are drawn up front, in restart order, from
-a generator built only when there is one to draw, so any batching gives a
-sequential run's result. Only the drawn restarts are rescaled into the ball:
-the given starts arrive as unit-ball points and are used as given (the
-search rescales its checked stack rows itself).
+images of the kept points in one ``norm_batch``. Nothing is drawn: a run is
+a deterministic ascent from the given starts, points of the unit ball that
+the caller rescaled and checked (the search hands over its checked couples),
+so any batching gives a sequential run's result.
 
 ``OptimizerConfig`` holds the three settings callers vary: restarts,
 iterations per restart and the stall limit (consecutive steps gaining at most
 ``TOLERANCE`` times the current value; a relative gain, so scaling u scales
-every value and leaves every step as it was). The seed is an argument of
-``optimize_couple``, not a setting.
+every value and leaves every step as it was).
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ __all__ = ["OptimizerConfig", "optimize_couple"]
 
 TOLERANCE = 1e-12
 
-MAX_RESTARTS = 10**4  # the restarts are drawn and stepped as one stack, so their count sizes its arrays
+MAX_RESTARTS = 10**4  # the restarts are stepped as one stack, so their count sizes its arrays
 
 # complex entries of a restart stack (256 MiB per array): restarts x max(m, n)^2 x dim, as the count alone
 # leaves the bytes unbounded (10^4 restarts of op:17 at n = 16 would take 11.8 GB)
@@ -124,39 +121,28 @@ def _ascend(space: MatricialSpace, u4: np.ndarray, coords: np.ndarray, functiona
         active = running
 
 
-def optimize_couple(space: MatricialSpace, n: int, u, config: OptimizerConfig | None = None,
-                    starts=None, seed=0):
-    """Best couple found by multi-restart ascent; returns (couple, value).
+def optimize_couple(space: MatricialSpace, n: int, u, starts, config: OptimizerConfig | None = None):
+    """Best couple of an ascent from each of the first ``restarts`` rows of ``starts``; returns (couple, value).
 
-    ``starts`` (None for none) is an (S, n, n, dim) coordinate stack of
-    unit-ball points; its first ``restarts`` rows lead the restarts as given.
-    A start outside the ball is the caller's error: the returned ``Couple``'s
-    check raises it when that start wins. The restarts beyond the starts
-    start from Gaussian draws (one stack from ``default_rng(seed)``, built
-    only when there is a restart to draw), each whose norm exceeds 1 divided
-    by it: a step moves straight to its polar proposal, a unit-ball point
-    (see the module docstring). Each start is valued on its own, and one
-    ``polar_state`` call over the starts' images gives their functionals.
-    The kept points end valued by one ``norm_batch`` of their images;
-    ``amplified_images`` gives a row the same bits in any batch, so the
-    reported value is the returned couple's ``couple_value`` bit for bit.
-    Ties go to the first restart. ``seed`` is a nonnegative integer, so the
-    result is deterministic per seed.
+    ``starts`` is a nonempty (S, n, n, dim) coordinate stack of unit-ball
+    points, used as given; a stack of fewer rows runs one restart per row.
+    A start outside the ball is the caller's error: the returned
+    ``Couple``'s check raises it when that start wins. Each start is valued
+    on its own, and one ``polar_state`` call over the starts' images gives
+    their functionals. The kept points end valued by one ``norm_batch`` of
+    their images; ``amplified_images`` gives a row the same bits in any
+    batch, so the reported value is the returned couple's ``couple_value``
+    bit for bit. Ties go to the first restart. Nothing is drawn, so the
+    result is a function of the arguments.
     """
     cfg = config or OptimizerConfig()
     u4 = linalg.as_block_array(u, block_size=n)
-    require_int("seed", seed, 0)
     cfg.check_stack(len(u4), n, space.dim)
-    empty = np.empty((0, n, n, space.dim))
-    given = linalg.as_finite_array(empty if starts is None else starts, complex, "start stack")
-    if given.shape[1:] != (n, n, space.dim):
-        raise InvalidInputError(f"starts of shape {given.shape} are not a stack of level-{n} elements of "
-                                f"{space.space_id} (dim {space.dim})")
-    given, drawn = given[: cfg.restarts], empty
-    if len(given) < cfg.restarts:  # random_element's stream, restart by restart: real part, then imaginary
-        draws = np.random.default_rng(seed).standard_normal((cfg.restarts - len(given), 2, n, n, space.dim))
-        drawn = space.unit_scaled_stack(draws[:, 0] + 1j * draws[:, 1])
-    coords = np.concatenate([given, drawn])  # a copy of the starts: the steps write their rows in place
+    given = linalg.as_finite_array(starts, complex, "start stack")
+    if given.shape[1:] != (n, n, space.dim) or not given.size:
+        raise InvalidInputError(f"starts of shape {given.shape} are not a nonempty stack of level-{n} elements "
+                                f"of {space.space_id} (dim {space.dim})")
+    coords = given[: cfg.restarts].copy()  # the steps write their rows in place
     start_images = [amplified_image(LeveledElement(space.space_id, c), u4) for c in coords]
     vals = [space.norm(image) for image in start_images]
     functionals = space.polar_state(np.stack([image.coords for image in start_images]))[1]

@@ -28,12 +28,14 @@ from .spaces import Couple
 DEFAULT_N_VALUES = (1, 2, 3, 4)
 
 MAX_SUITE_N = 16
-"""The largest ``n`` that ``run_suite`` takes; the suites allocate arrays sized by n.
+"""The largest ``n`` and ``m_max`` that ``run_suite`` takes; the suites allocate arrays sized by them.
 
 At 16 every suite runs: ``verify --suite all --n 16 --trials 1`` passes its
-45 checks in 12 s with a peak RSS of 118 MB (one run on a 2-core Xeon). The
-arrays grow fast past it: prop7's 64-couple chunk of op:(n+1) holds
-64 n^2 (n+1)^2 complex entries, 1.1 GB per array at n = 32.
+45 checks in 12 s with a peak RSS of 118 MB (one run on a 2-core Xeon), and
+``verify --suite axioms --m 16 --trials 1`` its 19 in 1.4 s. The arrays
+grow fast past it: prop7's 64-couple chunk of op:(n+1) holds
+64 n^2 (n+1)^2 complex entries, 1.1 GB per array at n = 32, and the axiom
+samples reach level m_max.
 """
 
 # cheap optimizer settings for per-trial searches inside suites; the polar
@@ -450,7 +452,8 @@ def run_suite(name: str, *, seed: int = 0, trials: int | None = None, n: int | N
               budget: int | None = None) -> dict:
     """Run one named suite (or "all") and assemble the report.
 
-    Every parameter is checked before any suite runs, whichever suites read it.
+    Every parameter is checked before any suite runs, whichever suites read
+    it; ``n`` and ``m_max`` may not exceed ``MAX_SUITE_N``.
     """
     if name not in (*SUITE_NAMES, "all"):  # compared, not hashed: a list is no suite either
         raise InvalidInputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
@@ -458,8 +461,9 @@ def run_suite(name: str, *, seed: int = 0, trials: int | None = None, n: int | N
     for key, value, low in (("trials", trials, 1), ("m_max", m_max, 1), ("n", n, 1), ("budget", budget, 0)):
         if value is not None:
             require_int(key, value, low)
-    if n is not None and n > MAX_SUITE_N:  # the message leaves n out: str() refuses ints of more than 4,300 digits
-        raise InvalidInputError(f"n must be at most {MAX_SUITE_N}")
+    for key, value in (("n", n), ("m_max", m_max)):
+        if value is not None and value > MAX_SUITE_N:  # the message leaves it out: str() refuses 4,301 digits
+            raise InvalidInputError(f"{key} must be at most {MAX_SUITE_N}")
     if p is not None and not (isinstance(p, numbers.Real) and p > 1):  # also rejects nan
         raise InvalidInputError(f"exponent must exceed 1, got {p!r}")
     names = SUITE_NAMES if name == "all" else (name,)

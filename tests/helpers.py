@@ -1,4 +1,4 @@
-"""Helpers shared by the test modules: complex Gaussian draws, block layouts, a bare space and long space ids."""
+"""Helpers shared by the test modules: Gaussian draws and optimizer starts, block layouts, a bare space, long ids."""
 
 from dataclasses import dataclass
 
@@ -11,6 +11,16 @@ from matnorm.spaces import MAX_ID_DEPTH, OperatorSpace, TraceScalars
 def gauss(rng, shape):
     """A complex Gaussian array from a numpy generator: the real parts, then the imaginary parts."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def drawn_starts(space, n, restarts, seed):
+    """Optimizer starts drawn as the optimizer once drew its own: Gaussian rows from ``default_rng(seed)``.
+
+    Row by row the real parts, then the imaginary parts (``random_element``'s
+    stream); each row whose norm exceeds 1 is divided by it.
+    """
+    draws = np.random.default_rng(seed).standard_normal((restarts, 2, n, n, space.dim))
+    return space.unit_scaled_stack(draws[:, 0] + 1j * draws[:, 1])
 
 
 def single_block(a):

@@ -274,11 +274,14 @@ class TestRejectedFiles:
         (["norm", "cmax", "1", "FILE"], '{"m": 1, "coords": [[[[1' + "0" * 400 + ', 0]]]]}', "int too large"),
         (["hat-bounds", "FILE"], '{"n": 2, "m": 1, "blocks": [[[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]]}',
          "max double"),
+        # numpy parsed the text "2" as a number: hat-bounds printed lower=2 upper=2 and norm printed 3, exit 0
+        (["hat-bounds", "FILE"], '{"n": 1, "m": 1, "blocks": [[[[["2", "0"]]]]]}', "not a complex-pair array"),
+        (["norm", "cmax", "1", "FILE"], '{"m": 1, "coords": [[[["3", "0"]]]]}', "not a complex-pair array"),
     ], ids=["not_an_object", "no_blocks", "dim_mismatch", "blocks_do_not_fit", "no_coords_or_blocks",
             "declared_m_mismatch", "declared_m_true", "declared_m_float", "declared_dim_true",
             "blocks_declared_dim_7", "blocks_declared_dim_string", "blocks_declared_dim_true",
             "opt_config_not_an_object", "integer_401_digits_blocks",
-            "integer_401_digits_coords", "diagonal_1e308"])
+            "integer_401_digits_coords", "diagonal_1e308", "string_entry_blocks", "string_entry_coords"])
     def test_exit_2(self, tmp_path, capsys, args, text, fragment):
         # text None reads the checked-in cmax element
         path = DATA / "element_cmax_m2.json"
@@ -431,12 +434,13 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("kwargs", [
         {"p": 0.5}, {"p": 1.0}, {"p": float("nan")}, {"p": "2"},
         {"trials": 0}, {"trials": -5}, {"trials": 2.5}, {"trials": True},
-        {"m_max": 0}, {"n": 0}, {"n": 1.5}, {"budget": -1}, {"budget": 0.5},
+        {"m_max": 0}, {"m_max": MAX_SUITE_N + 1}, {"m_max": 100000}, {"n": 0}, {"n": 1.5},
+        {"budget": -1}, {"budget": 0.5},
         {"seed": -1}, {"seed": 1.5}, {"seed": None},
     ], ids=lambda kwargs: ",".join(f"{key}={value!r}" for key, value in kwargs.items()))
     def test_library_rejects_each_bad_parameter_before_any_suite(self, monkeypatch, name, kwargs):
         # trials=-5 passed coproduct having sampled nothing, trials=0 ran the default count, p=0.5 ran prop13,
-        # and "all" ran six suites before convexity rejected its p
+        # "all" ran six suites before convexity rejected its p, and axioms ran on at m_max=100000
         import matnorm.suites as suites
 
         def never(**_):

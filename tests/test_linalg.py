@@ -15,7 +15,7 @@ from matnorm import (
     random_unitary,
     trace_norm,
 )
-from matnorm.linalg import as_block_array, as_matrix, top_eigenvalues
+from matnorm.linalg import as_block_array, as_finite_array, as_matrix, top_eigenvalues
 from matnorm.serialize import pairs_to_complex
 
 from helpers import assembled, gauss, op_norm
@@ -175,6 +175,14 @@ class TestBlockLayout:
             hat_bounds(2, np.zeros(shape))
 
 
+# numbers of every kind the coercion meets: json ints past 2^53 and past int64, numpy arrays of other dtypes
+NUMBERS = [[[1, 2], [3, -4]], [[2**53 + 1, 0]], [[2**63 + 1, 7]], [[-1, 2**64 - 1]], [[10**300, -(10**300)]],
+           [[0.1, 1e-320], [-2.5, 1e308]], np.arange(4, dtype=np.int8).reshape(2, 2),
+           np.array([[0.1, 3.0]], dtype=np.float32), np.array([[1, 2.5]], dtype=object)]
+NUMBER_NAMES = ["ints", "int_past_2_53", "uint64", "object_ints", "huge_object_ints", "floats_subnormal", "int8",
+                "float32", "object_numbers"]
+
+
 class TestCoercion:
     @pytest.mark.parametrize("call,fragment", [
         (lambda: pairs_to_complex([[1.0, 0.0], [1.0]]), "malformed"),
@@ -191,12 +199,35 @@ class TestCoercion:
         (lambda: as_block_array([[[[10**400]]]]), "int too large"),
         (lambda: c_max().element([10**400]), "int too large"),
         (lambda: hat_bounds(1, [[[[10**400]]]]), "int too large"),
+        # numpy parses numeric text, so "2" once passed as the number 2; text is rejected whatever it spells,
+        # as a string array and as a str among numbers (an object array)
+        (lambda: pairs_to_complex([["2", "0"]]), "not a complex-pair array"),
+        (lambda: pairs_to_complex([[2.5, "0"]]), "not a complex-pair array"),
+        (lambda: pairs_to_complex(np.array([[2.5, "0"]], dtype=object)), "not a complex-pair array"),
+        (lambda: pairs_to_complex([[b"2", b"0"]]), "not a complex-pair array"),
+        (lambda: pairs_to_complex(np.array([[2.5, b"0"]], dtype=object)), "not a complex-pair array"),
+        (lambda: as_matrix([["3"]]), "not a complex matrix"),
+        (lambda: as_block_array([[[["1+2j"]]]]), "not a block array"),
+        (lambda: c_max().element(np.array([[["3"]]])), "not a coordinate array"),
+        (lambda: hat_bounds(1, [[[["2"]]]]), "not a block array"),
     ], ids=["pairs_ragged", "pairs_no_pair_axis", "pairs_nonfinite", "matrix_non_numeric", "matrix_1d",
             "block_array_3d", "block_array_size_none", "pairs_huge_int", "matrix_huge_int",
-            "block_array_huge_int", "element_huge_int", "hat_bounds_huge_int"])
+            "block_array_huge_int", "element_huge_int", "hat_bounds_huge_int", "pairs_numeric_text",
+            "pairs_text_among_numbers", "pairs_object_text", "pairs_bytes", "pairs_object_bytes", "matrix_numeric_text",
+            "block_array_complex_text", "element_numeric_text", "hat_bounds_numeric_text"])
     def test_malformed_rejected(self, call, fragment):
         with pytest.raises(InvalidInputError, match=fragment):
             call()
+
+    @pytest.mark.parametrize("data,dtype", [(data, dtype) for data in NUMBERS for dtype in (float, complex)]
+                             + [([[1 + 2j, 3]], complex)],
+                             ids=[f"{name}-{kind}" for name in NUMBER_NAMES for kind in ("float", "complex")]
+                             + ["complex_entries-complex"])
+    def test_numbers_keep_their_bits(self, data, dtype):
+        # the dtype is inferred before the conversion (to find text); a number converts as a direct conversion does
+        ours = as_finite_array(data, dtype, "array")
+        ref = np.asarray(data, dtype=dtype)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
 
 
 class TestRandomGenerators:

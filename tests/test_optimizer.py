@@ -23,7 +23,6 @@ from matnorm import (
     hat_bounds,
     l1_sum,
     optimize_couple,
-    random_element,
     space_from_id,
     trace_norm,
 )
@@ -31,7 +30,7 @@ from matnorm.correspondence import amplified_images, pullbacks
 from matnorm.optimizer import TOLERANCE
 from matnorm.spaces import OperatorSpace, TraceScalars
 
-from helpers import Bare, assembled, gauss, single_block
+from helpers import Bare, assembled, drawn_starts, gauss, single_block
 
 
 def split(a, k):
@@ -54,7 +53,7 @@ class TestBenchmarkRecovery:
         for trial in range(100):
             n = 1 + trial % 4
             a = gauss(rng, (n, n))
-            _, value = optimize_couple(sp, n, single_block(a), cfg, seed=7)
+            _, value = optimize_couple(sp, n, single_block(a), drawn_starts(sp, n, 2, 7), cfg)
             assert value >= trace_norm(a) - 1e-6
 
     def test_trace_scalars_find_block_diag_value(self):
@@ -68,11 +67,12 @@ class TestBenchmarkRecovery:
         u = np.zeros((2, 2, n, n), dtype=complex)
         u[0, 0], u[1, 1] = blocks
         closed = sum(trace_norm(b) for b in blocks) / n
-        _, value = optimize_couple(c_max(), n, u, OptimizerConfig(restarts=4, iterations=40), seed=2)
+        cfg = OptimizerConfig(restarts=4, iterations=40)
+        _, value = optimize_couple(c_max(), n, u, drawn_starts(c_max(), n, 4, 2), cfg)
         assert value >= closed - 1e-9
 
     def test_zero_input(self):
-        _, value = optimize_couple(c_min(), 2, np.zeros((2, 2, 2, 2)), seed=3)
+        _, value = optimize_couple(c_min(), 2, np.zeros((2, 2, 2, 2)), drawn_starts(c_min(), 2, 2, 3))
         assert value == 0.0
 
 
@@ -83,7 +83,8 @@ class TestInvariants:
         space = space_factory()
         rng = np.random.default_rng(4)
         u = gauss(rng, (2, 2, 2, 2))
-        couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=3, iterations=15), seed=5)
+        cfg = OptimizerConfig(restarts=3, iterations=15)
+        couple, value = optimize_couple(space, 2, u, drawn_starts(space, 2, 3, 5), cfg)
         assert space.norm(couple.v) <= 1.0 + 1e-12
         assert couple_value(couple, u) == value  # bit for bit, as the docstring promises
 
@@ -91,23 +92,41 @@ class TestInvariants:
         rng = np.random.default_rng(6)
         u = gauss(rng, (2, 2, 3, 3))
         cfg = OptimizerConfig(restarts=3, iterations=12)
-        c1, v1 = optimize_couple(c_min(), 3, u, cfg, seed=42)
-        c2, v2 = optimize_couple(c_min(), 3, u, cfg, seed=42)
+        starts = drawn_starts(c_min(), 3, 3, 42)
+        c1, v1 = optimize_couple(c_min(), 3, u, starts, cfg)
+        c2, v2 = optimize_couple(c_min(), 3, u, starts, cfg)
         assert v1 == v2
         np.testing.assert_array_equal(c1.v.coords, c2.v.coords)
+
+    @pytest.mark.parametrize("space_id", ["cmax", "cmin", "op:2", "op:3"])
+    def test_draws_nothing(self, monkeypatch, space_id):
+        # the restarts are the given starts, one per row when the rows are fewer than the restarts: a run makes no
+        # generator, so its result is a function of its arguments
+        space = space_from_id(space_id)
+        u = gauss(np.random.default_rng(7), (2, 2, 2, 2))
+        starts = drawn_starts(space, 2, 2, 7)
+        ref_couple, ref_value = optimize_couple(space, 2, u, starts, OptimizerConfig(restarts=2, iterations=12))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the optimizer made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        couple, value = optimize_couple(space, 2, u, starts, OptimizerConfig(restarts=4, iterations=12))
+        assert value == ref_value
+        np.testing.assert_array_equal(couple.v.coords, ref_couple.v.coords)
 
     def test_flip_objective_capped_at_one(self):
         # on the flip element every feasible couple scores its own norm
         for factory in (c_min, c_max, lambda: concrete_operator_space(2)):
             space = factory()
-            _, value = optimize_couple(space, 2, canonical_identity(2),
-                                       OptimizerConfig(restarts=3, iterations=20), seed=8)
+            _, value = optimize_couple(space, 2, canonical_identity(2), drawn_starts(space, 2, 3, 8),
+                                       OptimizerConfig(restarts=3, iterations=20))
             assert value <= 1.0 + 1e-9
 
 
 def polar_step(space, v, u):
     """One ascent step from ``v``: a single restart started at v, one iteration."""
-    couple, _ = optimize_couple(space, v.level, u, OptimizerConfig(restarts=1, iterations=1), starts=v.coords[None])
+    couple, _ = optimize_couple(space, v.level, u, v.coords[None], OptimizerConfig(restarts=1, iterations=1))
     return couple.v
 
 
@@ -154,7 +173,7 @@ class TestPolarStep:
         proposal = propose(c_max(), v, u)
         start, jump = c_max().norm_batch(amplified_images(np.concatenate([v, proposal]), u))
         space = NanAbove("nan", 1, (start + jump) / 2)
-        couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=1, iterations=5), starts=v)
+        couple, value = optimize_couple(space, 2, u, v, OptimizerConfig(restarts=1, iterations=5))
         assert start < jump and c_max().norm_batch(v)[0] < 1
         assert value == start
         np.testing.assert_array_equal(couple.v.coords, v[0])
@@ -165,23 +184,27 @@ class TestPolarStep:
         # NaN on every level-1 image: no restart has a value to compare
         space = NanAbove("nan", 1, -np.inf)
         with pytest.raises(InvalidInputError, match="NaN at every optimizer restart"):
-            optimize_couple(space, 2, np.ones((1, 1, 2, 2)), OptimizerConfig(restarts=2, iterations=3))
+            optimize_couple(space, 2, np.ones((1, 1, 2, 2)), drawn_starts(space, 2, 2, 0),
+                            OptimizerConfig(restarts=2, iterations=3))
 
     @pytest.mark.parametrize("starts", [np.ones((1, 3, 3, 1)), np.ones((1, 2, 2, 2)), np.ones((2, 2, 1)),
                                         np.array([np.nan, 1, 1, 1]).reshape(1, 2, 2, 1),
                                         np.array([np.inf, 1, 1, 1]).reshape(1, 2, 2, 1),
-                                        np.full((1, 2, 2, 1), "x"), [c_min().element(np.eye(2))]],
-                             ids=["other_level", "other_dim", "unstacked", "nan", "inf", "text", "element_list"])
+                                        np.full((1, 2, 2, 1), "x"), [c_min().element(np.eye(2))], None,
+                                        np.empty((0, 2, 2, 1))],
+                             ids=["other_level", "other_dim", "unstacked", "nan", "inf", "text", "element_list",
+                                  "missing", "empty"])
     def test_start_stack_of_another_shape_or_not_finite_rejected(self, starts):
-        # a non-finite start is no element either: NaN used to fail in the SVD ("SVD did not converge")
+        # a non-finite start is no element either: NaN used to fail in the SVD ("SVD did not converge");
+        # the optimizer draws no starts of its own, so a missing or empty stack has nothing to run
         with pytest.raises(InvalidInputError, match="start"):
-            optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts=starts)
+            optimize_couple(c_min(), 2, np.ones((1, 1, 2, 2), dtype=complex), starts)
 
     def test_start_outside_the_ball_caught_by_the_couple(self):
         # a given start is used as given: returned unchanged with no step, and the Couple checks it
         with pytest.raises(InvalidInputError, match="norm 3 > 1"):
-            optimize_couple(c_min(), 2, np.eye(2).reshape(1, 1, 2, 2), OptimizerConfig(restarts=1, iterations=0),
-                            starts=3 * np.eye(2).reshape(1, 2, 2, 1))
+            optimize_couple(c_min(), 2, np.eye(2).reshape(1, 1, 2, 2), 3 * np.eye(2).reshape(1, 2, 2, 1),
+                            OptimizerConfig(restarts=1, iterations=0))
 
     def test_given_starts_are_not_written(self):
         # the restarts step on a copy: with every restart given, the caller's stack keeps its points
@@ -189,7 +212,7 @@ class TestPolarStep:
         u = gauss(rng, (2, 2, 2, 2))
         starts = c_min().unit_scaled_stack(gauss(rng, (2, 2, 2, 1)))
         before = starts.copy()
-        couple, _ = optimize_couple(c_min(), 2, u, OptimizerConfig(restarts=2, iterations=5), starts=starts)
+        couple, _ = optimize_couple(c_min(), 2, u, starts, OptimizerConfig(restarts=2, iterations=5))
         np.testing.assert_array_equal(starts, before)
         assert not any(np.array_equal(couple.v.coords, start) for start in starts)  # the restarts moved
 
@@ -202,7 +225,7 @@ class TestPolarStep:
         starts = space.unit_scaled_stack(np.stack([10.0 ** e * gauss(rng, (2, 2, space.dim)) for e in (-1, 1, 0)]))
         values = [space.norm(amplified_image(LeveledElement(space.space_id, c), u)) for c in starts]
         best = int(np.argmax(values))
-        couple, value = optimize_couple(space, 2, u, OptimizerConfig(restarts=3, iterations=10), starts=starts)
+        couple, value = optimize_couple(space, 2, u, starts, OptimizerConfig(restarts=3, iterations=10))
         assert value == values[best]
         np.testing.assert_array_equal(couple.v.coords, starts[best])
 
@@ -348,7 +371,8 @@ def test_each_step_values_one_candidate_per_running_restart(seed):
     restarts = 4
     space = CountedScalars("count", 1, 3)
     u4 = gauss(np.random.default_rng(seed), (3, 3, 2, 2))
-    optimize_couple(space, 2, u4, OptimizerConfig(restarts=restarts, iterations=40), seed=seed)
+    cfg = OptimizerConfig(restarts=restarts, iterations=40)
+    optimize_couple(space, 2, u4, drawn_starts(space, 2, restarts, seed), cfg)
     # the starts, one restart at a time, then their states in one call
     assert space.log[:restarts + 1] == [("norm", 1)] * restarts + [("state", restarts)]
     assert space.log[-1] == ("norm", restarts)  # the kept images, valued as couple_value values them
@@ -378,14 +402,15 @@ def test_each_step_factors_twice(space_id, monkeypatch):
             return hook(self, *args)
         return call
 
+    starts = drawn_starts(space, 2, 3, 15)  # rescaled into the ball before the count starts
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     for name in ("polar_state", "polar_proposal"):
         monkeypatch.setattr(type(space), name, logged(name, getattr(type(space), name)))
-    optimize_couple(space, 2, u4, OptimizerConfig(restarts=3, iterations=40), seed=15)
-    # the starts' rescale and three values, then their states; at the end the
-    # kept images' values and the couple check
+    optimize_couple(space, 2, u4, starts, OptimizerConfig(restarts=3, iterations=40))
+    # the starts' three values, then their states; at the end the kept
+    # images' values and the couple check
     first = log.index("polar_proposal")
-    assert log[:first] == ["svd"] * 4 + ["polar_state", "svd"] and log[-2:] == ["svd", "svd"]
+    assert log[:first] == ["svd"] * 3 + ["polar_state", "svd"] and log[-2:] == ["svd", "svd"]
     steps = log[first:-2]
     assert len(steps) >= 8 and steps == ["polar_proposal", "svd", "polar_state", "svd"] * (len(steps) // 4)
 
@@ -513,18 +538,14 @@ def reference_proposal(space, image, u4):
     return np.outer(vvh[0].conj(), uu[:, 0].conj()).reshape(n, n, 1)
 
 
-def reference_optimize(space, n, u4, cfg, starts, seed, kept=None):
-    """The sequential loop; appends each point a restart starts at or moves to to ``kept``, if given.
+def reference_optimize(space, n, u4, cfg, starts, kept=None):
+    """The sequential loop over the first ``restarts`` rows of ``starts`` (unit-ball points, used as given).
 
-    The given ``starts`` (a stack of unit-ball points) lead as given; the drawn restarts are rescaled.
+    Appends each point a restart starts at or moves to to ``kept``, if given.
     """
-    rng = np.random.default_rng(seed)
     best_v, best_val = None, -np.inf
-    for restart in range(cfg.restarts):
-        if restart < len(starts):
-            v = np.array(starts[restart], dtype=complex)
-        else:
-            v = space.unit_scaled_stack(random_element(space, n, rng).coords[None])[0]
+    for start in starts[: cfg.restarts]:
+        v = np.array(start, dtype=complex)
         image = amplified_image(LeveledElement(space.space_id, v), u4).coords
         val = space.norm(LeveledElement(space.space_id, image))
         if kept is not None:
@@ -614,11 +635,12 @@ class TestLockstepEquivalence:
                 coords[0, 0, 0] = 0
             starts = np.concatenate([starts, space.unit_scaled_stack(coords)])  # the caller puts its starts in the ball
         cfg = OptimizerConfig(restarts=restarts, iterations=iterations, stall_limit=stall_limit)
-        couple, value = optimize_couple(space, n, u4, cfg, starts=starts, seed=seed)
+        starts = np.concatenate([starts, drawn_starts(space, n, max(restarts - given_starts, 0), seed)])
+        couple, value = optimize_couple(space, n, u4, starts, cfg)
         if not u4.any():
             return
         kept = []
-        ref_v, ref_value = reference_optimize(space, n, u4, cfg, starts, seed, kept)
+        ref_v, ref_value = reference_optimize(space, n, u4, cfg, starts, kept)
         assert value == ref_value
         np.testing.assert_array_equal(couple.v.coords, ref_v)
         assert space.norm_batch(np.stack(kept)).max() <= 1.0 + 1e-13
@@ -633,10 +655,11 @@ class TestLockstepEquivalence:
         rng = np.random.default_rng(seed)
         u4, space = gauss(rng, (3, 3, 3, 3)), space_from_id(space_id)
         cfg = OptimizerConfig(restarts=2, iterations=40, stall_limit=1)
-        couple, value = optimize_couple(space, 3, u4, cfg, seed=seed)
-        _, one_step = optimize_couple(space, 3, u4, OptimizerConfig(restarts=2, iterations=1), seed=seed)
+        starts = drawn_starts(space, 3, cfg.restarts, seed)
+        couple, value = optimize_couple(space, 3, u4, starts, cfg)
+        _, one_step = optimize_couple(space, 3, u4, starts, OptimizerConfig(restarts=2, iterations=1))
         kept = []
-        ref_v, ref_value = reference_optimize(space, 3, u4, cfg, [], seed, kept)
+        ref_v, ref_value = reference_optimize(space, 3, u4, cfg, starts, kept)
         assert len(kept) > 2 * cfg.restarts  # some restart moved more than once
         assert value == ref_value > one_step
         np.testing.assert_array_equal(couple.v.coords, ref_v)
@@ -651,14 +674,14 @@ class TestLockstepEquivalence:
         u4 = gauss(rng, (m, m, n, n))
         start = c_max().unit_scaled_stack(gauss(rng, (1, n, n, 1)))  # in the ball: CreepBelow norms level n as cmax
         one_step = OptimizerConfig(restarts=1, iterations=1)
-        _, floor = optimize_couple(c_max(), n, u4, one_step, starts=start)
+        _, floor = optimize_couple(c_max(), n, u4, start, one_step)
         space = CreepBelow("creep", 1, m, floor)
         start_value = space.norm(amplified_image(space.element(start[0]), u4))
-        _, first = optimize_couple(space, n, u4, one_step, starts=start)
+        _, first = optimize_couple(space, n, u4, start, one_step)
         cfg = OptimizerConfig(restarts=1, iterations=3, stall_limit=2)
-        couple, value = optimize_couple(space, n, u4, cfg, starts=start)
+        couple, value = optimize_couple(space, n, u4, start, cfg)
         assert 0 < first - start_value <= TOLERANCE * start_value < value - first
-        ref_v, ref_value = reference_optimize(space, n, u4, cfg, start, 0)
+        ref_v, ref_value = reference_optimize(space, n, u4, cfg, start)
         assert value == ref_value
         np.testing.assert_array_equal(couple.v.coords, ref_v)
 
@@ -685,10 +708,12 @@ class TestProposalContract:
         # the couple check, not a rescale, keeps an infeasible point from being returned
         u = gauss(np.random.default_rng(13), (2, 2, 2, 2))
         with pytest.raises(InvalidInputError, match="norm .* > 1"):
-            optimize_couple(DoubledProposal("double", 1), 2, u, OptimizerConfig(restarts=1, iterations=3))
+            optimize_couple(DoubledProposal("double", 1), 2, u, drawn_starts(c_max(), 2, 1, 0),
+                            OptimizerConfig(restarts=1, iterations=3))
 
     def test_proposal_of_another_shape_rejected(self):
         # at m != n the images and the elements differ in shape
         u = gauss(np.random.default_rng(14), (3, 3, 2, 2))
         with pytest.raises(InvalidInputError, match="polar_proposal gave shape"):
-            optimize_couple(ImagesAsCoordinates("images", 1, 3), 2, u, OptimizerConfig(restarts=1, iterations=3))
+            optimize_couple(ImagesAsCoordinates("images", 1, 3), 2, u, drawn_starts(c_max(), 2, 1, 0),
+                            OptimizerConfig(restarts=1, iterations=3))
